@@ -8,7 +8,7 @@ mathematics; everything outside demo quadrature is exact rational
 arithmetic.
 """
 
-from .exactcore import Matrix, Rational, format_rational, parse_rational
+from .exactcore import Matrix, format_rational, parse_rational
 from .model import (
     Belief,
     CovariateMixture,

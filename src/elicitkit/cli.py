@@ -8,9 +8,10 @@ Three subcommands:
 * ``demo <name> [--param k=v ...]`` prints a demo report as JSON on stdout
   and a human-readable summary on stderr; exits nonzero when any machine
   checked claim fails.
-* ``verify <mechanism.json> [--target family.json] [--denominator d]`` runs
-  the exhaustive incentive-compatibility oracle and prints its report as
-  JSON on stdout.
+* ``verify <mechanism.json> [--target family.json] [--denominator d]
+  [--max-pairs N]`` runs the exhaustive incentive-compatibility oracle and
+  prints its report as JSON on stdout; a grid with more than N ordered
+  belief pairs is refused before it is built.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         target = load_statistic_family(_read_json(args.target))
     else:
         target = maximal_partition(mechanism.experiment)
-    report = ic_verify(mechanism, target, args.denominator)
+    report = ic_verify(mechanism, target, args.denominator, args.max_pairs)
     print(json.dumps(report.to_doc(), indent=2))
     return 0
 
@@ -158,6 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="belief grid resolution (weights are multiples of 1/d)",
+    )
+    verify.add_argument(
+        "--max-pairs",
+        type=int,
+        default=1_000_000,
+        help="cap on the ordered belief pairs G(G-1) the grid may have",
     )
     verify.set_defaults(run=_run_verify)
     return parser

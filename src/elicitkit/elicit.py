@@ -35,7 +35,7 @@ from .exactcore import (
     rank,
     solve_linear,
 )
-from .model import Belief, Experiment, power
+from .model import Belief, Experiment, is_identified, power
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -328,7 +328,7 @@ def complete_elicitation(e: Experiment) -> CompleteElicitationReport:
     m = len(e.outcomes)
     single = _full_belief_recoverable(e)
     impossible = m < n
-    if not _is_identified_rows(e):
+    if not is_identified(e):
         return CompleteElicitationReport(single, n - 1, impossible, None)
     statistic, outcome_weights = _injective_statistic(e)
     copies = n - 1
@@ -352,11 +352,6 @@ def complete_elicitation(e: Experiment) -> CompleteElicitationReport:
         product_full_belief_elicitable=product_ok,
     )
     return CompleteElicitationReport(single, n - 1, impossible, certificate)
-
-
-def _is_identified_rows(e: Experiment) -> bool:
-    rows = {e.kernel.row(i) for i in range(len(e.parameters))}
-    return len(rows) == len(e.parameters)
 
 
 def load_statistic_family(doc: Mapping) -> StatisticFamily:

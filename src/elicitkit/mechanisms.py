@@ -24,8 +24,10 @@ target-distinguishable pairs, and indifference inside cells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Optional, Sequence, Union
 
 from .exactcore import Matrix, format_rational, parse_rational
@@ -310,24 +312,18 @@ class CompoundMechanism(Mechanism):
         self.mixture = mixture_spec
         self.subs = tuple(subs)
         self.experiment = mixture(mixture_spec)
-        offsets = []
-        position = 0
-        for comp in mixture_spec.components:
-            offsets.append(position)
-            position += len(comp.outcomes)
-        self._offsets = tuple(offsets)
 
     def report_for_belief(self, p: Belief) -> Belief:
         return p
 
     def payoff(self, report: Report, outcome: Union[int, str]) -> Fraction:
+        return self.payoff_vector(report)[self._outcome_index(outcome)]
+
+    def payoff_vector(self, report: Report) -> tuple[Fraction, ...]:
+        """Each covariate's sub-mechanism payoffs, in covariate order."""
         if not isinstance(report, Belief):
             raise ValueError("a direct mechanism takes a belief as the report")
-        idx = self._outcome_index(outcome)
-        for k in reversed(range(len(self.subs))):
-            if idx >= self._offsets[k]:
-                return self.subs[k].payoff(report, idx - self._offsets[k])
-        raise ValueError("outcome index out of range")  # pragma: no cover
+        return tuple(x for sub in self.subs for x in sub.payoff_vector(report))
 
     def payoff_range(self) -> tuple[Fraction, Fraction]:
         return (_ZERO, _ONE)
@@ -483,8 +479,35 @@ class ICReport:
         return doc
 
 
+def _scaled_ints(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Rational rows as integers over their least common denominator."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+
+
+def _scaled_means(
+    counts: Sequence[Sequence[int]], functions: Sequence[Sequence[Fraction]]
+) -> tuple[list[tuple[int, ...]], int]:
+    """Each count vector's weighted sums of the functions, as integers.
+
+    For belief k/d the sums are its means of the functions times
+    d * scale, the same positive factor for every belief.
+    """
+    scaled, scale = _scaled_ints(functions)
+    return [tuple(sum(map(mul, k, g)) for g in scaled) for k in counts], scale
+
+
+def _class_ids(keys: Sequence[tuple[int, ...]]) -> list[int]:
+    """One small integer per distinct key, so equality tests compare ints."""
+    ids: dict[tuple[int, ...], int] = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
 def ic_verify(
-    m: Mechanism, target: StatisticFamily, grid_denominator: int
+    m: Mechanism,
+    target: StatisticFamily,
+    grid_denominator: int,
+    max_pairs: int = 1_000_000,
 ) -> ICReport:
     """Enumerate all grid belief pairs and check incentives exactly.
 
@@ -499,55 +522,81 @@ def ic_verify(
 
     An indifference failure in one direction is a weak-IC failure in the
     other, so ``incentive_compatible`` covers both; the report carries the
-    lexicographically smallest violating pair.
+    lexicographically first violating pair (beliefs ordered by their weight
+    tuples, truth before deviation).
+
+    Cost: the grid has G = C(d+n-1, n-1) beliefs for n parameters. The
+    kernel, the payoff vectors and the target statistics are scaled once to
+    integers, so belief p = k/d has mean outcome distribution k @ K_int over
+    a common scale. For each belief one row of G integer expected payoffs
+    is formed (m multiply-adds per entry for m outcomes), and every gap is
+    a difference of two entries of that row; only the reported gap goes
+    back to a Fraction. Memory is O(G*m) whatever the number of
+    violations: only the first is kept. The scan stops at the first
+    weak-IC or indifference violation, since nothing later can change the
+    report; strictness violations alone do not stop it. ``pairs_checked``
+    is always G(G-1). When G(G-1) exceeds ``max_pairs`` the call raises
+    ``ValueError`` before enumerating anything.
     """
     if grid_denominator < 1:
         raise ValueError("grid denominator must be at least 1")
     e = m.experiment
     if target.parameters != e.parameters:
         raise ValueError("target family must share the experiment's parameters")
-    beliefs = belief_grid(len(e.parameters), grid_denominator)
-    lambdas = [mean_outcome_distribution(e, p) for p in beliefs]
-    vectors = []
-    for p in beliefs:
-        vectors.append(m.payoff_vector(m.report_for_belief(p)))
-    target_means = [
-        tuple(statistic_mean(g, p) for g in target.functions) for p in beliefs
-    ]
-
-    def gap(i: int, j: int) -> Fraction:
-        lam = lambdas[i]
-        truth, dev = vectors[i], vectors[j]
-        return sum((l * (a - b) for l, a, b in zip(lam, truth, dev)), _ZERO)
-
-    violations: list[ICViolation] = []
-    for i, p in enumerate(beliefs):
-        for j, q in enumerate(beliefs):
-            if i == j:
-                continue
-            g = gap(i, j)
-            if g < 0:
-                violations.append(ICViolation("weak_ic", p, q, g))
-                continue
-            if target_means[i] != target_means[j]:
-                if g == 0:
-                    violations.append(ICViolation("strictness", p, q, g))
-            if lambdas[i] == lambdas[j] and g != 0:
-                violations.append(ICViolation("indifference", p, q, g))
-
-    weak_ok = not any(v.check in ("weak_ic", "indifference") for v in violations)
-    strict_ok = not any(v.check == "strictness" for v in violations)
-    worst = (
-        min(violations, key=lambda v: (v.belief.weights, v.deviation.weights))
-        if violations
-        else None
+    n, d = len(e.parameters), grid_denominator
+    size = math.comb(d + n - 1, n - 1)
+    pairs = size * (size - 1)
+    if pairs > max_pairs:
+        raise ValueError(
+            f"a denominator-{d} grid over {n} parameters has {size} beliefs and "
+            f"{pairs} ordered pairs, above the cap of {max_pairs} (max_pairs)"
+        )
+    beliefs = belief_grid(n, d)
+    counts = [[w.numerator * (d // w.denominator) for w in p.weights] for p in beliefs]
+    # a belief's mean outcome distribution is its means of the kernel columns
+    lambdas, kernel_scale = _scaled_means(
+        counts, [e.kernel.col(y) for y in range(len(e.outcomes))]
     )
+    vectors, payoff_scale = _scaled_ints(
+        [m.payoff_vector(m.report_for_belief(p)) for p in beliefs]
+    )
+    lambda_ids = _class_ids(lambdas)
+    target_ids = _class_ids(_scaled_means(counts, target.functions)[0])
+    scale = d * kernel_scale * payoff_scale
+
+    first: Optional[ICViolation] = None
+    weak_ok = strict_ok = True
+    for i, p in enumerate(beliefs):
+        row = [sum(map(mul, lambdas[i], v)) for v in vectors]
+        truth, lam_id, target_id = row[i], lambda_ids[i], target_ids[i]
+        for j, value in enumerate(row):
+            if value > truth:
+                check = "weak_ic"
+            elif value == truth:
+                if target_ids[j] == target_id:
+                    continue
+                check = "strictness"
+            elif lambda_ids[j] == lam_id:
+                check = "indifference"
+            else:
+                continue
+            if first is None:
+                first = ICViolation(
+                    check, p, beliefs[j], Fraction(truth - value, scale)
+                )
+            if check == "strictness":
+                strict_ok = False
+            else:
+                weak_ok = False
+                break
+        if not weak_ok:
+            break
     return ICReport(
         incentive_compatible=weak_ok,
         elicits_target=weak_ok and strict_ok,
-        violation=worst,
+        violation=first,
         grid_denominator=grid_denominator,
-        pairs_checked=len(beliefs) * (len(beliefs) - 1),
+        pairs_checked=pairs,
     )
 
 

@@ -160,9 +160,12 @@ def verify_event_weights(
 def elicitation_dominates(ey: Experiment, ez: Experiment) -> DominanceResult:
     """Solve ``kernel_Y @ M == kernel_Z`` column by column.
 
-    On success the witness is renormalized to unit row sums by adding the
-    per-row deficit to every entry of the row; the factorization is preserved
-    because the deficits average out to zero under every parameter.
+    On success the witness is renormalized to unit row sums by spreading
+    each row's deficit evenly over its |Z| entries. The factorization is
+    preserved: the rows of kernel_Z sum to 1, so the deficit vector lies in
+    the null space of kernel_Y, and so does the added matrix
+    deficit @ ones^T / |Z|. With kernel_Y of full column rank the deficit is
+    zero and the solve's witness is returned unchanged.
     """
     _require_shared_parameters(ey, ez)
     ny, nz = len(ey.outcomes), len(ez.outcomes)
@@ -180,8 +183,8 @@ def elicitation_dominates(ey: Experiment, ez: Experiment) -> DominanceResult:
     rows = []
     for y in range(ny):
         row = raw.row(y)
-        deficit = _ONE - sum(row, _ZERO)
-        rows.append([x + deficit for x in row])
+        share = (_ONE - sum(row, _ZERO)) / nz
+        rows.append([x + share for x in row])
     witness = Matrix.from_rows(rows)
     if not verify_factorization(ey, ez, witness):
         raise RuntimeError("row renormalization broke the factorization")

@@ -17,7 +17,7 @@ from elicitkit.mechanisms import (
     mechanism_to_doc,
     quadratic_mechanism,
 )
-from elicitkit.model import experiment_to_doc
+from elicitkit.model import Experiment, experiment_to_doc
 
 
 @pytest.fixture()
@@ -171,3 +171,36 @@ class TestVerify:
         path.write_text(json.dumps(mechanism_to_doc(table)))
         assert main(["verify", str(path)]) == 2
         assert "belief-to-report" in capsys.readouterr().err
+
+    def test_pair_budget_refuses_fine_grid_before_building_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import elicitkit.mechanisms
+
+        built = []
+        monkeypatch.setattr(
+            elicitkit.mechanisms, "belief_grid", lambda *args: built.append(args)
+        )
+        e = Experiment(
+            tuple(f"t{i}" for i in range(5)),
+            ("0", "1"),
+            Matrix.from_rows([[F(i, 4), 1 - F(i, 4)] for i in range(5)]),
+        )
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps(mechanism_to_doc(quadratic_mechanism(e))))
+        assert main(["verify", str(path), "--denominator", "1000"]) == 2
+        err = capsys.readouterr().err
+        size = 42_084_793_751  # C(1004, 4) beliefs
+        assert f"{size * (size - 1)} ordered pairs" in err
+        assert "cap of 1000000" in err
+        assert built == []
+
+    def test_max_pairs_option_sets_the_cap(self, tmp_path, capsys):
+        doc = mechanism_to_doc(quadratic_mechanism(bernoulli_experiment()))
+        path = tmp_path / "mechanism.json"
+        path.write_text(json.dumps(doc))
+        # d = 3 on 3 parameters: 10 beliefs, 90 ordered pairs
+        assert main(["verify", str(path), "--denominator", "3", "--max-pairs", "89"]) == 2
+        assert "cap of 89" in capsys.readouterr().err
+        assert main(["verify", str(path), "--denominator", "3", "--max-pairs", "90"]) == 0
+        assert json.loads(capsys.readouterr().out)["pairs_checked"] == 90

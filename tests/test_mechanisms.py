@@ -206,6 +206,46 @@ class TestCompound:
         )
         assert expected_payoff(comp, p, p) > expected_payoff(comp, p, q)
 
+    def test_payoff_vector_matches_per_outcome_payoffs(self):
+        base, detector = self.make_components()
+        mix = CovariateMixture(("a", "b"), (F(1, 3), F(2, 3)), (base, detector))
+        comp = compound_mechanism(
+            mix, (quadratic_mechanism(base), quadratic_mechanism(detector))
+        )
+        for p in belief_grid(3, 3):
+            assert comp.payoff_vector(p) == tuple(
+                comp.payoff(p, y) for y in range(len(comp.experiment.outcomes))
+            )
+        with pytest.raises(ValueError, match="belief"):
+            comp.payoff_vector(F(1, 2))
+
+    def test_payoff_vector_scores_each_covariate_once(self, monkeypatch):
+        import random
+
+        from elicitkit.catalog import random_experiment
+
+        rng = random.Random(7)
+        params = ("t0", "t1", "t2")
+        comps = (
+            random_experiment(rng, 3, 4, 4, params),
+            random_experiment(rng, 3, 5, 4, params),
+        )
+        mix = CovariateMixture(("a", "b"), (F(1, 2), F(1, 2)), comps)
+        comp = compound_mechanism(mix, tuple(map(quadratic_mechanism, comps)))
+        calls = []
+        original = QuadraticPanelMechanism.payoff_vector_for_distribution
+
+        def counted(self, lam):
+            calls.append(lam)
+            return original(self, lam)
+
+        monkeypatch.setattr(
+            QuadraticPanelMechanism, "payoff_vector_for_distribution", counted
+        )
+        vector = comp.payoff_vector(Belief.uniform(3))
+        assert len(vector) == 9
+        assert len(calls) == 2
+
     def test_rejects_uncertified_sub_payoffs(self):
         base, _ = self.make_components()
         mix = CovariateMixture(("x",), (F(1),), (base,))

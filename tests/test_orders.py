@@ -16,6 +16,7 @@ from elicitkit.catalog import (
 )
 from elicitkit.exactcore import Matrix
 from elicitkit.model import (
+    Experiment,
     garble,
     is_complete,
     replacement_garble,
@@ -58,6 +59,22 @@ class TestElicitationOrder:
         )
         result = elicitation_dominates(flip, CLEAN)
         assert not result.holds and result.witness is None
+
+    def test_rank_deficient_witness_has_unit_row_sums(self):
+        # parameters a and b share a kernel row, so K_Y lacks full column
+        # rank and the solve leaves a nonzero row deficit to spread
+        ey = Experiment(
+            ("a", "b", "c"),
+            ("0", "1", "2"),
+            Matrix.from_rows([["1/2", "1/2", 0], ["1/2", "1/2", 0], [0, 0, 1]]),
+        )
+        ez = garble(ey, Matrix.from_rows([[1, 0], [0, 1], [0, 1]]))
+        witness = elicitation_dominates(ey, ez).witness
+        assert all(sum(witness.row(y), F(0)) == 1 for y in range(3))
+        assert verify_factorization(ey, ez, witness)
+        transition = uniform_garbling_decomposition(ey, ez).transition
+        assert all(x >= 0 for x in transition.entries)
+        assert all(sum(transition.row(y), F(0)) == 1 for y in range(3))
 
     def test_parameter_mismatch_rejected(self):
         with pytest.raises(ValueError, match="parameter"):
