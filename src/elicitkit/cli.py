@@ -81,7 +81,9 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 
 def _run_demo(args: argparse.Namespace) -> int:
-    from .demos import DEMOS  # deferred: pulls in scipy
+    # deferred: keeps demos and catalog (about 20 ms of imports) out of the
+    # start-up of compare and verify
+    from .demos import DEMOS
 
     if args.name not in DEMOS:
         raise ValueError(f"unknown demo {args.name!r}; options: {sorted(DEMOS)}")

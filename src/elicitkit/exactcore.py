@@ -162,10 +162,6 @@ class Matrix:
     def to_doc(self) -> list[list[str]]:
         return [[format_rational(x) for x in self.row(i)] for i in range(self.rows)]
 
-    @staticmethod
-    def from_doc(doc: Sequence[Sequence[object]]) -> "Matrix":
-        return Matrix.from_rows(doc)
-
 
 def _row_reduce(
     rows: list[list[Fraction]], pivot_cols: int

@@ -719,7 +719,7 @@ def load_mechanism(doc: Mapping) -> Mechanism:
         return TableMechanism(
             load_experiment(doc["experiment"]),
             [str(r) for r in doc["reports"]],
-            Matrix.from_doc(doc["payoffs"]),
+            Matrix.from_rows(doc["payoffs"]),
         )
     if kind == "pushforward":
         base = load_mechanism(doc["base"])
@@ -727,7 +727,7 @@ def load_mechanism(doc: Mapping) -> Mechanism:
             raise ValueError("pushforward base must be a table mechanism")
         return pushforward(
             base,
-            Matrix.from_doc(doc["matrix"]),
+            Matrix.from_rows(doc["matrix"]),
             load_experiment(doc["experiment"]),
         )
     if kind == "compound":

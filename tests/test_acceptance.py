@@ -127,7 +127,7 @@ def test_criterion_02_separation_pair_relations(tmp_path, capsys):
     assert main(["compare", "nonneg", paths["wide"], paths["narrow"]]) == 0
     nonneg_doc = json.loads(capsys.readouterr().out)
     ok &= nonneg_doc["holds"] is True
-    witness = Matrix.from_doc(nonneg_doc["witness"])
+    witness = Matrix.from_rows(nonneg_doc["witness"])
     ok &= ey.kernel @ witness == ez.kernel
     ok &= all(v >= 0 for v in witness.entries)
 

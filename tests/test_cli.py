@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from fractions import Fraction as F
 
+import elicitkit
 from elicitkit.cli import main
 from elicitkit.catalog import bernoulli_experiment, noisy_bernoulli_experiment
 from elicitkit.exactcore import Matrix
@@ -204,3 +209,30 @@ class TestVerify:
         assert "cap of 89" in capsys.readouterr().err
         assert main(["verify", str(path), "--denominator", "3", "--max-pairs", "90"]) == 0
         assert json.loads(capsys.readouterr().out)["pairs_checked"] == 90
+
+
+_STARTUP_PROBE = """
+import json, sys
+before = set(sys.modules)
+import elicitkit.cli, elicitkit.demos
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(
+    name for name in added
+    if name != "elicitkit" and name not in sys.stdlib_module_names
+)))
+"""
+
+
+def test_cli_and_demos_import_only_the_standard_library():
+    # a fresh interpreter, so modules this test session imported do not hide
+    # any; comparing module sets before and after ignores what site loads
+    src = str(Path(elicitkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(probe.stdout) == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,8 @@ from elicitkit.demos import (
     demo_german_tank,
     demo_poisson,
     demo_regression,
+    _QUAD_NODES,
+    _gauss_legendre,
 )
 
 
@@ -84,6 +87,22 @@ class TestDensity:
         assert report.passed
         mise = [report.artifacts["mise_by_degree"][str(n)] for n in range(1, 9)]
         assert all(b < a for a, b in zip(mise, mise[1:]))
+        # adaptive-quadrature values for degrees 1-6, to 3 significant figures
+        pinned = [1.3345e-3, 9.4278e-6, 3.7171e-8, 9.3466e-11, 1.6291e-13, 2.0839e-16]
+        assert mise[:6] == pytest.approx(pinned, rel=5e-3)
+
+    def test_gauss_legendre_rule(self):
+        nodes, weights = _gauss_legendre()
+        assert len(nodes) == len(weights) == _QUAD_NODES
+        assert math.fsum(weights) == pytest.approx(1.0, rel=1e-14)
+        assert all(0.0 < x < 1.0 for x in nodes)
+        assert list(nodes) == sorted(nodes)
+        assert weights == tuple(reversed(weights))
+        for x, y in zip(nodes, reversed(nodes)):
+            assert x + y == pytest.approx(1.0, rel=1e-15)
+        for k in range(2 * _QUAD_NODES):
+            integral = math.fsum(w * x**k for x, w in zip(nodes, weights))
+            assert integral == pytest.approx(1 / (k + 1), rel=1e-14)
 
     def test_unknown_density_rejected(self):
         with pytest.raises(ValueError, match="unknown density"):

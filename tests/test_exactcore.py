@@ -276,7 +276,7 @@ class TestMatrixBasics:
 
     def test_doc_roundtrip(self):
         a = Matrix.from_rows([["1/2", "0"], ["1/3", "2/3"]])
-        assert Matrix.from_doc(a.to_doc()) == a
+        assert Matrix.from_rows(a.to_doc()) == a
 
     def test_left_mul_vec(self):
         a = Matrix.from_rows([[1, 0], [0, 1], [1, 1]])
