@@ -32,7 +32,6 @@ from .elicit import (
     indistinguishable,
     is_coarser,
     maximal_partition,
-    median_elicitable,
     mode_elicitable,
     moment_weights,
     unbiased_weights,

@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--max-outcomes",
         type=int,
-        default=12,
+        default=orders.MAX_BOUNDED_OUTCOMES,
         help="cap on the dominated outcome count for the bounded relation",
     )
     compare.set_defaults(run=_run_compare)

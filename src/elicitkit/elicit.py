@@ -35,7 +35,7 @@ from .exactcore import (
     rank,
     solve_linear,
 )
-from .model import Belief, Experiment, is_identified, power
+from .model import Belief, Experiment, is_identified, power, require_keys
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -265,7 +265,8 @@ def mode_elicitable(
     condition). Otherwise any kernel-transpose null direction yields two
     beliefs around uniform that no mechanism separates, whose modal index
     sets (argmax of +/- the direction) are disjoint, so their modes provably
-    differ under any distinct real parameter values.
+    differ under any distinct real parameter values. The median has the same
+    answer: the rank criterion and the witness pair are the same.
     """
     values = [Fraction(v) for v in parameter_values]
     if len(values) != len(e.parameters):
@@ -283,17 +284,6 @@ def mode_elicitable(
     return ModeReport(
         elicitable=False, witness=(plus, minus), witness_modes=(high, low)
     )
-
-
-def median_elicitable(
-    e: Experiment, parameter_values: Sequence[Fraction]
-) -> ModeReport:
-    """Median analogue of :func:`mode_elicitable`; same rank criterion.
-
-    The witness pair is the same cannot-be-separated belief pair; no separate
-    construction is kept for the median.
-    """
-    return mode_elicitable(e, parameter_values)
 
 
 def _injective_statistic(e: Experiment) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -356,8 +346,8 @@ def complete_elicitation(e: Experiment) -> CompleteElicitationReport:
 
 def load_statistic_family(doc: Mapping) -> StatisticFamily:
     """Schema: ``{"parameters": [...], "functions": {name: [...], ...}}``."""
-    if not isinstance(doc, Mapping) or "parameters" not in doc or "functions" not in doc:
-        raise ValueError("statistic family document needs 'parameters' and 'functions'")
+    require_keys(doc, ("parameters", "functions"), "statistic family document")
+    require_keys(doc["functions"], (), "statistic family functions")
     parameters = tuple(str(x) for x in doc["parameters"])
     labels = tuple(str(name) for name in doc["functions"])
     functions = tuple(

@@ -2,7 +2,8 @@
 
 Dense matrices over :class:`fractions.Fraction`, linear solves, null-space
 bases, and linear-programming feasibility via a phase-I simplex with Bland's
-rule. Everything is exact; no floating point enters. All values are immutable
+rule. LP variables are nonnegative, and optional upper bounds become slack
+rows. Everything is exact; no floating point enters. All values are immutable
 and all functions are pure, so they are safe to share across threads.
 
 Conventions that make outputs reproducible:
@@ -68,6 +69,10 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[object]]) -> "Matrix":
+        if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in rows
+        ):
+            raise ValueError("a matrix must be a list of rows, each a list of entries")
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         entries: list[Fraction] = []
@@ -90,10 +95,6 @@ class Matrix:
         return Matrix(
             n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n))
         )
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, (_ZERO,) * (rows * cols))
 
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
@@ -145,18 +146,6 @@ class Matrix:
         return tuple(
             sum((vec[i] * self.at(i, j) for i in range(self.rows)), _ZERO)
             for j in range(self.cols)
-        )
-
-    def scale(self, factor: Fraction) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(factor * x for x in self.entries))
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix sum dimension mismatch")
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
         )
 
     def to_doc(self) -> list[list[str]]:
@@ -268,79 +257,37 @@ def determinant(a: Matrix) -> Fraction:
 def lp_feasible(
     equalities: Matrix,
     rhs: Sequence[Fraction],
-    lower: Optional[Sequence[Optional[Fraction]]] = None,
-    upper: Optional[Sequence[Optional[Fraction]]] = None,
+    upper: Optional[Sequence[Fraction]] = None,
 ) -> Optional[tuple[Fraction, ...]]:
-    """Find x with ``equalities @ x == rhs`` and ``lower <= x <= upper``.
+    """Find x >= 0 with ``equalities @ x == rhs`` and, if given, ``x <= upper``.
 
-    Bounds are per-variable and optional (None means unbounded on that side;
-    passing None for a whole argument leaves every variable unbounded on that
-    side). Returns an exact feasible point, or None when the system is
-    infeasible. Feasibility only: there is no objective.
+    Every variable is nonnegative. ``upper``, when given, holds one bound per
+    variable; each bound becomes a slack row ``x_k + s_k == upper[k]`` below
+    the equalities, with the slacks after the variables. Returns an exact
+    feasible point, or None when the system is infeasible. Feasibility only:
+    there is no objective.
 
-    The search is a phase-I simplex over the nonnegative reformulation
-    (bounded-below variables are shifted, bounded-above ones reflected, box
-    constraints become extra rows, free variables split into differences),
-    minimizing the sum of one artificial variable per row under Bland's
-    smallest-index rule, so termination is guaranteed.
+    The search is a phase-I simplex minimizing the sum of one artificial
+    variable per row under Bland's smallest-index rule, so termination is
+    guaranteed.
     """
     m, n = equalities.rows, equalities.cols
     if len(rhs) != m:
         raise ValueError("right-hand side length does not match row count")
-    lo = [None] * n if lower is None else list(lower)
-    up = [None] * n if upper is None else list(upper)
-    if len(lo) != n or len(up) != n:
-        raise ValueError("bound vectors must have one entry per variable")
+    bounds = [] if upper is None else [Fraction(u) for u in upper]
+    if upper is not None and len(bounds) != n:
+        raise ValueError("upper bounds must have one entry per variable")
 
-    rhs_vec = [Fraction(v) for v in rhs]
-    columns: list[list[Fraction]] = []
-    plans: list[tuple] = []  # reconstruction recipe per original variable
-    box_rows: list[tuple[int, Fraction]] = []  # (column index, box width)
-
-    for j in range(n):
-        col = [equalities.at(i, j) for i in range(m)]
-        l, u = lo[j], up[j]
-        if l is not None and u is not None:
-            l, u = Fraction(l), Fraction(u)
-            if u < l:
-                return None
-            for i in range(m):
-                rhs_vec[i] -= col[i] * l
-            columns.append(col)
-            plans.append(("shift", len(columns) - 1, l))
-            box_rows.append((len(columns) - 1, u - l))
-        elif l is not None:
-            l = Fraction(l)
-            for i in range(m):
-                rhs_vec[i] -= col[i] * l
-            columns.append(col)
-            plans.append(("shift", len(columns) - 1, l))
-        elif u is not None:
-            u = Fraction(u)
-            for i in range(m):
-                rhs_vec[i] -= col[i] * u
-            columns.append([-x for x in col])
-            plans.append(("reflect", len(columns) - 1, u))
-        else:
-            columns.append(col)
-            columns.append([-x for x in col])
-            plans.append(("split", len(columns) - 2, len(columns) - 1))
-
-    ncols = len(columns)
-    nbox = len(box_rows)
-    nvars = ncols + nbox  # transformed variables plus one slack per box row
-
-    tableau_rows: list[list[Fraction]] = []
-    tableau_rhs: list[Fraction] = []
-    for i in range(m):
-        tableau_rows.append([columns[c][i] for c in range(ncols)] + [_ZERO] * nbox)
-        tableau_rhs.append(rhs_vec[i])
-    for k, (c, width) in enumerate(box_rows):
+    nbox = len(bounds)
+    nvars = n + nbox  # variables plus one slack per box row
+    tableau_rows = [list(equalities.row(i)) + [_ZERO] * nbox for i in range(m)]
+    tableau_rhs = [Fraction(v) for v in rhs]
+    for k, bound in enumerate(bounds):
         row = [_ZERO] * nvars
-        row[c] = _ONE
-        row[ncols + k] = _ONE
+        row[k] = _ONE
+        row[n + k] = _ONE
         tableau_rows.append(row)
-        tableau_rhs.append(width)
+        tableau_rhs.append(bound)
 
     nrows = len(tableau_rows)
     for i in range(nrows):
@@ -402,25 +349,15 @@ def lp_feasible(
     if -reduced[-1] != 0:
         return None
 
-    values = [_ZERO] * nvars
-    for i, bv in enumerate(basis):
-        if bv < nvars:
-            values[bv] = tableau[i][-1]
-
     x = [_ZERO] * n
-    for j, plan in enumerate(plans):
-        if plan[0] == "shift":
-            x[j] = plan[2] + values[plan[1]]
-        elif plan[0] == "reflect":
-            x[j] = plan[2] - values[plan[1]]
-        else:
-            x[j] = values[plan[1]] - values[plan[2]]
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = tableau[i][-1]
 
     if equalities.mul_vec(x) != tuple(Fraction(v) for v in rhs):
         raise RuntimeError("simplex returned a non-solution; invariant broken")
-    for j in range(n):
-        if lo[j] is not None and x[j] < lo[j]:
-            raise RuntimeError("simplex violated a lower bound; invariant broken")
-        if up[j] is not None and x[j] > up[j]:
-            raise RuntimeError("simplex violated an upper bound; invariant broken")
+    if any(v < 0 for v in x):
+        raise RuntimeError("simplex returned a negative value; invariant broken")
+    if any(v > bound for v, bound in zip(x, bounds)):
+        raise RuntimeError("simplex violated an upper bound; invariant broken")
     return tuple(x)

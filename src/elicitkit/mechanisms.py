@@ -43,6 +43,7 @@ from .model import (
     mean_outcome_distribution,
     mixture,
     mixture_to_doc,
+    require_keys,
 )
 from .orders import EventWeightMatrix
 
@@ -696,11 +697,22 @@ def mechanism_to_doc(m: Mechanism) -> dict:
     raise ValueError(f"cannot serialize mechanism of kind {m.kind!r}")
 
 
+_MECHANISM_KEYS = {
+    "quadratic_panel": ("experiment",),
+    "mean_score": ("experiment", "statistic", "weights"),
+    "table": ("experiment", "reports", "payoffs"),
+    "pushforward": ("base", "matrix", "experiment"),
+    "compound": ("mixture", "subs"),
+}
+
+
 def load_mechanism(doc: Mapping) -> Mechanism:
     """Rebuild a mechanism from its kind-tagged JSON document."""
-    if not isinstance(doc, Mapping) or "kind" not in doc:
-        raise ValueError("mechanism document must be a JSON object with a 'kind'")
+    require_keys(doc, ("kind",), "mechanism document")
     kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in _MECHANISM_KEYS:
+        raise ValueError(f"unknown mechanism kind {kind!r}")
+    require_keys(doc, _MECHANISM_KEYS[kind], f"{kind} mechanism document")
     if kind == "quadratic_panel":
         return QuadraticPanelMechanism(
             load_experiment(doc["experiment"]),
@@ -730,8 +742,7 @@ def load_mechanism(doc: Mapping) -> Mechanism:
             Matrix.from_rows(doc["matrix"]),
             load_experiment(doc["experiment"]),
         )
-    if kind == "compound":
-        mixture_spec = load_mixture(doc["mixture"])
-        subs = [load_mechanism(doc["subs"][x]) for x in mixture_spec.covariates]
-        return CompoundMechanism(mixture_spec, subs)
-    raise ValueError(f"unknown mechanism kind {kind!r}")
+    mixture_spec = load_mixture(doc["mixture"])  # kind == "compound"
+    require_keys(doc["subs"], mixture_spec.covariates, "compound subs")
+    subs = [load_mechanism(doc["subs"][x]) for x in mixture_spec.covariates]
+    return CompoundMechanism(mixture_spec, subs)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .exactcore import (
     Matrix,
@@ -64,12 +64,6 @@ class Experiment:
                     f"kernel row for parameter {label!r} sums to "
                     f"{format_rational(total)}, expected 1"
                 )
-
-    def parameter_index(self, label: str) -> int:
-        try:
-            return self.parameters.index(label)
-        except ValueError:
-            raise ValueError(f"unknown parameter {label!r}") from None
 
     def outcome_index(self, label: str) -> int:
         try:
@@ -341,7 +335,7 @@ def is_complete(e: Experiment) -> bool:
     )
     for target in range(m):
         rhs = [_ONE if j == target else _ZERO for j in range(m)] + [_ONE]
-        if lp_feasible(system, rhs, lower=[_ZERO] * n) is None:
+        if lp_feasible(system, rhs) is None:
             return False
     return True
 
@@ -369,17 +363,22 @@ def belief_grid(n_parameters: int, denominator: int) -> tuple[Belief, ...]:
     )
 
 
+def require_keys(doc: object, keys: Iterable[str], what: str) -> None:
+    """Raise ValueError unless ``doc`` is a JSON object holding every key."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = set(keys) - set(doc)
+    if missing:
+        raise ValueError(f"{what} missing keys: {sorted(missing)}")
+
+
 def load_experiment(doc: Mapping) -> Experiment:
     """Build a validated experiment from its JSON document.
 
     Schema: ``{"parameters": [...], "outcomes": [...], "kernel": [[...]]}``
     with kernel rows in parameter order and entries as rational strings.
     """
-    if not isinstance(doc, Mapping):
-        raise ValueError("experiment document must be a JSON object")
-    missing = {"parameters", "outcomes", "kernel"} - set(doc)
-    if missing:
-        raise ValueError(f"experiment document missing keys: {sorted(missing)}")
+    require_keys(doc, ("parameters", "outcomes", "kernel"), "experiment document")
     parameters = tuple(str(x) for x in doc["parameters"])
     outcomes = tuple(str(x) for x in doc["outcomes"])
     kernel_doc = doc["kernel"]
@@ -403,12 +402,13 @@ def load_mixture(doc: Mapping) -> CovariateMixture:
     "components": {cov: <experiment document>, ...}}``; the covariate list is
     optional and defaults to the component key order.
     """
-    if not isinstance(doc, Mapping):
-        raise ValueError("mixture document must be a JSON object")
-    if "components" not in doc or "weights" not in doc:
-        raise ValueError("mixture document needs 'components' and 'weights'")
+    require_keys(doc, ("components", "weights"), "mixture document")
     components_doc = doc["components"]
-    covariates = tuple(str(x) for x in doc.get("covariates", components_doc.keys()))
+    # a JSON object first, since its keys name the covariates by default
+    require_keys(components_doc, (), "mixture components")
+    covariates = tuple(str(x) for x in doc.get("covariates", components_doc))
+    require_keys(components_doc, covariates, "mixture components")
+    require_keys(doc["weights"], covariates, "mixture weights")
     weights = tuple(parse_rational(doc["weights"][x]) for x in covariates)
     components = tuple(load_experiment(components_doc[x]) for x in covariates)
     return CovariateMixture(covariates, weights, components)

@@ -29,6 +29,10 @@ from .model import Experiment, is_complete, uniform_garble
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# The bounded order solves one LP per event, 2^|Z| in all, so the dominated
+# outcome count is capped.
+MAX_BOUNDED_OUTCOMES = 12
+
 
 def event_subsets(labels: Sequence[str]) -> tuple[tuple[str, ...], ...]:
     """All subsets of the outcome labels, in bitmask order.
@@ -212,9 +216,7 @@ def blackwell_dominates(ey: Experiment, ez: Experiment) -> DominanceResult:
             row[y * nz + z] = _ONE
         rows.append(row)
         rhs.append(_ONE)
-    point = lp_feasible(
-        Matrix.from_rows(rows), rhs, lower=[_ZERO] * nvars
-    )
+    point = lp_feasible(Matrix.from_rows(rows), rhs)
     if point is None:
         return DominanceResult(
             "blackwell", False, note="no Markov matrix carries the kernel over"
@@ -230,12 +232,9 @@ def nonneg_dominates(ey: Experiment, ez: Experiment) -> DominanceResult:
     each column is a small feasibility problem of its own.
     """
     _require_shared_parameters(ey, ez)
-    ny, nz = len(ey.outcomes), len(ez.outcomes)
     cols: list[tuple[Fraction, ...]] = []
-    for z in range(nz):
-        point = lp_feasible(
-            ey.kernel, ez.kernel.col(z), lower=[_ZERO] * ny
-        )
+    for z in range(len(ez.outcomes)):
+        point = lp_feasible(ey.kernel, ez.kernel.col(z))
         if point is None:
             return DominanceResult(
                 "nonneg",
@@ -247,7 +246,7 @@ def nonneg_dominates(ey: Experiment, ez: Experiment) -> DominanceResult:
 
 
 def bounded_dominates(
-    ey: Experiment, ez: Experiment, max_outcomes: int = 12
+    ey: Experiment, ez: Experiment, max_outcomes: int = MAX_BOUNDED_OUTCOMES
 ) -> DominanceResult:
     """Feasibility of an event-weight matrix with entries in [0, 1].
 
@@ -269,9 +268,7 @@ def bounded_dominates(
             sum((ez.kernel.at(t, z) for z in range(nz) if mask >> z & 1), _ZERO)
             for t in range(nt)
         ]
-        point = lp_feasible(
-            ey.kernel, rhs, lower=[_ZERO] * ny, upper=[_ONE] * ny
-        )
+        point = lp_feasible(ey.kernel, rhs, upper=[_ONE] * ny)
         if point is None:
             subset = ",".join(event_subsets(ez.outcomes)[mask]) or "{}"
             return DominanceResult(
@@ -369,7 +366,6 @@ class AuditReport:
 
 def order_consistency_audit(
     pairs: Iterable[tuple[Experiment, Experiment]],
-    bounded_cap: int = 12,
 ) -> AuditReport:
     results: list[PairAudit] = []
     violations: list[str] = []
@@ -378,7 +374,9 @@ def order_consistency_audit(
         blackwell_res = blackwell_dominates(ey, ez)
         nonneg_res = nonneg_dominates(ey, ez)
         bounded_res = (
-            bounded_dominates(ey, ez) if len(ez.outcomes) <= bounded_cap else None
+            bounded_dominates(ey, ez)
+            if len(ez.outcomes) <= MAX_BOUNDED_OUTCOMES
+            else None
         )
 
         for res in (elicit_res, blackwell_res, nonneg_res):

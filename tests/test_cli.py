@@ -211,6 +211,70 @@ class TestVerify:
         assert json.loads(capsys.readouterr().out)["pairs_checked"] == 90
 
 
+_EXPERIMENT = experiment_to_doc(bernoulli_experiment())
+_QUADRATIC = mechanism_to_doc(quadratic_mechanism(bernoulli_experiment()))
+_TABLE = mechanism_to_doc(
+    TableMechanism(bernoulli_experiment(), ("r0",), Matrix.from_rows([[F(0), F(1)]]))
+)
+
+
+def _compound(weights, subs):
+    mixture = {
+        "covariates": ["c", "d"],
+        "weights": weights,
+        "components": {"c": _EXPERIMENT, "d": _EXPERIMENT},
+    }
+    return {"kind": "compound", "mixture": mixture, "subs": subs}
+
+
+@pytest.mark.parametrize(
+    "argv, docs, message",
+    [
+        (["verify", "{0}"], [{"kind": "quadratic_panel"}], "missing keys: ['experiment']"),
+        (
+            ["verify", "{0}"],
+            [{k: v for k, v in _TABLE.items() if k != "reports"}],
+            "missing keys: ['reports']",
+        ),
+        (
+            ["verify", "{0}"],
+            [_compound({"d": "1"}, {"c": _QUADRATIC, "d": _QUADRATIC})],
+            "mixture weights missing keys: ['c']",
+        ),
+        (
+            ["verify", "{0}"],
+            [_compound({"c": "1/2", "d": "1/2"}, {"c": _QUADRATIC})],
+            "compound subs missing keys: ['d']",
+        ),
+        (
+            ["verify", "{0}", "--target", "{1}"],
+            [_QUADRATIC, {"parameters": ["0", "1/2", "1"], "functions": ["x"]}],
+            "functions must be a JSON object",
+        ),
+        (
+            ["compare", "blackwell", "{0}", "{0}"],
+            [{**_EXPERIMENT, "kernel": [1, 1, 1]}],
+            "list of rows",
+        ),
+    ],
+    ids=[
+        "panel-without-experiment",
+        "table-without-reports",
+        "mixture-weight-missing",
+        "compound-sub-missing",
+        "target-functions-not-object",
+        "kernel-row-not-list",
+    ],
+)
+def test_malformed_input_is_an_error(tmp_path, capsys, argv, docs, message):
+    paths = [tmp_path / f"doc{i}.json" for i in range(len(docs))]
+    for path, doc in zip(paths, docs):
+        path.write_text(json.dumps(doc))
+    assert main([arg.format(*paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 _STARTUP_PROBE = """
 import json, sys
 before = set(sys.modules)

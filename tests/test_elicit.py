@@ -31,7 +31,6 @@ from elicitkit.elicit import (
     is_coarser,
     load_statistic_family,
     maximal_partition,
-    median_elicitable,
     mode_elicitable,
     moment_weights,
     statistic_family_to_doc,
@@ -272,16 +271,6 @@ class TestModeElicitability:
     def test_duplicate_values_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             mode_elicitable(bernoulli_experiment(), [F(0), F(0), F(1)])
-
-    def test_median_uses_same_criterion(self):
-        for e, values in (
-            (bernoulli_experiment(), GRID),
-            (german_tank_experiment(3), [F(1), F(2), F(3)]),
-        ):
-            assert (
-                median_elicitable(e, values).elicitable
-                == mode_elicitable(e, values).elicitable
-            )
 
 
 class TestCompleteElicitation:
