@@ -26,6 +26,7 @@ from .model import (
     Belief,
     Experiment,
     belief_grid,
+    is_identified,
     mean_outcome_distribution,
     power,
     uniform_garble,
@@ -248,8 +249,7 @@ def demo_expertise(
     """
     if e is None:
         e = bernoulli_experiment()
-    rows = {e.kernel.row(i) for i in range(len(e.parameters))}
-    if len(rows) != len(e.parameters):
+    if not is_identified(e):
         raise ValueError("experiment must be identified (distinct kernel rows)")
     claims = _Claims()
     doubled = power(e, 2)

@@ -35,7 +35,7 @@ from .exactcore import (
     rank,
     solve_linear,
 )
-from .model import Belief, Experiment, is_identified, power, require_keys
+from .model import Belief, Experiment, is_identified, power, require_keys, require_list
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -348,10 +348,11 @@ def load_statistic_family(doc: Mapping) -> StatisticFamily:
     """Schema: ``{"parameters": [...], "functions": {name: [...], ...}}``."""
     require_keys(doc, ("parameters", "functions"), "statistic family document")
     require_keys(doc["functions"], (), "statistic family functions")
-    parameters = tuple(str(x) for x in doc["parameters"])
+    parameters = tuple(str(x) for x in require_list(doc["parameters"], "parameters"))
     labels = tuple(str(name) for name in doc["functions"])
     functions = tuple(
-        tuple(parse_rational(x) for x in doc["functions"][name]) for name in labels
+        tuple(parse_rational(x) for x in require_list(g, f"function {name!r}"))
+        for name, g in doc["functions"].items()
     )
     return StatisticFamily(parameters, functions, labels)
 

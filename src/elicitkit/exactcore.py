@@ -12,9 +12,11 @@ Conventions that make outputs reproducible:
   variables to zero;
 * null-space basis vectors are scaled so their first nonzero entry is
   positive;
-* the simplex always picks the lowest-index eligible column and, on ratio
-  ties, the row whose basic variable has the lowest index (Bland's rule,
-  which also guarantees termination).
+* the simplex always enters the lowest-index structural column with a
+  negative reduced cost and, on ratio ties, leaves the row whose basic
+  variable has the lowest index (Bland's rule, which also guarantees
+  termination). Artificial columns are not stored: a basic artificial has
+  reduced cost zero, and one that leaves never re-enters.
 """
 
 from __future__ import annotations
@@ -152,6 +154,16 @@ class Matrix:
         return [[format_rational(x) for x in self.row(i)] for i in range(self.rows)]
 
 
+def _pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """In-place Gauss-Jordan step: column ``c`` becomes 1 in row ``r``, 0 elsewhere."""
+    inv = rows[r][c]
+    pivot_row = rows[r] = [x / inv for x in rows[r]]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i != r and f != 0:
+            rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+
+
 def _row_reduce(
     rows: list[list[Fraction]], pivot_cols: int
 ) -> tuple[list[list[Fraction]], list[int]]:
@@ -169,12 +181,7 @@ def _row_reduce(
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        _pivot(rows, r, c)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -269,7 +276,8 @@ def lp_feasible(
 
     The search is a phase-I simplex minimizing the sum of one artificial
     variable per row under Bland's smallest-index rule, so termination is
-    guaranteed.
+    guaranteed. Artificial columns are not stored: an artificial is only a
+    basis id until it leaves, and it never enters.
     """
     m, n = equalities.rows, equalities.cols
     if len(rhs) != m:
@@ -280,42 +288,25 @@ def lp_feasible(
 
     nbox = len(bounds)
     nvars = n + nbox  # variables plus one slack per box row
-    tableau_rows = [list(equalities.row(i)) + [_ZERO] * nbox for i in range(m)]
-    tableau_rhs = [Fraction(v) for v in rhs]
-    for k, bound in enumerate(bounds):
-        row = [_ZERO] * nvars
-        row[k] = _ONE
-        row[n + k] = _ONE
-        tableau_rows.append(row)
-        tableau_rhs.append(bound)
-
-    nrows = len(tableau_rows)
-    for i in range(nrows):
-        if tableau_rhs[i] < 0:
-            tableau_rows[i] = [-x for x in tableau_rows[i]]
-            tableau_rhs[i] = -tableau_rhs[i]
-
-    total = nvars + nrows  # structural variables then artificials
-    tableau = [
-        tableau_rows[i]
-        + [_ONE if k == i else _ZERO for k in range(nrows)]
-        + [tableau_rhs[i]]
-        for i in range(nrows)
+    rows = [
+        list(equalities.row(i)) + [_ZERO] * nbox + [Fraction(rhs[i])]
+        for i in range(m)
     ]
-    basis = [nvars + i for i in range(nrows)]
-    # reduced-cost row for minimizing the artificial sum; last entry is -objective
-    reduced = [_ZERO] * (total + 1)
-    for row in tableau:
-        for k in range(total + 1):
-            reduced[k] -= row[k]
-    for k in range(nvars, total):
-        reduced[k] = _ZERO
-    eligible = [True] * total
+    for k, bound in enumerate(bounds):
+        row = [_ZERO] * nvars + [bound]
+        row[k] = row[n + k] = _ONE
+        rows.append(row)
+    tableau = [[-x for x in row] if row[-1] < 0 else row for row in rows]
+    nrows = len(tableau)
+    # objective row: reduced costs of the artificial sum; last entry -objective
+    tableau.append(
+        [-sum((row[k] for row in tableau), _ZERO) for k in range(nvars + 1)]
+    )
+    basis = [nvars + i for i in range(nrows)]  # artificial ids, never stored
 
     while True:
-        enter = next(
-            (j for j in range(total) if eligible[j] and reduced[j] < 0), None
-        )
+        objective = tableau[nrows]
+        enter = next((j for j in range(nvars) if objective[j] < 0), None)
         if enter is None:
             break
         leave = None
@@ -333,20 +324,10 @@ def lp_feasible(
                     leave = i
         if leave is None:  # phase-I objective is bounded below by zero
             raise RuntimeError("phase-I simplex lost boundedness; invariant broken")
-        pivot = tableau[leave][enter]
-        tableau[leave] = [x / pivot for x in tableau[leave]]
-        for i in range(nrows):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
-        f = reduced[enter]
-        reduced = [a - f * b for a, b in zip(reduced, tableau[leave])]
-        left_var = basis[leave]
-        if left_var >= nvars:
-            eligible[left_var] = False  # artificials never re-enter
+        _pivot(tableau, leave, enter)
         basis[leave] = enter
 
-    if -reduced[-1] != 0:
+    if tableau[nrows][-1] != 0:
         return None
 
     x = [_ZERO] * n

@@ -44,6 +44,7 @@ from .model import (
     mixture,
     mixture_to_doc,
     require_keys,
+    require_list,
 )
 from .orders import EventWeightMatrix
 
@@ -706,6 +707,10 @@ _MECHANISM_KEYS = {
 }
 
 
+def _rationals(doc: Mapping, key: str) -> list[Fraction]:
+    return [parse_rational(x) for x in require_list(doc[key], key)]
+
+
 def load_mechanism(doc: Mapping) -> Mechanism:
     """Rebuild a mechanism from its kind-tagged JSON document."""
     require_keys(doc, ("kind",), "mechanism document")
@@ -716,21 +721,19 @@ def load_mechanism(doc: Mapping) -> Mechanism:
     if kind == "quadratic_panel":
         return QuadraticPanelMechanism(
             load_experiment(doc["experiment"]),
-            [parse_rational(x) for x in doc["event_weights"]]
-            if "event_weights" in doc
-            else None,
+            _rationals(doc, "event_weights") if "event_weights" in doc else None,
         )
     if kind == "mean_score":
         return MeanScoreMechanism(
             load_experiment(doc["experiment"]),
-            [parse_rational(x) for x in doc["statistic"]],
-            [parse_rational(x) for x in doc["weights"]],
+            _rationals(doc, "statistic"),
+            _rationals(doc, "weights"),
             variant=doc.get("variant", "brier"),
         )
     if kind == "table":
         return TableMechanism(
             load_experiment(doc["experiment"]),
-            [str(r) for r in doc["reports"]],
+            [str(r) for r in require_list(doc["reports"], "reports")],
             Matrix.from_rows(doc["payoffs"]),
         )
     if kind == "pushforward":

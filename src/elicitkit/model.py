@@ -372,6 +372,13 @@ def require_keys(doc: object, keys: Iterable[str], what: str) -> None:
         raise ValueError(f"{what} missing keys: {sorted(missing)}")
 
 
+def require_list(value: object, what: str) -> Sequence:
+    """Return ``value`` unless it is not a JSON list, else raise ValueError."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON list")
+    return value
+
+
 def load_experiment(doc: Mapping) -> Experiment:
     """Build a validated experiment from its JSON document.
 
@@ -379,8 +386,8 @@ def load_experiment(doc: Mapping) -> Experiment:
     with kernel rows in parameter order and entries as rational strings.
     """
     require_keys(doc, ("parameters", "outcomes", "kernel"), "experiment document")
-    parameters = tuple(str(x) for x in doc["parameters"])
-    outcomes = tuple(str(x) for x in doc["outcomes"])
+    parameters = tuple(str(x) for x in require_list(doc["parameters"], "parameters"))
+    outcomes = tuple(str(x) for x in require_list(doc["outcomes"], "outcomes"))
     kernel_doc = doc["kernel"]
     if not isinstance(kernel_doc, Sequence) or len(kernel_doc) != len(parameters):
         raise ValueError("kernel must have one row per parameter")
@@ -406,7 +413,8 @@ def load_mixture(doc: Mapping) -> CovariateMixture:
     components_doc = doc["components"]
     # a JSON object first, since its keys name the covariates by default
     require_keys(components_doc, (), "mixture components")
-    covariates = tuple(str(x) for x in doc.get("covariates", components_doc))
+    covariates_doc = doc.get("covariates", list(components_doc))
+    covariates = tuple(str(x) for x in require_list(covariates_doc, "covariates"))
     require_keys(components_doc, covariates, "mixture components")
     require_keys(doc["weights"], covariates, "mixture weights")
     weights = tuple(parse_rational(doc["weights"][x]) for x in covariates)

@@ -13,8 +13,9 @@ dominating kernel onto the dominated one:
 
 Blackwell implies nonnegative implies elicitation, and Blackwell implies
 bounded implies elicitation. The elicitation order is also exactly "Blackwell
-above some uniform garbling", and the minimal such garbling is computed
-constructively. Witnesses are exact and re-verifiable by multiplication.
+above some uniform garbling", and one is computed constructively; its noise is
+minimal for the witness used, and overall only when the dominating kernel has
+full column rank. Witnesses are exact and re-verifiable by multiplication.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class DominanceResult:
 
 @dataclass(frozen=True)
 class GarblingDecomposition:
-    """Minimal uniform-noise level and Markov channel explaining dominance."""
+    """Uniform-noise level, minimal for one witness, and Markov channel."""
 
     noise: Fraction
     transition: Matrix
@@ -292,7 +293,9 @@ def uniform_garbling_decomposition(
     noise level in [0, 1) whose uniform mixing makes every entry nonnegative:
     each negative entry m needs noise >= |m| / (1/|Z| + |m|). The resulting
     Markov channel T carries the dominating kernel exactly onto the uniform
-    garbling of the dominated one at that noise level.
+    garbling of the dominated one at that noise level. The noise is minimal
+    for M, and overall only when the dominating kernel has full column rank:
+    K_Y = [[1/2,1/4,1/4],[1/4,3/8,3/8]] gives 1/2 where Blackwell holds.
     """
     dominance = elicitation_dominates(ey, ez)
     if not dominance.holds:

@@ -218,9 +218,9 @@ _TABLE = mechanism_to_doc(
 )
 
 
-def _compound(weights, subs):
+def _compound(weights, subs, covariates=("c", "d")):
     mixture = {
-        "covariates": ["c", "d"],
+        "covariates": covariates,
         "weights": weights,
         "components": {"c": _EXPERIMENT, "d": _EXPERIMENT},
     }
@@ -256,6 +256,38 @@ def _compound(weights, subs):
             [{**_EXPERIMENT, "kernel": [1, 1, 1]}],
             "list of rows",
         ),
+        (
+            ["compare", "blackwell", "{0}", "{0}"],
+            [{**_EXPERIMENT, "parameters": 5}],
+            "parameters must be a JSON list",
+        ),
+        (
+            ["verify", "{0}"],
+            [
+                {
+                    "kind": "mean_score",
+                    "experiment": _EXPERIMENT,
+                    "statistic": 5,
+                    "weights": ["0", "1"],
+                }
+            ],
+            "statistic must be a JSON list",
+        ),
+        (
+            ["verify", "{0}", "--target", "{1}"],
+            [_QUADRATIC, {"parameters": ["0", "1/2", "1"], "functions": {"g": 3}}],
+            "function 'g' must be a JSON list",
+        ),
+        (
+            ["verify", "{0}"],
+            [{**_QUADRATIC, "event_weights": "12"}],
+            "event_weights must be a JSON list",
+        ),
+        (
+            ["verify", "{0}"],
+            [_compound({"c": "1", "d": "0"}, {"c": _QUADRATIC, "d": _QUADRATIC}, "cd")],
+            "covariates must be a JSON list",
+        ),
     ],
     ids=[
         "panel-without-experiment",
@@ -264,6 +296,11 @@ def _compound(weights, subs):
         "compound-sub-missing",
         "target-functions-not-object",
         "kernel-row-not-list",
+        "parameters-not-list",
+        "statistic-not-list",
+        "family-vector-not-list",
+        "event-weights-string",
+        "covariates-string",
     ],
 )
 def test_malformed_input_is_an_error(tmp_path, capsys, argv, docs, message):

@@ -195,6 +195,46 @@ class TestLpFeasible:
         x = lp_feasible(a, [F(2)], upper=[F(1), F(1)])
         assert x == (F(1), F(1))
 
+    def test_redundant_rows_keep_an_artificial_basic_at_zero(self):
+        a = Matrix.from_rows([[1, 1], [2, 2]])
+        assert lp_feasible(a, [F(1), F(2)]) == (F(1), F(0))
+        assert lp_feasible(a, [F(1), F(3)]) is None
+
+    @pytest.mark.parametrize(
+        "rows, rhs, upper, expected",
+        [
+            (
+                [[1, 1, 1, 0], [1, -1, 0, 1], [2, 0, 1, 1]],
+                [1, 0, 1],
+                None,
+                (F(1, 2), F(1, 2), F(0), F(0)),
+            ),
+            ([[1, -1, 0], [0, 1, -1]], [0, 0], None, (F(0), F(0), F(0))),
+            ([[3, 1, -1], [-1, 2, 1]], [1, 1], None, (F(1, 7), F(4, 7), F(0))),
+            ([[1, 1, 1]], [1], [1, 1, 1], (F(0), F(0), F(1))),
+            ([[1, -1], [1, 1]], [0, 2], [1, 1], (F(1), F(1))),
+            (
+                [[2, 1, 0], [0, 1, 2]],
+                [1, 1],
+                [F(1, 2), 1, F(1, 2)],
+                (F(1, 2), F(0), F(1, 2)),
+            ),
+            (
+                [[1, 2, -1], [1, 2, -1]],
+                [F(1, 2), F(1, 2)],
+                [1, F(1, 4), 1],
+                (F(1), F(1, 4), F(1)),
+            ),
+        ],
+    )
+    def test_degenerate_outputs_are_pinned(self, rows, rhs, upper, expected):
+        # Bland's rule fixes the vertex; these values pin the pivot sequence
+        got = lp_feasible(Matrix.from_rows(rows), [F(v) for v in rhs], upper=upper)
+        assert got == expected
+
+    def test_no_rows(self):
+        assert lp_feasible(Matrix(0, 3, ()), []) == (F(0), F(0), F(0))
+
     def test_nonneg_factorization_system(self):
         # joint program: find a nonnegative 4x3 matrix carrying one kernel
         # onto the other (variables flattened row-major)
