@@ -20,7 +20,6 @@ from .model import (
     load_experiment,
     mean_outcome_distribution,
     mixture,
-    product,
     product_many,
     power,
     uniform_garble,

@@ -738,7 +738,7 @@ def demo_regression(
         )
         elicited.append(via_outcomes)
 
-    recovered = solve_linear(design, elicited)
+    recovered = solve_linear(design, [elicited])[0]
     true_means = tuple(
         sum(
             (w * beta[j] for w, beta in zip(belief.weights, reg.coefficient_grid)),

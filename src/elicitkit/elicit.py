@@ -165,12 +165,9 @@ def is_coarser(coarse: StatisticFamily, fine: StatisticFamily) -> bool:
     """
     if coarse.parameters != fine.parameters:
         raise ValueError("families must share the parameter set")
-    if not coarse.functions:
-        return True
     n = len(fine.parameters)
-    span_cols = list(fine.functions) + [(_ONE,) * n]
-    span_matrix = Matrix.from_cols(span_cols)
-    return all(solve_linear(span_matrix, g) is not None for g in coarse.functions)
+    span_matrix = Matrix.from_cols(list(fine.functions) + [(_ONE,) * n])
+    return all(x is not None for x in solve_linear(span_matrix, coarse.functions))
 
 
 def _indistinguishable_witness(
@@ -202,7 +199,7 @@ def unbiased_weights(e: Experiment, statistic: Sequence[Fraction]) -> Elicitabil
     g = [Fraction(x) for x in statistic]
     if len(g) != len(e.parameters):
         raise ValueError("statistic length does not match the parameter set")
-    solution = solve_linear(e.kernel, g)
+    solution = solve_linear(e.kernel, [g])[0]
     if solution is not None:
         return ElicitabilityReport(elicitable=True, weights=solution)
     basis = null_space_basis(e.kernel.transpose())
@@ -249,33 +246,28 @@ def moment_weights(
     return ElicitabilityReport(elicitable=True, weights=tuple(out))
 
 
-def _full_belief_recoverable(e: Experiment) -> bool:
-    # Kernel-transpose null directions automatically sum to zero (the columns
-    # sum to the constant 1), so triviality of the kernel row space's
-    # annihilator is a plain rank condition.
-    return rank(e.kernel) == len(e.parameters)
-
-
 def mode_elicitable(
     e: Experiment, parameter_values: Sequence[Fraction]
 ) -> ModeReport:
     """Whether correct mode reports can be strictly rewarded.
 
-    The mode is elicitable iff the whole belief already is (a plain rank
-    condition). Otherwise any kernel-transpose null direction yields two
-    beliefs around uniform that no mechanism separates, whose modal index
-    sets (argmax of +/- the direction) are disjoint, so their modes provably
-    differ under any distinct real parameter values. The median has the same
-    answer: the rank criterion and the witness pair are the same.
+    The mode is elicitable iff the whole belief already is, that is, iff the
+    kernel transpose has a trivial null space (rank K = n). Otherwise any of
+    its null directions yields two beliefs around uniform that no mechanism
+    separates, whose modal index sets (argmax of +/- the direction) are
+    disjoint, so their modes provably differ under any distinct real
+    parameter values. The median has the same answer: the criterion and the
+    witness pair are the same.
     """
     values = [Fraction(v) for v in parameter_values]
     if len(values) != len(e.parameters):
         raise ValueError("parameter values must align with the parameter set")
     if len(set(values)) != len(values):
         raise ValueError("parameter values must be distinct")
-    if _full_belief_recoverable(e):
+    null_directions = null_space_basis(e.kernel.transpose())
+    if not null_directions:  # rank K = n: the full belief is elicitable
         return ModeReport(elicitable=True)
-    direction = null_space_basis(e.kernel.transpose())[0]
+    direction = null_directions[0]
     plus, minus = _indistinguishable_witness(e, direction)
     top = max(direction)
     bottom = min(direction)
@@ -316,7 +308,10 @@ def complete_elicitation(e: Experiment) -> CompleteElicitationReport:
     """
     n = len(e.parameters)
     m = len(e.outcomes)
-    single = _full_belief_recoverable(e)
+    # Kernel-transpose null directions automatically sum to zero (the columns
+    # sum to the constant 1), so triviality of the kernel row space's
+    # annihilator is a plain rank condition.
+    single = rank(e.kernel) == n
     impossible = m < n
     if not is_identified(e):
         return CompleteElicitationReport(single, n - 1, impossible, None)

@@ -2,9 +2,11 @@
 
 Dense matrices over :class:`fractions.Fraction`, linear solves, null-space
 bases, and linear-programming feasibility via a phase-I simplex with Bland's
-rule. LP variables are nonnegative, and optional upper bounds become slack
-rows. Everything is exact; no floating point enters. All values are immutable
-and all functions are pure, so they are safe to share across threads.
+rule. Several right-hand sides of one linear system share one reduction,
+with None for each inconsistent one. LP variables are nonnegative, and
+optional upper bounds become slack rows. Everything is exact; no floating
+point enters. All values are immutable and all functions are pure, so they
+are safe to share across threads.
 
 Conventions that make outputs reproducible:
 
@@ -164,14 +166,12 @@ def _pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
             rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
 
 
-def _row_reduce(
-    rows: list[list[Fraction]], pivot_cols: int
-) -> tuple[list[list[Fraction]], list[int]]:
+def _row_reduce(rows: list[list[Fraction]], pivot_cols: int) -> list[int]:
     """In-place reduced row echelon form over the first ``pivot_cols`` columns.
 
-    Extra columns (augmented right-hand sides) ride along. Pivot columns are
-    scanned strictly left to right; within a column the first nonzero row is
-    chosen, which fixes the result deterministically.
+    Returns the pivot columns. Extra columns (augmented right-hand sides) ride
+    along. Pivot columns are scanned strictly left to right; within a column
+    the first nonzero row is chosen, which fixes the result deterministically.
     """
     pivots: list[int] = []
     r = 0
@@ -186,29 +186,36 @@ def _row_reduce(
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    return pivots
 
 
 def solve_linear(
-    a: Matrix, b: Sequence[Fraction]
-) -> Optional[tuple[Fraction, ...]]:
-    """Solve ``A @ x == b`` exactly, or return None when inconsistent.
+    a: Matrix, rhs: Sequence[Sequence[Fraction]]
+) -> list[Optional[tuple[Fraction, ...]]]:
+    """Solve ``A @ x == b`` exactly for every ``b`` in ``rhs``.
 
-    When the solution space has positive dimension, the free variables (the
-    non-pivot columns under left-to-right pivoting) are set to zero, so the
-    returned representative is deterministic.
+    All right-hand sides share one reduction: they are appended as columns,
+    and pivots come from ``A``'s columns only, so each answer is the one a
+    separate solve would give. Per vector the result is its solution, or None
+    when that system is inconsistent. Free variables (the non-pivot columns
+    under left-to-right pivoting) are set to zero, so every returned
+    representative is deterministic.
     """
-    if len(b) != a.rows:
+    if any(len(b) != a.rows for b in rhs):
         raise ValueError("right-hand side length does not match row count")
-    aug = [list(a.row(i)) + [Fraction(b[i])] for i in range(a.rows)]
-    red, pivots = _row_reduce(aug, a.cols)
-    for i in range(len(pivots), a.rows):
-        if red[i][a.cols] != 0:
-            return None
-    x = [_ZERO] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][a.cols]
-    return tuple(x)
+    n = a.cols
+    rows = [list(a.row(i)) + [Fraction(b[i]) for b in rhs] for i in range(a.rows)]
+    pivots = _row_reduce(rows, n)
+    solutions: list[Optional[tuple[Fraction, ...]]] = []
+    for k in range(n, n + len(rhs)):
+        if any(row[k] != 0 for row in rows[len(pivots) :]):
+            solutions.append(None)
+            continue
+        x = [_ZERO] * n
+        for r, c in enumerate(pivots):
+            x[c] = rows[r][k]
+        solutions.append(tuple(x))
+    return solutions
 
 
 def null_space_basis(a: Matrix) -> list[tuple[Fraction, ...]]:
@@ -218,7 +225,8 @@ def null_space_basis(a: Matrix) -> list[tuple[Fraction, ...]]:
     first nonzero entry is positive. The basis is linearly independent and
     spans the whole kernel (dimension ``cols - rank``).
     """
-    red, pivots = _row_reduce(a.to_lists(), a.cols)
+    red = a.to_lists()
+    pivots = _row_reduce(red, a.cols)
     pivot_set = set(pivots)
     basis: list[tuple[Fraction, ...]] = []
     for free in range(a.cols):
@@ -236,8 +244,7 @@ def null_space_basis(a: Matrix) -> list[tuple[Fraction, ...]]:
 
 
 def rank(a: Matrix) -> int:
-    _, pivots = _row_reduce(a.to_lists(), a.cols)
-    return len(pivots)
+    return len(_row_reduce(a.to_lists(), a.cols))
 
 
 def determinant(a: Matrix) -> Fraction:

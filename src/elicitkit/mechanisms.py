@@ -61,13 +61,11 @@ class Mechanism:
     experiment: Experiment
 
     def payoff(self, report: Report, outcome: Union[int, str]) -> Fraction:
-        raise NotImplementedError
+        return self.payoff_vector(report)[self._outcome_index(outcome)]
 
     def payoff_vector(self, report: Report) -> tuple[Fraction, ...]:
-        """Payoffs across all outcomes for one report."""
-        return tuple(
-            self.payoff(report, y) for y in range(len(self.experiment.outcomes))
-        )
+        """Payoffs across all outcomes for one report; each kind implements it."""
+        raise NotImplementedError
 
     def report_for_belief(self, p: Belief) -> Report:
         """The report a truthful analyst holding belief p submits."""
@@ -128,10 +126,6 @@ class QuadraticPanelMechanism(Mechanism):
 
     def report_for_belief(self, p: Belief) -> Belief:
         return p
-
-    def payoff(self, report: Report, outcome: Union[int, str]) -> Fraction:
-        y = self._outcome_index(outcome)
-        return self.payoff_vector(report)[y]
 
     def payoff_vector(self, report: Report) -> tuple[Fraction, ...]:
         if not isinstance(report, Belief):
@@ -199,18 +193,16 @@ class MeanScoreMechanism(Mechanism):
     def report_for_belief(self, p: Belief) -> Fraction:
         return statistic_mean(self.statistic, p)
 
-    def payoff(self, report: Report, outcome: Union[int, str]) -> Fraction:
-        y = self._outcome_index(outcome)
+    def payoff_vector(self, report: Report) -> tuple[Fraction, ...]:
         try:
             mu = Fraction(report)
         except TypeError:
             raise ValueError(
                 "a mean-score mechanism takes a scalar mean estimate as the report"
             ) from None
-        w = self.weights[y]
         if self.variant == "brier":
-            return _ONE - (mu - w) ** 2
-        return 2 * mu * w - mu * mu
+            return tuple(_ONE - (mu - w) ** 2 for w in self.weights)
+        return tuple(2 * mu * w - mu * mu for w in self.weights)
 
 
 class TableMechanism(Mechanism):
@@ -259,9 +251,6 @@ class TableMechanism(Mechanism):
         if isinstance(report, int) and 0 <= report < len(self.reports):
             return report
         raise ValueError(f"unknown report {report!r}")
-
-    def payoff(self, report: Report, outcome: Union[int, str]) -> Fraction:
-        return self.payoffs.at(self.report_index(report), self._outcome_index(outcome))
 
     def payoff_vector(self, report: Report) -> tuple[Fraction, ...]:
         return self.payoffs.row(self.report_index(report))
@@ -317,9 +306,6 @@ class CompoundMechanism(Mechanism):
 
     def report_for_belief(self, p: Belief) -> Belief:
         return p
-
-    def payoff(self, report: Report, outcome: Union[int, str]) -> Fraction:
-        return self.payoff_vector(report)[self._outcome_index(outcome)]
 
     def payoff_vector(self, report: Report) -> tuple[Fraction, ...]:
         """Each covariate's sub-mechanism payoffs, in covariate order."""

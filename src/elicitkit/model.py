@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactcore import (
-    Matrix,
-    format_rational,
-    lp_feasible,
-    parse_rational,
-)
+from .exactcore import Matrix, format_rational, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -172,11 +167,6 @@ def product_many(experiments: Sequence[Experiment]) -> Experiment:
     return Experiment(params, tuple(labels), Matrix.from_rows(rows))
 
 
-def product(e1: Experiment, e2: Experiment) -> Experiment:
-    """Two independent observations, one from each experiment."""
-    return product_many((e1, e2))
-
-
 def power(e: Experiment, copies: int) -> Experiment:
     """``copies`` independent observations from the same experiment."""
     if copies < 0:
@@ -322,22 +312,15 @@ def is_identified(e: Experiment) -> bool:
 def is_complete(e: Experiment) -> bool:
     """True when every outcome distribution is a belief's mean outcome distribution.
 
-    The achievable distributions form the convex hull of the kernel rows, so
-    it suffices that every vertex of the outcome simplex is achievable; each
-    vertex is one feasibility problem over beliefs.
+    That holds exactly when every kernel column contains the entry 1, i.e.
+    each outcome is certain under some parameter, so no LP is needed. The
+    reachable distributions form the convex hull of the kernel rows, which
+    lies inside the outcome simplex; it is the whole simplex iff it holds
+    every simplex vertex. A vertex lies in that hull only if it is one of the
+    rows, and a row holding a 1 is that vertex, because rows lie in [0, 1]
+    and sum to 1.
     """
-    n = len(e.parameters)
-    m = len(e.outcomes)
-    transposed = e.kernel.transpose()  # one equality per outcome coordinate
-    ones_row = Matrix.from_rows([[1] * n])
-    system = Matrix(
-        m + 1, n, transposed.entries + ones_row.entries
-    )
-    for target in range(m):
-        rhs = [_ONE if j == target else _ZERO for j in range(m)] + [_ONE]
-        if lp_feasible(system, rhs) is None:
-            return False
-    return True
+    return all(_ONE in e.kernel.col(j) for j in range(len(e.outcomes)))
 
 
 def belief_grid(n_parameters: int, denominator: int) -> tuple[Belief, ...]:

@@ -163,27 +163,23 @@ def verify_event_weights(
 
 
 def elicitation_dominates(ey: Experiment, ez: Experiment) -> DominanceResult:
-    """Solve ``kernel_Y @ M == kernel_Z`` column by column.
+    """Solve ``kernel_Y @ M == kernel_Z`` for every column in one reduction.
 
     On success the witness is renormalized to unit row sums by spreading
     each row's deficit evenly over its |Z| entries. The factorization is
     preserved: the rows of kernel_Z sum to 1, so the deficit vector lies in
     the null space of kernel_Y, and so does the added matrix
     deficit @ ones^T / |Z|. With kernel_Y of full column rank the deficit is
-    zero and the solve's witness is returned unchanged.
+    zero and the solve's witness is returned unchanged. On failure the note
+    names the first dominated outcome outside the reachable span.
     """
     _require_shared_parameters(ey, ez)
     ny, nz = len(ey.outcomes), len(ez.outcomes)
-    cols: list[tuple[Fraction, ...]] = []
-    for z in range(nz):
-        solution = solve_linear(ey.kernel, ez.kernel.col(z))
-        if solution is None:
-            return DominanceResult(
-                "elicitation",
-                False,
-                note=f"outcome {ez.outcomes[z]!r} is outside the reachable span",
-            )
-        cols.append(solution)
+    cols = solve_linear(ey.kernel, [ez.kernel.col(z) for z in range(nz)])
+    if None in cols:
+        outcome = ez.outcomes[cols.index(None)]
+        note = f"outcome {outcome!r} is outside the reachable span"
+        return DominanceResult("elicitation", False, note=note)
     raw = Matrix.from_cols(cols)
     rows = []
     for y in range(ny):

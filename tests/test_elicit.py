@@ -21,7 +21,7 @@ from elicitkit.model import (
     Experiment,
     mean_outcome_distribution,
     power,
-    product,
+    product_many,
 )
 from elicitkit.elicit import (
     ElicitabilityReport,
@@ -60,7 +60,7 @@ class TestMaximalPartition:
 
     def test_two_trial_product_spans_quadratics(self):
         e = bernoulli_experiment()
-        doubled = product(e, e)
+        doubled = product_many((e, e))
         fam = maximal_partition(doubled)
         monomials = family(
             doubled, [1, 1, 1], list(GRID), [t * t for t in GRID]

@@ -62,25 +62,25 @@ class TestRationalRoundTrip:
 
 class TestSolveLinear:
     def test_identity(self):
-        x = solve_linear(Matrix.identity(2), [F(3), F(5)])
+        x = solve_linear(Matrix.identity(2), [[F(3), F(5)]])[0]
         assert x == (F(3), F(5))
 
     def test_inconsistent_rows(self):
         a = Matrix.from_rows([[1, 1], [2, 2]])
-        assert solve_linear(a, [F(1), F(3)]) is None
+        assert solve_linear(a, [[F(1), F(3)]]) == [None]
 
     def test_back_substitution(self):
         # hand oracle: x2 = 1 from the second row, then x1 + 1/2 = 1
         a = Matrix.from_rows([[1, "1/2"], [0, 1]])
-        assert solve_linear(a, [F(1), F(1)]) == (F(1, 2), F(1))
+        assert solve_linear(a, [[F(1), F(1)]]) == [(F(1, 2), F(1))]
 
     def test_free_variables_are_zero(self):
         a = Matrix.from_rows([[1, 1]])
-        assert solve_linear(a, [F(1)]) == (F(1), F(0))
+        assert solve_linear(a, [[F(1)]]) == [(F(1), F(0))]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            solve_linear(Matrix.identity(2), [F(1)])
+            solve_linear(Matrix.identity(2), [[F(1)]])
 
     @given(small_matrix(), st.data())
     def test_constructed_systems_solve_exactly(self, a, data):
@@ -88,9 +88,21 @@ class TestSolveLinear:
             st.lists(small_fractions, min_size=a.cols, max_size=a.cols)
         )
         b = a.mul_vec([F(v) for v in x_true])
-        x = solve_linear(a, b)
+        (x,) = solve_linear(a, [b])
         assert x is not None
         assert a.mul_vec(x) == b
+
+    def test_right_hand_sides_answer_independently(self):
+        a = Matrix.from_rows([[1, 1], [2, 2]])
+        rhs = [[F(1), F(2)], [F(1), F(3)], [F(0), F(0)]]
+        assert solve_linear(a, rhs) == [(F(1), F(0)), None, (F(0), F(0))]
+        assert solve_linear(a, []) == []
+
+    @given(small_matrix(), st.data())
+    def test_shared_reduction_matches_separate_solves(self, a, data):
+        vectors = st.lists(small_fractions, min_size=a.rows, max_size=a.rows)
+        rhs = data.draw(st.lists(vectors, min_size=1, max_size=4))
+        assert solve_linear(a, rhs) == [solve_linear(a, [b])[0] for b in rhs]
 
 
 class TestNullSpace:
@@ -152,7 +164,7 @@ def vertex_oracle(a, b, lower, upper):
                 sub = Matrix.from_rows(
                     [[a.at(i, j) for j in free] for i in range(a.rows)]
                 )
-                sol = solve_linear(sub, rhs)
+                (sol,) = solve_linear(sub, [rhs])
                 if sol is None:
                     continue
             else:

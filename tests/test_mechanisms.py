@@ -151,6 +151,23 @@ class TestMeanScore:
         with pytest.raises(ValueError, match="unbiased"):
             mean_mechanism(bernoulli_experiment(), GRID, (F(0), F(3, 2)))
 
+    def test_payoff_vector_matches_payoffs(self):
+        e = german_tank_experiment(5)
+        statistic = (F(1), F(1), F(1), F(0), F(0))
+        weights = (F(1), F(1), F(1), F(-3), F(0))
+        formulas = {
+            "brier": lambda mu, w: 1 - (mu - w) ** 2,
+            "linear": lambda mu, w: 2 * mu * w - mu * mu,
+        }
+        for variant, formula in formulas.items():
+            m = mean_mechanism(e, statistic, weights, variant=variant)
+            for mu in (F(0), F(3, 5), F(-2, 7), "1/3"):
+                vec = m.payoff_vector(mu)
+                assert vec == tuple(m.payoff(mu, y) for y in range(5))
+                assert vec == tuple(formula(F(mu), w) for w in weights)
+            with pytest.raises(ValueError, match="scalar mean estimate"):
+                m.payoff_vector(Belief.uniform(5))
+
     def test_linear_variant_value(self):
         m = mean_mechanism(
             bernoulli_experiment(), GRID, (F(0), F(1)), variant="linear"

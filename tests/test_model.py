@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elicitkit.catalog import bernoulli_experiment, noisy_bernoulli_experiment
-from elicitkit.exactcore import Matrix
+from elicitkit.catalog import (
+    bernoulli_experiment,
+    noisy_bernoulli_experiment,
+    random_experiment,
+)
+from elicitkit.exactcore import Matrix, lp_feasible
 from elicitkit.model import (
     Belief,
     CovariateMixture,
@@ -24,8 +29,8 @@ from elicitkit.model import (
     mean_outcome_distribution,
     mixture,
     mixture_to_doc,
-    product,
     power,
+    product_many,
     replacement_garbling_channel,
     replacement_garbling_channel_inverse,
     uniform_garble,
@@ -94,14 +99,14 @@ class TestBelief:
 class TestProduct:
     def test_independent_pair_probability(self):
         e = bernoulli_experiment()
-        squared = product(e, e)
+        squared = product_many((e, e))
         t = squared.parameters.index("1/2")
         y = squared.outcomes.index("(1,1)")
         assert squared.kernel.at(t, y) == F(1, 4)
 
     def test_point_mass_row(self):
         e = bernoulli_experiment()
-        squared = product(e, e)
+        squared = product_many((e, e))
         t = squared.parameters.index("0")
         y = squared.outcomes.index("(0,0)")
         assert squared.kernel.at(t, y) == F(1)
@@ -109,7 +114,7 @@ class TestProduct:
     def test_matches_enumeration_oracle(self):
         # independent oracle: enumerate outcome pairs with nested loops
         e = bernoulli_experiment()
-        squared = product(e, e)
+        squared = product_many((e, e))
         for t in range(3):
             row = e.kernel.row(t)
             for i, a in enumerate(e.outcomes):
@@ -121,7 +126,7 @@ class TestProduct:
         e = bernoulli_experiment()
         other = bernoulli_experiment([F(0), F(1)])
         with pytest.raises(ValueError, match="parameter"):
-            product(e, other)
+            product_many((e, other))
 
     def test_zero_copies_is_degenerate(self):
         e = bernoulli_experiment()
@@ -249,7 +254,7 @@ class TestMeanOutcomeDistribution:
 
     def test_product_factorizes_only_under_point_mass(self):
         e = bernoulli_experiment()
-        squared = product(e, e)
+        squared = product_many((e, e))
         for t in range(3):
             lam = mean_outcome_distribution(squared, Belief.point_mass(3, t))
             row = e.kernel.row(t)
@@ -292,6 +297,27 @@ class TestIdentifiedAndComplete:
             Matrix.from_rows([["1/2", "1/2"], ["1/2", "1/2"]]),
         )
         assert not is_identified(e)
+
+    def test_matches_lp_reference(self):
+        # the LP form: every simplex vertex is some belief's mean distribution
+        def complete_by_lp(e):
+            n, m = len(e.parameters), len(e.outcomes)
+            system = Matrix(m + 1, n, e.kernel.transpose().entries + (F(1),) * n)
+            return all(
+                lp_feasible(system, [F(j == k) for j in range(m)] + [F(1)])
+                is not None
+                for k in range(m)
+            )
+
+        rng = random.Random(11)
+        complete = 0
+        for draw in range(1200):
+            e = random_experiment(
+                rng, rng.randint(1, 4), rng.randint(1, 4), (1, 2, 3, 6)[draw % 4]
+            )
+            assert is_complete(e) == complete_by_lp(e)
+            complete += is_complete(e)
+        assert 100 < complete < 1100
 
     def test_noisy_grid_not_complete(self):
         # no garbled row can reach a simplex vertex: coordinates cap at 19/20

@@ -1,0 +1,55 @@
+"""Each span query reduces its kernel once, whatever the number of columns."""
+
+from __future__ import annotations
+
+from fractions import Fraction as F
+
+from elicitkit import elicit, exactcore, orders
+from elicitkit.catalog import random_experiment_pairs
+from elicitkit.elicit import StatisticFamily, maximal_partition
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_solve_linear_reduces_once_for_all_right_hand_sides(monkeypatch):
+    reductions = _counting(monkeypatch, exactcore, "_row_reduce")
+    a = exactcore.Matrix.from_rows([[1, 2, 0], [0, 1, 1]])
+    rhs = [[F(k), F(k + 1)] for k in range(5)]
+    assert len(exactcore.solve_linear(a, rhs)) == 5
+    assert len(reductions) == 1
+
+
+def test_dominance_and_coarseness_solve_once(monkeypatch):
+    for ey, ez in random_experiment_pairs(3, 6, max_outcomes=5):
+        fy, fz = maximal_partition(ey), maximal_partition(ez)
+        empty = StatisticFamily(ey.parameters, ())
+        queries = [
+            (orders, orders.elicitation_dominates, ey, ez),
+            (orders, orders.elicitation_dominates, ez, ey),
+            (elicit, elicit.is_coarser, fz, fy),
+            (elicit, elicit.is_coarser, empty, fy),
+        ]
+        for module, query, first, second in queries:
+            with monkeypatch.context() as patch:
+                solves = _counting(patch, module, "solve_linear")
+                reductions = _counting(patch, exactcore, "_row_reduce")
+                query(first, second)
+            assert len(solves) == 1 and len(reductions) == 1
+
+
+def test_mode_elicitable_needs_no_rank(monkeypatch):
+    ranks = _counting(monkeypatch, elicit, "rank")
+    for ey, ez in random_experiment_pairs(4, 6):
+        for e in (ey, ez):
+            elicit.mode_elicitable(e, range(len(e.parameters)))
+    assert ranks == []
