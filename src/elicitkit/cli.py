@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from . import orders
 from .elicit import load_statistic_family, maximal_partition
-from .mechanisms import ic_verify, load_mechanism
+from .mechanisms import MAX_PAIRS, ic_verify, load_mechanism
 from .model import load_experiment
 
 RELATIONS = ("elicitation", "blackwell", "nonneg", "bounded", "garbling")
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--max-pairs",
         type=int,
-        default=1_000_000,
+        default=MAX_PAIRS,
         help="cap on the ordered belief pairs G(G-1) the grid may have",
     )
     verify.set_defaults(run=_run_verify)

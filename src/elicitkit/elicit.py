@@ -254,10 +254,10 @@ def mode_elicitable(
     The mode is elicitable iff the whole belief already is, that is, iff the
     kernel transpose has a trivial null space (rank K = n). Otherwise any of
     its null directions yields two beliefs around uniform that no mechanism
-    separates, whose modal index sets (argmax of +/- the direction) are
-    disjoint, so their modes provably differ under any distinct real
-    parameter values. The median has the same answer: the criterion and the
-    witness pair are the same.
+    separates. Their modal index sets (where the direction peaks and where
+    it bottoms out) are disjoint, so their modes provably differ under any
+    distinct real parameter values. The median has the same answer: the
+    criterion and the witness pair are the same.
     """
     values = [Fraction(v) for v in parameter_values]
     if len(values) != len(e.parameters):
@@ -269,12 +269,10 @@ def mode_elicitable(
         return ModeReport(elicitable=True)
     direction = null_directions[0]
     plus, minus = _indistinguishable_witness(e, direction)
-    top = max(direction)
-    bottom = min(direction)
-    high = tuple(i for i, v in enumerate(direction) if v == top)
-    low = tuple(i for i, v in enumerate(direction) if v == bottom)
     return ModeReport(
-        elicitable=False, witness=(plus, minus), witness_modes=(high, low)
+        elicitable=False,
+        witness=(plus, minus),
+        witness_modes=(plus.modes(), minus.modes()),
     )
 
 

@@ -3,10 +3,11 @@
 Dense matrices over :class:`fractions.Fraction`, linear solves, null-space
 bases, and linear-programming feasibility via a phase-I simplex with Bland's
 rule. Several right-hand sides of one linear system share one reduction,
-with None for each inconsistent one. LP variables are nonnegative, and
-optional upper bounds become slack rows. Everything is exact; no floating
-point enters. All values are immutable and all functions are pure, so they
-are safe to share across threads.
+with None for each inconsistent one. The LP is A @ x == b over nonnegative
+x and nothing else: a caller that needs x <= u adds the equality x + s == u
+with a slack s >= 0. Everything is exact; no floating point enters. All
+values are immutable and all functions are pure, so they are safe to share
+across threads.
 
 Conventions that make outputs reproducible:
 
@@ -135,11 +136,11 @@ class Matrix:
         return Matrix(self.rows, other.cols, tuple(out))
 
     def mul_vec(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Matrix-vector product ``A @ x``."""
+        """Matrix-vector product ``A @ x``; terms with a zero factor are skipped."""
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         return tuple(
-            sum((self.at(i, j) * vec[j] for j in range(self.cols)), _ZERO)
+            sum((a * v for a, v in zip(self.row(i), vec) if a and v), _ZERO)
             for i in range(self.rows)
         )
 
@@ -269,17 +270,13 @@ def determinant(a: Matrix) -> Fraction:
 
 
 def lp_feasible(
-    equalities: Matrix,
-    rhs: Sequence[Fraction],
-    upper: Optional[Sequence[Fraction]] = None,
+    equalities: Matrix, rhs: Sequence[Fraction]
 ) -> Optional[tuple[Fraction, ...]]:
-    """Find x >= 0 with ``equalities @ x == rhs`` and, if given, ``x <= upper``.
+    """Find x >= 0 with ``equalities @ x == rhs``.
 
-    Every variable is nonnegative. ``upper``, when given, holds one bound per
-    variable; each bound becomes a slack row ``x_k + s_k == upper[k]`` below
-    the equalities, with the slacks after the variables. Returns an exact
-    feasible point, or None when the system is infeasible. Feasibility only:
-    there is no objective.
+    Every variable is nonnegative, and that is the whole contract. Returns an
+    exact feasible point, or None when the system is infeasible. Feasibility
+    only: there is no objective.
 
     The search is a phase-I simplex minimizing the sum of one artificial
     variable per row under Bland's smallest-index rule, so termination is
@@ -289,36 +286,22 @@ def lp_feasible(
     m, n = equalities.rows, equalities.cols
     if len(rhs) != m:
         raise ValueError("right-hand side length does not match row count")
-    bounds = [] if upper is None else [Fraction(u) for u in upper]
-    if upper is not None and len(bounds) != n:
-        raise ValueError("upper bounds must have one entry per variable")
 
-    nbox = len(bounds)
-    nvars = n + nbox  # variables plus one slack per box row
-    rows = [
-        list(equalities.row(i)) + [_ZERO] * nbox + [Fraction(rhs[i])]
-        for i in range(m)
-    ]
-    for k, bound in enumerate(bounds):
-        row = [_ZERO] * nvars + [bound]
-        row[k] = row[n + k] = _ONE
-        rows.append(row)
+    b = [Fraction(v) for v in rhs]
+    rows = [list(equalities.row(i)) + [b[i]] for i in range(m)]
     tableau = [[-x for x in row] if row[-1] < 0 else row for row in rows]
-    nrows = len(tableau)
     # objective row: reduced costs of the artificial sum; last entry -objective
-    tableau.append(
-        [-sum((row[k] for row in tableau), _ZERO) for k in range(nvars + 1)]
-    )
-    basis = [nvars + i for i in range(nrows)]  # artificial ids, never stored
+    tableau.append([-sum((row[k] for row in tableau), _ZERO) for k in range(n + 1)])
+    basis = [n + i for i in range(m)]  # artificial ids, never stored
 
     while True:
-        objective = tableau[nrows]
-        enter = next((j for j in range(nvars) if objective[j] < 0), None)
+        objective = tableau[m]
+        enter = next((j for j in range(n) if objective[j] < 0), None)
         if enter is None:
             break
         leave = None
         best: Optional[Fraction] = None
-        for i in range(nrows):
+        for i in range(m):
             coeff = tableau[i][enter]
             if coeff > 0:
                 ratio = tableau[i][-1] / coeff
@@ -334,7 +317,7 @@ def lp_feasible(
         _pivot(tableau, leave, enter)
         basis[leave] = enter
 
-    if tableau[nrows][-1] != 0:
+    if tableau[m][-1] != 0:
         return None
 
     x = [_ZERO] * n
@@ -342,10 +325,8 @@ def lp_feasible(
         if bv < n:
             x[bv] = tableau[i][-1]
 
-    if equalities.mul_vec(x) != tuple(Fraction(v) for v in rhs):
+    if equalities.mul_vec(x) != tuple(b):
         raise RuntimeError("simplex returned a non-solution; invariant broken")
     if any(v < 0 for v in x):
         raise RuntimeError("simplex returned a negative value; invariant broken")
-    if any(v > bound for v, bound in zip(x, bounds)):
-        raise RuntimeError("simplex violated an upper bound; invariant broken")
     return tuple(x)

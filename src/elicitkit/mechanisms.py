@@ -51,6 +51,10 @@ from .orders import EventWeightMatrix
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# ic_verify's scan is quadratic in the belief-grid size, so the number of
+# ordered belief pairs is capped.
+MAX_PAIRS = 1_000_000
+
 Report = Union[Belief, Fraction, str, int]
 
 
@@ -495,7 +499,7 @@ def ic_verify(
     m: Mechanism,
     target: StatisticFamily,
     grid_denominator: int,
-    max_pairs: int = 1_000_000,
+    max_pairs: int = MAX_PAIRS,
 ) -> ICReport:
     """Enumerate all grid belief pairs and check incentives exactly.
 

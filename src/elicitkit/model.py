@@ -141,8 +141,9 @@ def product_many(experiments: Sequence[Experiment]) -> Experiment:
     """Product experiment: independent draws, one per factor.
 
     Outcomes are tuples in lexicographic order (first factor slowest); the
-    kernel entry for a tuple is the product of the factor probabilities. With
-    zero factors this degenerates to a single dummy outcome of probability 1.
+    kernel entry for a tuple is the product of the factor probabilities. Zero
+    factors raise ValueError, since there is no parameter set to take; use
+    ``power(e, 0)`` for the single dummy outcome of probability 1.
     """
     if not experiments:
         raise ValueError("product of zero experiments needs a parameter set")

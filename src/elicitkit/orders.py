@@ -49,6 +49,21 @@ def event_subsets(labels: Sequence[str]) -> tuple[tuple[str, ...], ...]:
     )
 
 
+def event_masses(e: Experiment) -> Matrix:
+    """Mass each parameter puts on each event: parameters x subsets, ``K @ S``.
+
+    Columns follow the bitmask order of :func:`event_subsets`. Each column is
+    the column of the subset without its lowest outcome plus that outcome's
+    kernel column, so every column costs one vector addition.
+    """
+    cols = [(_ZERO,) * len(e.parameters)]
+    for mask in range(1, 1 << len(e.outcomes)):
+        lowest = (mask & -mask).bit_length() - 1
+        rest = cols[mask & (mask - 1)]
+        cols.append(tuple(a + b for a, b in zip(rest, e.kernel.col(lowest))))
+    return Matrix.from_cols(cols)
+
+
 @dataclass(frozen=True)
 class EventWeightMatrix:
     """Weights from dominating-experiment outcomes to outcome sets.
@@ -139,27 +154,14 @@ def verify_factorization(ey: Experiment, ez: Experiment, m: Matrix) -> bool:
 def verify_event_weights(
     ey: Experiment, ez: Experiment, n: EventWeightMatrix
 ) -> bool:
-    """Exact check of the defining equalities, one per (subset, parameter).
+    """Exact check of the defining identity ``kernel_Y @ N == event_masses(ez)``.
 
     For each subset A the source-weighted column must reproduce the total
     probability mass the dominated experiment puts on A.
     """
     if n.source_outcomes != ey.outcomes or n.target_outcomes != ez.outcomes:
         return False
-    nz = len(ez.outcomes)
-    for mask in range(1 << nz):
-        col = n.entries.col(mask)
-        for t in range(len(ey.parameters)):
-            left = sum(
-                (ey.kernel.at(t, y) * col[y] for y in range(len(ey.outcomes))),
-                _ZERO,
-            )
-            right = sum(
-                (ez.kernel.at(t, z) for z in range(nz) if mask >> z & 1), _ZERO
-            )
-            if left != right:
-                return False
-    return True
+    return ey.kernel @ n.entries == event_masses(ez)
 
 
 def elicitation_dominates(ey: Experiment, ez: Experiment) -> DominanceResult:
@@ -247,9 +249,10 @@ def bounded_dominates(
 ) -> DominanceResult:
     """Feasibility of an event-weight matrix with entries in [0, 1].
 
-    One equality per (subset, parameter); the program splits by subset, so
-    each of the 2^|Z| columns is a small box-constrained feasibility problem.
-    The subset count is exponential by nature, hence the hard cap.
+    Each event's column of N solves one system, the same for every event:
+    ``[[K_Y, 0], [I, I]] @ (x, s) == (masses, 1)`` with x, s >= 0, so the
+    slacks s keep x <= 1. The 2^|Z| events make the subset count exponential
+    by nature, hence the hard cap.
     """
     _require_shared_parameters(ey, ez)
     nz = len(ez.outcomes)
@@ -258,14 +261,14 @@ def bounded_dominates(
             f"dominated outcome set of size {nz} exceeds the cap {max_outcomes}"
         )
     ny = len(ey.outcomes)
-    nt = len(ey.parameters)
+    system = Matrix.from_rows(
+        [row + [_ZERO] * ny for row in ey.kernel.to_lists()]
+        + [row + row for row in Matrix.identity(ny).to_lists()]
+    )
+    masses = event_masses(ez)
     cols: list[tuple[Fraction, ...]] = []
     for mask in range(1 << nz):
-        rhs = [
-            sum((ez.kernel.at(t, z) for z in range(nz) if mask >> z & 1), _ZERO)
-            for t in range(nt)
-        ]
-        point = lp_feasible(ey.kernel, rhs, upper=[_ONE] * ny)
+        point = lp_feasible(system, masses.col(mask) + (_ONE,) * ny)
         if point is None:
             subset = ",".join(event_subsets(ez.outcomes)[mask]) or "{}"
             return DominanceResult(
@@ -273,7 +276,7 @@ def bounded_dominates(
                 False,
                 note=f"event {{{subset}}} has no [0,1] representation",
             )
-        cols.append(point)
+        cols.append(point[:ny])
     witness = EventWeightMatrix(
         ey.outcomes, ez.outcomes, Matrix.from_cols(cols)
     )

@@ -128,6 +128,10 @@ class TestProduct:
         with pytest.raises(ValueError, match="parameter"):
             product_many((e, other))
 
+    def test_zero_factors_rejected(self):
+        with pytest.raises(ValueError, match="zero experiments"):
+            product_many(())
+
     def test_zero_copies_is_degenerate(self):
         e = bernoulli_experiment()
         trivial = power(e, 0)

@@ -29,6 +29,7 @@ from elicitkit.orders import (
     blackwell_dominates,
     bounded_dominates,
     elicitation_dominates,
+    event_masses,
     event_subsets,
     nonneg_dominates,
     order_consistency_audit,
@@ -149,6 +150,40 @@ class TestBoundedOrder:
 
     def test_subset_order_is_bitmask(self):
         assert event_subsets(("a", "b")) == ((), ("a",), ("b",), ("a", "b"))
+
+    def test_event_masses_match_hand_sums(self):
+        # reference: each event's mass summed outcome by outcome
+        rng = random.Random(9)
+        for _ in range(60):
+            e = random_experiment(rng, rng.randint(1, 4), rng.randint(1, 5))
+            nz = len(e.outcomes)
+            reference = Matrix.from_cols(
+                [
+                    [
+                        sum(
+                            (e.kernel.at(t, z) for z in range(nz) if mask >> z & 1),
+                            F(0),
+                        )
+                        for t in range(len(e.parameters))
+                    ]
+                    for mask in range(1 << nz)
+                ]
+            )
+            assert event_masses(e) == reference
+
+    def test_moved_event_weight_breaks_the_identity(self):
+        witness = bounded_dominates(CLEAN, NOISY).event_weights
+        assert verify_event_weights(CLEAN, NOISY, witness)
+        entries = witness.entries.entries
+        for k, x in enumerate(entries):
+            other = F(1, 2) if x != F(1, 2) else F(0)
+            moved = entries[:k] + (other,) + entries[k + 1 :]
+            broken = EventWeightMatrix(
+                CLEAN.outcomes,
+                NOISY.outcomes,
+                Matrix(witness.entries.rows, witness.entries.cols, moved),
+            )
+            assert not verify_event_weights(CLEAN, NOISY, broken)
 
     def test_markov_witness_induces_event_weights(self):
         # summing a Markov witness's row mass over each event yields a valid
