@@ -36,8 +36,11 @@ def parse_rational(value: object) -> Fraction:
     """Parse ``"p/q"``, ``"k"``, decimal strings, or ints into a Fraction.
 
     Floats are rejected: binary floats silently misrepresent decimal inputs,
-    and every quantity in this package must stay exact.
+    and every quantity in this package must stay exact. A Fraction is
+    returned as it is, since Fractions are immutable.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool) or isinstance(value, float):
         raise ValueError(f"rational values must be strings or ints, got {value!r}")
     if isinstance(value, (int, Fraction)):

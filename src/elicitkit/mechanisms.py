@@ -19,7 +19,12 @@ incentive properties are decided, not estimated:
 
 ``ic_verify`` is the brute-force oracle: it enumerates an exact belief grid
 and asserts weak incentive compatibility everywhere, strict gaps exactly on
-target-distinguishable pairs, and indifference inside cells.
+target-distinguishable pairs, and indifference inside cells. It works in
+integers throughout: each mechanism gives the truthful payoffs of the whole
+grid as integer rows over one scale (``grid_payoffs``). The quadratic panel
+and the mean-score mechanism compute them from integer closed forms, and
+their ``payoff_vector`` is the same code applied to one report put over its
+least common denominator.
 """
 
 from __future__ import annotations
@@ -36,8 +41,9 @@ from .model import (
     Belief,
     CovariateMixture,
     Experiment,
-    belief_grid,
     experiment_to_doc,
+    grid_belief,
+    grid_counts,
     load_experiment,
     load_mixture,
     mean_outcome_distribution,
@@ -74,6 +80,21 @@ class Mechanism:
     def report_for_belief(self, p: Belief) -> Report:
         """The report a truthful analyst holding belief p submits."""
         raise ValueError(f"{self.kind} mechanism has no belief-to-report rule")
+
+    def grid_payoffs(
+        self, counts: Sequence[Sequence[int]], d: int
+    ) -> tuple[list[list[int]], int]:
+        """Truthful payoff vectors of the beliefs k/d as integer rows over one scale.
+
+        Row i over the positive scale is
+        ``payoff_vector(report_for_belief(counts[i] / d))``. This generic
+        path builds each belief; kinds with an integer closed form override
+        it.
+        """
+        beliefs = (grid_belief(k, d) for k in counts)
+        return _scaled_ints(
+            [self.payoff_vector(self.report_for_belief(p)) for p in beliefs]
+        )
 
     def payoff_range(self) -> Optional[tuple[Fraction, Fraction]]:
         """Certified payoff bounds, when statically known."""
@@ -127,6 +148,10 @@ class QuadraticPanelMechanism(Mechanism):
             raise ValueError("event weights must be positive and sum to 1")
         self.experiment = experiment
         self.event_weights = weights
+        self._columns, self._kernel_scale = _scaled_ints(
+            [experiment.kernel.col(y) for y in range(m)]
+        )
+        (self._weights,), self._weight_scale = _scaled_ints([weights])
 
     def report_for_belief(self, p: Belief) -> Belief:
         return p
@@ -134,23 +159,32 @@ class QuadraticPanelMechanism(Mechanism):
     def payoff_vector(self, report: Report) -> tuple[Fraction, ...]:
         if not isinstance(report, Belief):
             raise ValueError("a direct mechanism takes a belief as the report")
-        return self.payoff_vector_for_distribution(
-            mean_outcome_distribution(self.experiment, report)
-        )
+        if len(report.weights) != len(self.experiment.parameters):
+            raise ValueError("belief length does not match the parameter set")
+        (counts,), d = _scaled_ints([report.weights])
+        (row,), scale = self.grid_payoffs([counts], d)
+        return tuple(Fraction(x, scale) for x in row)
 
-    def payoff_vector_for_distribution(
-        self, lam: Sequence[Fraction]
-    ) -> tuple[Fraction, ...]:
-        m = len(self.experiment.outcomes)
-        base = sum(
-            (w * l * l for w, l in zip(self.event_weights, lam)), _ZERO
-        )
-        out = []
-        for y in range(m):
-            # (lam - 1{y})^2 expands to lam^2 + 1 - 2 lam on the realized event
-            penalty = base + self.event_weights[y] * (1 - 2 * lam[y])
-            out.append(_ONE - penalty)
-        return tuple(out)
+    def grid_payoffs(
+        self, counts: Sequence[Sequence[int]], d: int
+    ) -> tuple[list[list[int]], int]:
+        """The payoff formula in integers.
+
+        Belief k/d has mean outcome distribution L/S with L = k @ K_int
+        and S = d * (kernel scale); the event weights are W/w. Expanding
+        (L/S - 1{y})^2, the payoff on outcome y is
+        ``w S^2 - sum(W L^2) - W_y (S^2 - 2 L_y S)`` over ``w S^2``.
+        """
+        s = d * self._kernel_scale
+        s2, w = s * s, self._weight_scale
+        rows = []
+        for k in counts:
+            lam = [sum(map(mul, k, col)) for col in self._columns]
+            base = w * s2 - sum(wy * ly * ly for wy, ly in zip(self._weights, lam))
+            rows.append(
+                [base - wy * (s2 - 2 * ly * s) for wy, ly in zip(self._weights, lam)]
+            )
+        return rows, w * s2
 
     def payoff_range(self) -> tuple[Fraction, Fraction]:
         return (_ZERO, _ONE)
@@ -193,20 +227,43 @@ class MeanScoreMechanism(Mechanism):
         self.statistic = statistic
         self.weights = weights
         self.variant = variant
+        (self._statistic,), self._statistic_scale = _scaled_ints([statistic])
+        (self._weights,), self._weight_scale = _scaled_ints([weights])
 
     def report_for_belief(self, p: Belief) -> Fraction:
         return statistic_mean(self.statistic, p)
 
     def payoff_vector(self, report: Report) -> tuple[Fraction, ...]:
-        try:
-            mu = Fraction(report)
-        except TypeError:
+        # floats and bools are not exact mean estimates
+        if isinstance(report, bool) or not isinstance(report, (int, Fraction, str)):
             raise ValueError(
                 "a mean-score mechanism takes a scalar mean estimate as the report"
-            ) from None
+            )
+        mu = parse_rational(report)
+        (row,), scale = self._payoffs([mu.numerator], mu.denominator)
+        return tuple(Fraction(x, scale) for x in row)
+
+    def grid_payoffs(
+        self, counts: Sequence[Sequence[int]], d: int
+    ) -> tuple[list[list[int]], int]:
+        means = [sum(map(mul, k, self._statistic)) for k in counts]
+        return self._payoffs(means, d * self._statistic_scale)
+
+    def _payoffs(self, means: Sequence[int], b: int) -> tuple[list[list[int]], int]:
+        """Payoff rows of the reports a/b, one per a in ``means``.
+
+        With weights W/sw, brier ``1 - (a/b - W_y/sw)^2`` is
+        ``(b sw)^2 - (a sw - W_y b)^2`` and linear ``2 (a/b) W_y/sw - (a/b)^2``
+        is ``2 a W_y b sw - a^2 sw^2``, both over ``(b sw)^2``.
+        """
+        sw = self._weight_scale
+        bsw = b * sw
+        weights = [wy * b for wy in self._weights]
         if self.variant == "brier":
-            return tuple(_ONE - (mu - w) ** 2 for w in self.weights)
-        return tuple(2 * mu * w - mu * mu for w in self.weights)
+            rows = [[bsw * bsw - (a * sw - wb) ** 2 for wb in weights] for a in means]
+        else:
+            rows = [[2 * a * sw * wb - (a * sw) ** 2 for wb in weights] for a in means]
+        return rows, bsw * bsw
 
 
 class TableMechanism(Mechanism):
@@ -237,13 +294,16 @@ class TableMechanism(Mechanism):
         self.reports = tuple(reports)
         self.payoffs = payoffs
         self.report_beliefs = None if report_beliefs is None else tuple(report_beliefs)
+        self._report_of: dict[Belief, str] = {}
+        for p, label in zip(self.report_beliefs or (), self.reports):
+            self._report_of.setdefault(p, label)  # the first report wins
 
     def report_for_belief(self, p: Belief) -> str:
         if self.report_beliefs is None:
             raise ValueError("table mechanism has no belief-to-report rule")
         try:
-            return self.reports[self.report_beliefs.index(p)]
-        except ValueError:
+            return self._report_of[p]
+        except KeyError:
             raise ValueError("belief is not on the tabulated report menu") from None
 
     def report_index(self, report: Report) -> int:
@@ -517,18 +577,22 @@ def ic_verify(
     lexicographically first violating pair (beliefs ordered by their weight
     tuples, truth before deviation).
 
-    Cost: the grid has G = C(d+n-1, n-1) beliefs for n parameters. The
-    kernel, the payoff vectors and the target statistics are scaled once to
-    integers, so belief p = k/d has mean outcome distribution k @ K_int over
-    a common scale. For each belief one row of G integer expected payoffs
-    is formed (m multiply-adds per entry for m outcomes), and every gap is
-    a difference of two entries of that row; only the reported gap goes
-    back to a Fraction. Memory is O(G*m) whatever the number of
-    violations: only the first is kept. The scan stops at the first
-    weak-IC or indifference violation, since nothing later can change the
-    report; strictness violations alone do not stop it. ``pairs_checked``
-    is always G(G-1). When G(G-1) exceeds ``max_pairs`` the call raises
-    ``ValueError`` before enumerating anything.
+    Cost: the grid has G = C(d+n-1, n-1) beliefs for n parameters, and
+    each is held as its integer count vector k (belief k/d). The kernel and
+    the target statistics are scaled once to integers, so belief k/d has
+    mean outcome distribution k @ K_int over a common scale. The truthful
+    payoff vectors come from the mechanism's ``grid_payoffs`` as integer
+    rows over one scale; the quadratic panel and the mean-score mechanism
+    build no Fraction per belief. For each belief one row of G integer
+    expected payoffs is formed in m passes over the payoff columns for m
+    outcomes, and every gap is a difference of two entries of that row;
+    only the reported violation goes back to Beliefs and a Fraction.
+    Memory is O(G*m) whatever the number of violations: only the first is
+    kept. The scan stops at the first weak-IC or indifference violation,
+    since nothing later can change the report; strictness violations alone
+    do not stop it. ``pairs_checked`` is always G(G-1). When G(G-1)
+    exceeds ``max_pairs`` the call raises ``ValueError`` before
+    enumerating anything.
     """
     if grid_denominator < 1:
         raise ValueError("grid denominator must be at least 1")
@@ -543,23 +607,23 @@ def ic_verify(
             f"a denominator-{d} grid over {n} parameters has {size} beliefs and "
             f"{pairs} ordered pairs, above the cap of {max_pairs} (max_pairs)"
         )
-    beliefs = belief_grid(n, d)
-    counts = [[w.numerator * (d // w.denominator) for w in p.weights] for p in beliefs]
+    counts = list(grid_counts(n, d))
     # a belief's mean outcome distribution is its means of the kernel columns
     lambdas, kernel_scale = _scaled_means(
         counts, [e.kernel.col(y) for y in range(len(e.outcomes))]
     )
-    vectors, payoff_scale = _scaled_ints(
-        [m.payoff_vector(m.report_for_belief(p)) for p in beliefs]
-    )
+    vectors, payoff_scale = m.grid_payoffs(counts, d)
+    columns = list(zip(*vectors))  # every belief's truthful payoff on outcome y
     lambda_ids = _class_ids(lambdas)
     target_ids = _class_ids(_scaled_means(counts, target.functions)[0])
     scale = d * kernel_scale * payoff_scale
 
     first: Optional[ICViolation] = None
     weak_ok = strict_ok = True
-    for i, p in enumerate(beliefs):
-        row = [sum(map(mul, lambdas[i], v)) for v in vectors]
+    for i, lam in enumerate(lambdas):
+        row = [0] * size
+        for ly, col in zip(lam, columns):
+            row = [r + ly * x for r, x in zip(row, col)]
         truth, lam_id, target_id = row[i], lambda_ids[i], target_ids[i]
         for j, value in enumerate(row):
             if value > truth:
@@ -574,7 +638,10 @@ def ic_verify(
                 continue
             if first is None:
                 first = ICViolation(
-                    check, p, beliefs[j], Fraction(truth - value, scale)
+                    check,
+                    grid_belief(counts[i], d),
+                    grid_belief(counts[j], d),
+                    Fraction(truth - value, scale),
                 )
             if check == "strictness":
                 strict_ok = False

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .exactcore import Matrix, format_rational, parse_rational
 
@@ -324,27 +324,43 @@ def is_complete(e: Experiment) -> bool:
     return all(_ONE in e.kernel.col(j) for j in range(len(e.outcomes)))
 
 
+def grid_counts(n_parameters: int, denominator: int) -> Iterator[tuple[int, ...]]:
+    """Every nonnegative integer vector of the given length summing to
+    ``denominator``, in lexicographic order.
+
+    Count vector k stands for the belief k/denominator, so these run over
+    the 1/denominator belief grid; ``belief_grid`` builds its beliefs from
+    them, so both share one order.
+    """
+    if denominator < 1:
+        raise ValueError("denominator must be at least 1")
+    return _compositions(denominator, n_parameters)
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def belief_grid(n_parameters: int, denominator: int) -> tuple[Belief, ...]:
     """All beliefs whose weights are multiples of 1/denominator.
 
     Enumerated in lexicographic order of the weight tuples; deterministic, so
     grid-based checks and reported witnesses are reproducible.
     """
-    if denominator < 1:
-        raise ValueError("denominator must be at least 1")
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
     return tuple(
-        Belief(tuple(Fraction(k, denominator) for k in combo))
-        for combo in compositions(denominator, n_parameters)
+        grid_belief(counts, denominator)
+        for counts in grid_counts(n_parameters, denominator)
     )
+
+
+def grid_belief(counts: Sequence[int], denominator: int) -> Belief:
+    """The belief counts/denominator of one ``grid_counts`` vector."""
+    return Belief(tuple(Fraction(k, denominator) for k in counts))
 
 
 def require_keys(doc: object, keys: Iterable[str], what: str) -> None:

@@ -184,7 +184,7 @@ class TestVerify:
 
         built = []
         monkeypatch.setattr(
-            elicitkit.mechanisms, "belief_grid", lambda *args: built.append(args)
+            elicitkit.mechanisms, "grid_counts", lambda *args: built.append(args)
         )
         e = Experiment(
             tuple(f"t{i}" for i in range(5)),

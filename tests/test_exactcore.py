@@ -51,9 +51,16 @@ class TestRationalRoundTrip:
         assert format_rational(F(3, 4)) == "3/4"
         assert format_rational(F(8, 4)) == "2"
 
+    def test_returns_a_fraction_as_it_is(self):
+        x = F(-7, 3)
+        assert parse_rational(x) is x
+        assert type(parse_rational(2)) is F and parse_rational("2") == 2
+
     def test_rejects_floats(self):
         with pytest.raises(ValueError):
             parse_rational(0.1)
+        with pytest.raises(ValueError):
+            parse_rational(True)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):

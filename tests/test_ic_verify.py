@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from elicitkit import mechanisms
+from elicitkit import mechanisms, model
 from elicitkit.catalog import random_experiment
 from elicitkit.elicit import StatisticFamily, maximal_partition, statistic_mean
 from elicitkit.exactcore import Matrix
@@ -34,6 +34,7 @@ from elicitkit.model import (
     Experiment,
     belief_grid,
     garble,
+    grid_counts,
     mean_outcome_distribution,
 )
 from elicitkit.orders import elicitation_dominates
@@ -181,6 +182,47 @@ def test_matches_reference_on_seeded_corpus():
     assert all(count > 0 for count in seen.values()), seen
 
 
+def test_grid_payoffs_are_the_truthful_payoff_vectors():
+    for label, m, _, d in _corpus():
+        n = len(m.experiment.parameters)
+        rows, scale = m.grid_payoffs(list(grid_counts(n, d)), d)
+        beliefs = belief_grid(n, d)
+        assert scale > 0 and len(rows) == len(beliefs), label
+        for row, p in zip(rows, beliefs):
+            expected = m.payoff_vector(m.report_for_belief(p))
+            assert tuple(F(x, scale) for x in row) == expected, label
+
+
+def _counting(monkeypatch, holder, name, calls):
+    original = getattr(holder, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(holder, name, counted)
+
+
+def test_closed_form_kinds_build_no_fraction_per_belief(monkeypatch):
+    calls = []
+    for holder, name in (
+        (model, "belief_grid"),
+        (model, "mean_outcome_distribution"),
+        (mechanisms, "belief_grid"),
+        (mechanisms, "mean_outcome_distribution"),
+        (mechanisms.Mechanism, "payoff_vector"),
+        (mechanisms.QuadraticPanelMechanism, "payoff_vector"),
+        (mechanisms.MeanScoreMechanism, "payoff_vector"),
+    ):
+        if hasattr(holder, name):
+            _counting(monkeypatch, holder, name, calls)
+    rng = random.Random(5)
+    for kind in ("quadratic", "brier", "linear", "constant"):
+        m, target = _instance(rng, kind, 3, 4)
+        ic_verify(m, target, 4)
+    assert calls == []
+
+
 def test_strictness_violation_before_weak_ic_is_reported_first():
     # identity kernel on two parameters: beliefs (0,1), (1/2,1/2), (1,0)
     e = Experiment(("a", "b"), ("0", "1"), Matrix.identity(2))
@@ -201,7 +243,7 @@ def test_strictness_violation_before_weak_ic_is_reported_first():
 
 def test_pair_budget_refuses_before_building_the_grid(monkeypatch):
     built = []
-    monkeypatch.setattr(mechanisms, "belief_grid", lambda *args: built.append(args))
+    monkeypatch.setattr(mechanisms, "grid_counts", lambda *args: built.append(args))
     e = random_experiment(random.Random(1), 4, 3)
     m = quadratic_mechanism(e)
     # d = 6 on 4 parameters: 84 beliefs, 6,972 ordered pairs

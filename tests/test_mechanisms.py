@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from elicitkit.catalog import (
     german_tank_experiment,
     limited_liability_separation_pair,
     noisy_bernoulli_experiment,
+    random_experiment,
 )
 from elicitkit.exactcore import Matrix
 from elicitkit.model import (
@@ -168,6 +170,13 @@ class TestMeanScore:
             with pytest.raises(ValueError, match="scalar mean estimate"):
                 m.payoff_vector(Belief.uniform(5))
 
+    def test_rejects_inexact_reports(self):
+        m = mean_mechanism(bernoulli_experiment(), GRID, (F(0), F(1)))
+        for report in (0.1, 0.5, True, False):
+            with pytest.raises(ValueError, match="scalar mean estimate"):
+                m.payoff_vector(report)
+        assert m.payoff_vector(1) == m.payoff_vector(F(1)) == m.payoff_vector(" 1 ")
+
     def test_linear_variant_value(self):
         m = mean_mechanism(
             bernoulli_experiment(), GRID, (F(0), F(1)), variant="linear"
@@ -250,15 +259,13 @@ class TestCompound:
         mix = CovariateMixture(("a", "b"), (F(1, 2), F(1, 2)), comps)
         comp = compound_mechanism(mix, tuple(map(quadratic_mechanism, comps)))
         calls = []
-        original = QuadraticPanelMechanism.payoff_vector_for_distribution
+        original = QuadraticPanelMechanism.payoff_vector
 
-        def counted(self, lam):
-            calls.append(lam)
-            return original(self, lam)
+        def counted(self, report):
+            calls.append(report)
+            return original(self, report)
 
-        monkeypatch.setattr(
-            QuadraticPanelMechanism, "payoff_vector_for_distribution", counted
-        )
+        monkeypatch.setattr(QuadraticPanelMechanism, "payoff_vector", counted)
         vector = comp.payoff_vector(Belief.uniform(3))
         assert len(vector) == 9
         assert len(calls) == 2
@@ -392,6 +399,20 @@ class TestLevelSetTransform:
 
 
 class TestIcVerify:
+    def test_repeated_report_belief_answers_with_the_first_report(self):
+        e = bernoulli_experiment()
+        p, q = Belief.uniform(3), Belief.point_mass(3, 0)
+        table = TableMechanism(
+            e,
+            ("a", "b", "c"),
+            Matrix.from_rows([[0, 1], [1, 0], [1, 1]]),
+            (p, q, Belief((F(1, 3), F(2, 6), F(1, 3)))),
+        )
+        assert table.report_for_belief(p) == "a"
+        assert table.report_for_belief(q) == "b"
+        with pytest.raises(ValueError, match="not on the tabulated report menu"):
+            table.report_for_belief(Belief.point_mass(3, 2))
+
     def test_quadratic_panel_elicits_maximal_partition(self):
         e = bernoulli_experiment()
         report = ic_verify(quadratic_mechanism(e), maximal_partition(e), 4)
@@ -627,3 +648,55 @@ class TestDocRoundTrips:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             load_mechanism({"kind": "mystery"})
+
+
+def _fraction_quadratic(m, p):
+    """The quadratic panel's payoff formula, written in Fractions."""
+    lam = mean_outcome_distribution(m.experiment, p)
+    base = sum((w * l * l for w, l in zip(m.event_weights, lam)), F(0))
+    return tuple(1 - base - w * (1 - 2 * l) for w, l in zip(m.event_weights, lam))
+
+
+def _fraction_mean_score(m, mu):
+    """The mean-score payoff formulas, written in Fractions."""
+    if m.variant == "brier":
+        return tuple(1 - (mu - w) ** 2 for w in m.weights)
+    return tuple(2 * mu * w - mu * mu for w in m.weights)
+
+
+def _mixed_belief(rng, n):
+    """Gaps between sorted cut points of several denominators."""
+    denominators = rng.choices((2, 3, 7, 10, 12), k=n - 1)
+    cuts = sorted(F(rng.randint(0, q), q) for q in denominators)
+    points = [F(0), *cuts, F(1)]
+    return Belief(tuple(b - a for a, b in zip(points, points[1:])))
+
+
+def test_integer_payoffs_match_fraction_formulas_off_grid():
+    rng = random.Random(41)
+    for _ in range(40):
+        n, outcomes = rng.randint(1, 4), rng.randint(1, 4)
+        e = random_experiment(rng, n, outcomes, rng.choice((4, 6, 9)))
+        raw = [rng.randint(1, 9) for _ in range(outcomes)]
+        quad = quadratic_mechanism(e, [F(w, sum(raw)) for w in raw])
+        for _ in range(3):
+            p = _mixed_belief(rng, n)
+            assert quad.payoff_vector(p) == _fraction_quadratic(quad, p)
+        weights = [
+            F(rng.randrange(-5, 6), rng.randrange(1, 7)) for _ in range(outcomes)
+        ]
+        for variant in ("brier", "linear"):
+            m = mean_mechanism(e, e.kernel.mul_vec(weights), weights, variant)
+            for mu in (
+                F(-rng.randint(1, 20), rng.randint(1, 13)),
+                F(rng.randint(0, 20), rng.randint(1, 13)),
+                -3,
+            ):
+                assert m.payoff_vector(mu) == _fraction_mean_score(m, F(mu))
+                assert m.payoff_vector(str(mu)) == m.payoff_vector(mu)
+
+
+def test_quadratic_payoff_vector_checks_the_belief_length():
+    m = quadratic_mechanism(bernoulli_experiment())
+    with pytest.raises(ValueError, match="belief length does not match"):
+        m.payoff_vector(Belief.uniform(2))
