@@ -303,6 +303,11 @@ def complete_elicitation(e: Experiment) -> CompleteElicitationReport:
     statistic from the kernel-column span whose first n-1 powers, estimated
     on the (n-1)-fold product, determine the belief through an invertible
     Vandermonde matrix. n-1 observations are thus always enough.
+
+    The (n-1)-fold power is materialised and rank-checked only for a
+    rank-deficient kernel at desk scale. Otherwise the Vandermonde
+    determinant decides; for a full-rank kernel it is nonzero, as rank K = n
+    already forces full rank on the product.
     """
     n = len(e.parameters)
     m = len(e.outcomes)
@@ -319,8 +324,10 @@ def complete_elicitation(e: Experiment) -> CompleteElicitationReport:
         [[statistic[i] ** k for i in range(n)] for k in range(n)]
     )
     det = determinant(vandermonde)
-    if n * m**copies <= 20_000:
-        # desk scale: materialize the product kernel and rank-check directly
+    if not single and n * m**copies <= 20_000:
+        # desk scale: materialize the product kernel and rank-check directly.
+        # A full-rank kernel skips this: summed over the other draws, the
+        # power's columns are K's columns, so rank K = n forces rank n.
         product_ok = rank(power(e, copies).kernel) == n
     else:
         # the power map factors through the product's mean outcome

@@ -116,7 +116,10 @@ def evaluate(m: Mechanism, report: Report, outcome: Union[int, str]) -> Fraction
 def expected_payoff(m: Mechanism, belief: Belief, report: Report) -> Fraction:
     """Expected payoff under a belief: outcome-distribution-weighted payoffs."""
     lam = mean_outcome_distribution(m.experiment, belief)
-    vec = m.payoff_vector(report)
+    return _dot(lam, m.payoff_vector(report))
+
+
+def _dot(lam: Sequence[Fraction], vec: Sequence[Fraction]) -> Fraction:
     return sum((li * vi for li, vi in zip(lam, vec)), _ZERO)
 
 
@@ -687,9 +690,15 @@ def envelope_check(
 ) -> EnvelopeReport:
     reports1 = [m1.report_for_belief(p) for p in beliefs]
     reports2 = [m2.report_for_belief(p) for p in beliefs]
-    for i, p in enumerate(beliefs):
-        v1 = max(expected_payoff(m1, p, r) for r in reports1)
-        v2 = max(expected_payoff(m2, p, r) for r in reports2)
+    vecs1 = [m1.payoff_vector(r) for r in reports1]
+    vecs2 = [m2.payoff_vector(r) for r in reports2]
+    lams = []
+    for p in beliefs:
+        lam1 = mean_outcome_distribution(m1.experiment, p)
+        lam2 = mean_outcome_distribution(m2.experiment, p)
+        lams.append((lam1, lam2))
+        v1 = max(_dot(lam1, v) for v in vecs1)
+        v2 = max(_dot(lam2, v) for v in vecs2)
         if v1 != v2:
             return EnvelopeReport(
                 values_agree=False,
@@ -700,11 +709,9 @@ def envelope_check(
                     f"{format_rational(v1)} vs {format_rational(v2)}"
                 ),
             )
-    for p in beliefs:
-        for j in range(len(beliefs)):
-            lhs = expected_payoff(m1, p, reports1[j])
-            rhs = expected_payoff(m2, p, reports2[j])
-            if lhs != rhs:
+    for lam1, lam2 in lams:
+        for vec1, vec2 in zip(vecs1, vecs2):
+            if _dot(lam1, vec1) != _dot(lam2, vec2):
                 return EnvelopeReport(
                     values_agree=True,
                     cross_payoffs_agree=False,

@@ -184,14 +184,17 @@ def elicitation_dominates(ey: Experiment, ez: Experiment) -> DominanceResult:
         return DominanceResult("elicitation", False, note=note)
     raw = Matrix.from_cols(cols)
     rows = []
+    shares = []
     for y in range(ny):
         row = raw.row(y)
         share = (_ONE - sum(row, _ZERO)) / nz
+        shares.append(share)
         rows.append([x + share for x in row])
-    witness = Matrix.from_rows(rows)
-    if not verify_factorization(ey, ez, witness):
+    # the solve already gives kernel_Y @ raw == kernel_Z, so the renormalized
+    # witness factorizes exactly when kernel_Y annihilates the shares
+    if any(ey.kernel.mul_vec(shares)):
         raise RuntimeError("row renormalization broke the factorization")
-    return DominanceResult("elicitation", True, witness=witness)
+    return DominanceResult("elicitation", True, witness=Matrix.from_rows(rows))
 
 
 def blackwell_dominates(ey: Experiment, ez: Experiment) -> DominanceResult:

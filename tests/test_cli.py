@@ -114,6 +114,18 @@ class TestDemo:
         assert payload["inputs"] == {"n_max": 4}
         assert "all claims passed" in captured.err
 
+    def test_demo_runs_as_a_module_subprocess(self):
+        # the entry point the benchmark times: a fresh interpreter, src on the path
+        src = str(Path(elicitkit.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "elicitkit.cli", "demo", "german_tank"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        assert '"passed": true' in run.stdout
+
     def test_unknown_demo(self, capsys):
         assert main(["demo", "nope"]) == 2
         assert "unknown demo" in capsys.readouterr().err

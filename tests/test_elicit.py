@@ -9,16 +9,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from elicitkit import elicit
 from elicitkit.catalog import (
     bernoulli_experiment,
     german_tank_experiment,
     noisy_bernoulli_experiment,
+    random_experiment,
     truncated_poisson_experiment,
 )
-from elicitkit.exactcore import Matrix
+from elicitkit.exactcore import Matrix, rank
 from elicitkit.model import (
     Belief,
     Experiment,
+    is_identified,
     mean_outcome_distribution,
     power,
     product_many,
@@ -304,6 +307,49 @@ class TestCompleteElicitation:
         report = complete_elicitation(e)
         assert not report.full_belief_elicitable
         assert report.vandermonde_certificate is None
+
+
+class TestFullRankShortcut:
+    """A full-rank kernel certifies its power without materialising it."""
+
+    def _forbid_power(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("power materialised for a full-rank kernel")
+
+        monkeypatch.setattr(elicit, "power", refuse)
+
+    def test_german_tank_builds_no_power(self, monkeypatch):
+        self._forbid_power(monkeypatch)
+        report = complete_elicitation(german_tank_experiment(5))
+        assert report.full_belief_elicitable
+        assert report.vandermonde_certificate.product_full_belief_elicitable
+
+    def test_random_square_full_rank_builds_no_power(self, monkeypatch):
+        rng = random.Random(5)
+        e = random_experiment(rng, 4, 4)
+        while rank(e.kernel) < 4:
+            e = random_experiment(rng, 4, 4)
+        self._forbid_power(monkeypatch)
+        report = complete_elicitation(e)
+        assert report.full_belief_elicitable
+        assert report.vandermonde_certificate.product_full_belief_elicitable
+
+    def test_certificate_matches_materialised_rank(self):
+        # identified kernels of full rank and below it alike
+        rng = random.Random(23)
+        corpus = [bernoulli_experiment()]
+        while len(corpus) < 24:
+            n = rng.randint(2, 5)
+            e = random_experiment(rng, n, rng.randint(max(1, n - 2), n + 1))
+            if is_identified(e):
+                corpus.append(e)
+        deficient = [rank(e.kernel) < len(e.parameters) for e in corpus]
+        assert any(deficient) and not all(deficient)
+        for e in corpus:
+            n = len(e.parameters)
+            cert = complete_elicitation(e).vandermonde_certificate
+            reference = rank(power(e, n - 1).kernel) == n
+            assert cert.product_full_belief_elicitable == reference
 
 
 class TestReportInvariants:

@@ -489,6 +489,42 @@ class TestValueFunctionAndEnvelope:
         assert report.cross_payoffs_agree is None
 
 
+    def test_permuted_reports_keep_values_but_not_cross_payoffs(self):
+        e = bernoulli_experiment()
+        grid = belief_grid(3, 3)
+        table = tabulate(quadratic_mechanism(e), grid)
+        rows = [table.payoffs.row(i) for i in range(table.payoffs.rows)]
+        permuted = TableMechanism(
+            e,
+            table.reports,
+            Matrix.from_rows(rows[::-1]),
+            report_beliefs=table.report_beliefs,
+        )
+        report = envelope_check(table, permuted, grid)
+        assert report.values_agree
+        assert report.cross_payoffs_agree is False
+        assert report.detail == "cross payoffs differ despite equal value functions"
+
+    def test_payoff_vectors_are_built_once_per_report(self, monkeypatch):
+        e = bernoulli_experiment()
+        m = quadratic_mechanism(e)
+        grid = belief_grid(3, 4)
+        table = tabulate(m, grid)
+        calls = []
+        for cls in (QuadraticPanelMechanism, TableMechanism):
+            original = cls.payoff_vector
+
+            def counting(self, report, _original=original):
+                calls.append(report)
+                return _original(self, report)
+
+            monkeypatch.setattr(cls, "payoff_vector", counting)
+        report = envelope_check(m, table, grid)
+        assert report.values_agree
+        assert report.cross_payoffs_agree
+        assert len(calls) <= 2 * len(grid)
+
+
 class TestRandomizedTransfer:
     """Payoff transport checked across a seeded corpus, not just fixtures."""
 
