@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .exactcore import Matrix
+from .exactcore import Matrix, parse_rational
 from .model import Experiment, uniform_garble
 
 _DEFAULT_GRID = (Fraction(0), Fraction(1, 2), Fraction(1))
@@ -21,7 +21,7 @@ def bernoulli_experiment(
     Outcomes are labeled "0" and "1" in that order, so the kernel row for a
     success rate t is (1-t, t).
     """
-    rates = [Fraction(t) for t in success_rates]
+    rates = [parse_rational(t) for t in success_rates]
     labels = tuple(str(t) for t in rates)
     rows = [[1 - t, t] for t in rates]
     return Experiment(labels, ("0", "1"), Matrix.from_rows(rows))
@@ -62,7 +62,7 @@ def truncated_poisson_experiment(
     """
     if k_max < 0:
         raise ValueError("count truncation must be nonnegative")
-    rates = [Fraction(t) for t in rates]
+    rates = [parse_rational(t) for t in rates]
     labels = tuple(str(k) for k in range(k_max + 1))
     rows = []
     for t in rates:

@@ -4,12 +4,14 @@ Every demo builds small exact experiments, runs the library end to end, and
 records a list of claims that are asserted by computation, never narrated.
 A report with any failed claim makes the CLI exit nonzero. Truncation errors
 are computed exactly and reported, not absorbed. Floating point appears only
-inside the density demo's quadrature.
+inside the density demo's quadrature. The exact arithmetic comes from
+``exactcore``, ``model`` and ``elicit``; the demos do not repeat it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +23,7 @@ from .catalog import (
     noisy_bernoulli_experiment,
     truncated_poisson_experiment,
 )
-from .exactcore import Matrix, format_rational, rank, solve_linear
+from .exactcore import Matrix, format_rational, parse_rational, rank, solve_linear
 from .model import (
     Belief,
     Experiment,
@@ -31,7 +33,9 @@ from .model import (
     power,
     uniform_garble,
 )
-from .elicit import complete_elicitation, moment_weights, unbiased_weights
+from .elicit import (
+    complete_elicitation, moment_weights, statistic_mean, unbiased_weights
+)
 from .mechanisms import TableMechanism, expected_payoff, pushforward
 from .orders import (
     blackwell_dominates,
@@ -118,11 +122,9 @@ def demo_german_tank(n_max: int = 5) -> DemoReport:
             report.weights == expected,
             detail=str([format_rational(w) for w in report.weights]),
         )
-        boundary_row = e.kernel.row(m)  # population size m+1
-        value = sum((a * b for a, b in zip(boundary_row, report.weights)), _ZERO)
         claims.check(
             f"threshold m={m}: expected weight under population m+1 is 0",
-            value == 0,
+            e.kernel.mul_vec(report.weights)[m] == 0,
         )
         weight_table[f"m={m}"] = [format_rational(w) for w in report.weights]
     full = complete_elicitation(e)
@@ -141,18 +143,6 @@ def demo_german_tank(n_max: int = 5) -> DemoReport:
     )
 
 
-def _poisson_partial_sums(rate: Fraction, k_max: int) -> list[Fraction]:
-    sums = []
-    total = _ZERO
-    term = _ONE
-    for k in range(k_max + 1):
-        if k > 0:
-            term = term * rate / k
-        total += term
-        sums.append(total)
-    return sums
-
-
 def demo_poisson(
     k_max: int = 20,
     rates: Sequence[Fraction] = (Fraction(1, 2), Fraction(1), Fraction(2)),
@@ -166,36 +156,37 @@ def demo_poisson(
     shortfall is computed exactly and reported. Complex-exponential target
     functions are not used; polynomial moments carry the same point here.
     """
-    rates = [Fraction(t) for t in rates]
+    if k_max < 0:
+        raise ValueError("count truncation must be nonnegative")
+    rates = [parse_rational(t) for t in rates]
     claims = _Claims()
+    partial_sums = []
     for t in rates:
         if t >= k_max + 2:
             raise ValueError("rate too large for the truncation bound")
         # remaining mass after k_max, bounded by a geometric tail
-        term = _ONE
-        for k in range(1, k_max + 2):
-            term = term * t / k
+        term = t ** (k_max + 1) / math.factorial(k_max + 1)
         remainder = term / (1 - t / (k_max + 2))
-        sums = _poisson_partial_sums(t, k_max)
+        sums = list(
+            itertools.accumulate(t**k / math.factorial(k) for k in range(k_max + 1))
+        )
         tail_estimate = remainder / (sums[-1] + remainder)
         if tail_estimate > tail_bound:
             raise ValueError(
                 f"truncated tail mass bound {tail_estimate} exceeds {tail_bound}"
             )
+        partial_sums.append(sums)
     e = truncated_poisson_experiment(k_max, rates)
+    # falling factorials k(k-1)...(k-j+1), averaged under every rate at once
+    averages = [
+        e.kernel.mul_vec([math.perm(k, j) for k in range(k_max + 1)])
+        for j in range(max_power + 1)
+    ]
     errors: dict[str, dict[str, str]] = {}
-    for i, t in enumerate(rates):
-        sums = _poisson_partial_sums(t, k_max)
-        row = e.kernel.row(i)
+    for i, (t, sums) in enumerate(zip(rates, partial_sums)):
         per_rate: dict[str, str] = {}
         for j in range(max_power + 1):
-            weights = []
-            for k in range(k_max + 1):
-                w = _ONE
-                for r in range(j):
-                    w *= k - r
-                weights.append(w)
-            elicited = sum((w * p for w, p in zip(weights, row)), _ZERO)
+            elicited = averages[j][i]
             target = t**j
             error = abs(elicited - target)
             per_rate[f"power_{j}"] = format_rational(error)
@@ -249,87 +240,62 @@ def demo_expertise(
     """
     if e is None:
         e = bernoulli_experiment()
+    if not isinstance(e, Experiment):
+        raise ValueError("the expertise demo needs an Experiment")
     if not is_identified(e):
         raise ValueError("experiment must be identified (distinct kernel rows)")
     claims = _Claims()
     doubled = power(e, 2)
     n = len(e.parameters)
-    m = len(e.outcomes)
-    mean_w = []
-    square_w = []
-    for y in range(m):
-        column = e.kernel.col(y)
+    columns = [e.kernel.col(y) for y in range(len(e.outcomes))]
+    # product-experiment weights, (mean, square) per kernel column
+    weights = []
+    for y, column in enumerate(columns):
         first = moment_weights(e, 2, column, 1)
         second = moment_weights(e, 2, column, 2)
         claims.check(
             f"column {e.outcomes[y]!r}: mean and square weights exist",
             first.elicitable and second.elicitable,
         )
-        mean_w.append(first.weights)
-        square_w.append(second.weights)
+        weights += [first.weights, second.weights]
+    moment_matrix = Matrix.from_cols(weights)
+    direct_matrix = Matrix.from_cols(
+        [g for column in columns for g in (column, tuple(c * c for c in column))]
+    )
+
+    def pairs(values: tuple[Fraction, ...]) -> list[tuple[Fraction, Fraction]]:
+        return list(zip(values[::2], values[1::2]))
 
     def elicited_moments(p: Belief) -> list[tuple[Fraction, Fraction]]:
-        lam = mean_outcome_distribution(doubled, p)
-        out = []
-        for y in range(m):
-            mean = sum((l * w for l, w in zip(lam, mean_w[y])), _ZERO)
-            square = sum((l * w for l, w in zip(lam, square_w[y])), _ZERO)
-            out.append((mean, square))
-        return out
+        return pairs(moment_matrix.left_mul_vec(mean_outcome_distribution(doubled, p)))
 
     for i in range(n):
         p = Belief.point_mass(n, i)
         moments = elicited_moments(p)
-        variances = [sq - mean * mean for mean, sq in moments]
         claims.check(
             f"point mass on {e.parameters[i]!r}: all column variances are 0",
-            all(v == 0 for v in variances),
+            all(sq == mean * mean for mean, sq in moments),
         )
         mean_vector = tuple(mean for mean, _ in moments)
-        matches = [
-            t for t in range(n) if e.kernel.row(t) == mean_vector
-        ]
+        matches = [t for t in range(n) if e.kernel.row(t) == mean_vector]
         claims.check(
             f"point mass on {e.parameters[i]!r}: parameter recovered from means",
             matches == [i],
         )
-    spread_found = 0
-    for p in belief_grid(n, grid_denominator):
-        if len([w for w in p.weights if w > 0]) < 2:
-            continue
-        moments = elicited_moments(p)
-        direct = [
-            (
-                sum((pw * g for pw, g in zip(p.weights, e.kernel.col(y))), _ZERO),
-                sum(
-                    (pw * g * g for pw, g in zip(p.weights, e.kernel.col(y))),
-                    _ZERO,
-                ),
-            )
-            for y in range(m)
-        ]
-        if moments != direct:
-            claims.check(
-                "elicited moments equal direct moments for every grid belief",
-                False,
-            )
-            break
-        if any(sq - mean * mean > 0 for mean, sq in moments):
-            spread_found += 1
-        else:
-            claims.check(
-                "every spread belief has a strictly positive column variance",
-                False,
-            )
-            break
-    else:
-        claims.check(
-            "elicited moments equal direct moments for every grid belief", True
-        )
-        claims.check(
-            "every spread belief has a strictly positive column variance",
-            spread_found > 0,
-        )
+    spread = [
+        (elicited_moments(p), pairs(direct_matrix.left_mul_vec(p.weights)))
+        for p in belief_grid(n, grid_denominator)
+        if sum(w > 0 for w in p.weights) >= 2
+    ]
+    claims.check(
+        "elicited moments equal direct moments for every grid belief",
+        all(elicited == direct for elicited, direct in spread),
+    )
+    claims.check(
+        "every spread belief has a strictly positive column variance",
+        bool(spread)
+        and all(any(sq > mean * mean for mean, sq in moments) for moments, _ in spread),
+    )
     artifacts: dict = {"grid_denominator": grid_denominator}
     if e.parameters == ("0", "1/2", "1"):
         uniform = Belief.uniform(n)
@@ -353,37 +319,33 @@ def demo_expertise(
 # -- density approximation ---------------------------------------------------
 
 
+def _inner(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """Exact inner product on [0, 1] of two polynomials: <x^i, x^j> = 1/(i+j+1)."""
+    return sum(
+        (ai * bj / (i + j + 1) for i, ai in enumerate(a) for j, bj in enumerate(b)),
+        _ZERO,
+    )
+
+
 def _orthogonal_polynomials(max_degree: int) -> list[tuple[list[Fraction], Fraction]]:
     """Exact orthogonal polynomial basis on [0, 1] up to ``max_degree``.
 
-    Gram-Schmidt over monomials using the exact inner products
-    ``<x^a, x^b> = 1/(a+b+1)``. Returns (ascending coefficients, squared
-    norm) per degree; dividing by the square root of the norm would give the
-    shifted Legendre basis, but norms are kept separate so everything stays
-    rational.
+    Gram-Schmidt over monomials using the exact inner product ``_inner``.
+    Returns (ascending coefficients, squared norm) per degree; dividing by
+    the square root of the norm would give the shifted Legendre basis, but
+    norms are kept separate so everything stays rational.
     """
     basis: list[tuple[list[Fraction], Fraction]] = []
     for k in range(max_degree + 1):
-        coef = [_ZERO] * (k + 1)
-        coef[k] = _ONE
+        monomial = [_ZERO] * k + [_ONE]
+        coef = monomial
         for prev, norm in basis:
-            inner = sum(
-                (c * Fraction(1, j + k + 1) for j, c in enumerate(prev)), _ZERO
-            )
-            scale = inner / norm
+            scale = _inner(prev, monomial) / norm
             coef = [
                 c - scale * (prev[j] if j < len(prev) else _ZERO)
                 for j, c in enumerate(coef)
             ]
-        norm = sum(
-            (
-                ci * cj * Fraction(1, i + j + 1)
-                for i, ci in enumerate(coef)
-                for j, cj in enumerate(coef)
-            ),
-            _ZERO,
-        )
-        basis.append((coef, norm))
+        basis.append((coef, _inner(coef, coef)))
     return basis
 
 
@@ -444,12 +406,6 @@ def _gauss_legendre() -> tuple[tuple[float, ...], tuple[float, ...]]:
     return nodes, weights
 
 
-def _quad(fn: Callable[[float], float]) -> float:
-    """Integral of ``fn`` over [0, 1] by the fixed Gauss-Legendre rule."""
-    nodes, weights = _gauss_legendre()
-    return math.fsum(w * fn(x) for x, w in zip(nodes, weights))
-
-
 _DENSITIES: dict[str, Callable[[float], float]] = {
     "quadratic": lambda x: 6.0 * x * (1.0 - x),
     "exponential": lambda x: math.exp(-x) / (1.0 - math.exp(-1.0)),
@@ -475,30 +431,20 @@ def demo_density(density: str = "quadratic", max_degree: int = 8) -> DemoReport:
     basis = _orthogonal_polynomials(max_degree)
 
     # exact pairwise orthogonality, plus the quadrature view of the same
-    exact_ok = True
-    for i in range(len(basis)):
-        for j in range(i):
-            pi, _ = basis[i]
-            pj, _ = basis[j]
-            inner = sum(
-                (
-                    ci * cj * Fraction(1, a + b + 1)
-                    for a, ci in enumerate(pi)
-                    for b, cj in enumerate(pj)
-                ),
-                _ZERO,
-            )
-            exact_ok = exact_ok and inner == 0
-    claims.check("basis polynomials are exactly orthogonal", exact_ok)
-    numeric_worst = 0.0
-    for i in range(max_degree + 1):
-        for j in range(i):
-            numeric = _quad(
-                lambda x, a=i, b=j: (
-                    lambda vals: vals[a] * vals[b]
-                )(_orthonormal_values(max_degree, x))
-            )
-            numeric_worst = max(numeric_worst, abs(numeric))
+    polys = [coef for coef, _ in basis]
+    claims.check(
+        "basis polynomials are exactly orthogonal",
+        all(_inner(a, b) == 0 for i, a in enumerate(polys) for b in polys[:i]),
+    )
+    # basis and density values at the quadrature nodes, shared by every integral
+    nodes, weights = _gauss_legendre()
+    node_values = [_orthonormal_values(max_degree, x) for x in nodes]
+    node_density = [f(x) for x in nodes]
+    numeric_worst = max(
+        abs(math.fsum(w * (v[i] * v[j]) for w, v in zip(weights, node_values)))
+        for i in range(max_degree + 1)
+        for j in range(i)
+    )
     claims.check(
         "quadrature off-diagonal inner products below 1e-12",
         numeric_worst <= 1e-12,
@@ -520,7 +466,10 @@ def demo_density(density: str = "quadratic", max_degree: int = 8) -> DemoReport:
     )
 
     # raw moments of the density, and the exact change of basis to coefficients
-    moments = [_quad(lambda x, jj=j: x**jj * f(x)) for j in range(max_degree + 1)]
+    moments = [
+        math.fsum(w * (x**j * fx) for x, fx, w in zip(nodes, node_density, weights))
+        for j in range(max_degree + 1)
+    ]
     coefficients = []
     for coef, norm in basis:
         projection = sum(float(c) * moments[j] for j, c in enumerate(coef))
@@ -532,34 +481,29 @@ def demo_density(density: str = "quadratic", max_degree: int = 8) -> DemoReport:
     )
 
     # the moments themselves are elicitable: product weights on a rational grid
-    grid = bernoulli_experiment([Fraction(i, 10) for i in range(11)])
     statistic = tuple(Fraction(i, 10) for i in range(11))
-    moment_ok = True
-    for j in range(1, max_degree + 1):
+    grid = bernoulli_experiment(statistic)
+
+    def raw_moment_ok(j: int) -> bool:
         report = moment_weights(grid, j, statistic, j)
-        if not report.elicitable:
-            moment_ok = False
-            break
         target = tuple(t**j for t in statistic)
-        if power(grid, j).kernel.mul_vec(report.weights) != target:
-            moment_ok = False
-            break
+        return report.elicitable and (
+            power(grid, j).kernel.mul_vec(report.weights) == target
+        )
+
     claims.check(
         "each raw moment has exact product-experiment weights on a rational grid",
-        moment_ok,
+        all(raw_moment_ok(j) for j in range(1, max_degree + 1)),
     )
 
     mise: list[float] = []
     for degree in range(1, max_degree + 1):
         coeffs = coefficients[: degree + 1]
-
-        def residual(x: float) -> float:
-            values = _orthonormal_values(max_degree, x)
-            approx = sum(c * v for c, v in zip(coeffs, values))
-            gap = f(x) - approx
-            return gap * gap
-
-        mise.append(_quad(residual))
+        gaps = [
+            fx - sum(c * v for c, v in zip(coeffs, values))
+            for fx, values in zip(node_density, node_values)
+        ]
+        mise.append(math.fsum(w * (gap * gap) for w, gap in zip(weights, gaps)))
 
     if density == "quadratic":
         claims.check(
@@ -661,10 +605,7 @@ def _predictor_experiment(
     Returns the experiment and the per-parameter predictor values (the
     statistic whose mean the outcome elicits).
     """
-    predictors = tuple(
-        beta[0] + sum((b * xi for b, xi in zip(beta[1:], x)), _ZERO)
-        for beta in reg.coefficient_grid
-    )
+    predictors = Matrix.from_rows(reg.coefficient_grid).mul_vec((1,) + x)
     support: dict[Fraction, None] = {}
     for h in predictors:
         support.setdefault(h - reg.noise_scale)
@@ -701,10 +642,14 @@ def demo_regression(
     """
     if reg is None:
         reg = _default_regression()
+    if not isinstance(reg, DiscretizedRegression):
+        raise ValueError("the regression demo needs a DiscretizedRegression")
     k = reg.n_slopes
     if len(reg.covariates) != k + 1:
         raise ValueError("need exactly one more covariate draw than slopes")
     belief = belief or Belief.uniform(len(reg.coefficient_grid))
+    if not isinstance(belief, Belief):
+        raise ValueError("the regression demo needs a Belief over the coefficient grid")
     if len(belief.weights) != len(reg.coefficient_grid):
         raise ValueError("belief must range over the coefficient grid")
     claims = _Claims()
@@ -729,23 +674,17 @@ def demo_regression(
             f"covariate {tuple(map(format_rational, x))}: solver confirms elicitability",
             report.elicitable,
         )
-        lam = mean_outcome_distribution(experiment, belief)
-        via_outcomes = sum((l * v for l, v in zip(lam, outcome_values)), _ZERO)
-        direct = sum((w * h for w, h in zip(belief.weights, predictors)), _ZERO)
+        # the mean outcome distribution is itself a belief, over the outcomes
+        lam = Belief(mean_outcome_distribution(experiment, belief))
+        via_outcomes = statistic_mean(outcome_values, lam)
         claims.check(
             f"covariate {tuple(map(format_rational, x))}: elicited mean matches direct mean",
-            via_outcomes == direct,
+            via_outcomes == statistic_mean(predictors, belief),
         )
         elicited.append(via_outcomes)
 
     recovered = solve_linear(design, [elicited])[0]
-    true_means = tuple(
-        sum(
-            (w * beta[j] for w, beta in zip(belief.weights, reg.coefficient_grid)),
-            _ZERO,
-        )
-        for j in range(k + 1)
-    )
+    true_means = Matrix.from_rows(reg.coefficient_grid).left_mul_vec(belief.weights)
     claims.check(
         "recovered coefficient means equal the belief's true means",
         recovered == true_means,

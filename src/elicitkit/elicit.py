@@ -196,7 +196,7 @@ def unbiased_weights(e: Experiment, statistic: Sequence[Fraction]) -> Elicitabil
     statistic's mean is not elicitable, and the report carries a witness
     belief pair built from a kernel-transpose null direction.
     """
-    g = [Fraction(x) for x in statistic]
+    g = [parse_rational(x) for x in statistic]
     if len(g) != len(e.parameters):
         raise ValueError("statistic length does not match the parameter set")
     solution = solve_linear(e.kernel, [g])[0]
@@ -259,7 +259,7 @@ def mode_elicitable(
     distinct real parameter values. The median has the same answer: the
     criterion and the witness pair are the same.
     """
-    values = [Fraction(v) for v in parameter_values]
+    values = [parse_rational(v) for v in parameter_values]
     if len(values) != len(e.parameters):
         raise ValueError("parameter values must align with the parameter set")
     if len(set(values)) != len(values):
@@ -297,12 +297,12 @@ def _injective_statistic(e: Experiment) -> tuple[tuple[Fraction, ...], tuple[Fra
 def complete_elicitation(e: Experiment) -> CompleteElicitationReport:
     """Can the full belief be elicited, and with how many observations?
 
-    One observation suffices iff the kernel has full row-population rank;
-    with fewer outcomes than parameters that is impossible by dimension
-    count. For an identified experiment, a certificate is built: an injective
-    statistic from the kernel-column span whose first n-1 powers, estimated
-    on the (n-1)-fold product, determine the belief through an invertible
-    Vandermonde matrix. n-1 observations are thus always enough.
+    One observation suffices iff the kernel has rank n, the number of
+    parameters; with fewer outcomes than parameters that is impossible by
+    dimension count. For an identified experiment, a certificate is built: an
+    injective statistic from the kernel-column span whose first n-1 powers,
+    estimated on the (n-1)-fold product, determine the belief through an
+    invertible Vandermonde matrix. n-1 observations are thus always enough.
 
     The (n-1)-fold power is materialised and rank-checked only for a
     rank-deficient kernel at desk scale. Otherwise the Vandermonde

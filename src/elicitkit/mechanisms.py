@@ -144,7 +144,7 @@ class QuadraticPanelMechanism(Mechanism):
         m = len(experiment.outcomes)
         if event_weights is None:
             event_weights = [Fraction(1, m)] * m
-        weights = tuple(Fraction(w) for w in event_weights)
+        weights = tuple(parse_rational(w) for w in event_weights)
         if len(weights) != m:
             raise ValueError("one event weight per outcome is required")
         if any(w <= 0 for w in weights) or sum(weights, _ZERO) != 1:
@@ -218,8 +218,8 @@ class MeanScoreMechanism(Mechanism):
     ) -> None:
         if variant not in ("brier", "linear"):
             raise ValueError("variant must be 'brier' or 'linear'")
-        statistic = tuple(Fraction(x) for x in statistic)
-        weights = tuple(Fraction(x) for x in weights)
+        statistic = tuple(parse_rational(x) for x in statistic)
+        weights = tuple(parse_rational(x) for x in weights)
         if len(statistic) != len(experiment.parameters):
             raise ValueError("statistic length does not match the parameter set")
         if len(weights) != len(experiment.outcomes):

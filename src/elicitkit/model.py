@@ -77,6 +77,8 @@ class Belief:
         if not self.weights:
             raise ValueError("belief needs at least one weight")
         for w in self.weights:
+            if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+                raise ValueError(f"belief weights must be ints or Fractions, got {w!r}")
             if w < 0:
                 raise ValueError("belief weights must be nonnegative")
         if sum(self.weights, _ZERO) != 1:
@@ -84,6 +86,8 @@ class Belief:
 
     @staticmethod
     def uniform(n: int) -> "Belief":
+        if n < 1:
+            raise ValueError(f"a uniform belief needs at least one parameter, got {n}")
         return Belief((Fraction(1, n),) * n)
 
     @staticmethod
@@ -236,10 +240,10 @@ def replacement_garbling_channel(
     The redraw follows ``replacement``; with the uniform replacement this is
     the uniform-noise channel ``(1-noise) I + (noise/n) J``.
     """
-    noise = Fraction(noise)
+    noise = parse_rational(noise)
     if not 0 <= noise < 1:
         raise ValueError("noise probability must lie in [0, 1)")
-    probs = [Fraction(p) for p in replacement]
+    probs = [parse_rational(p) for p in replacement]
     if any(p < 0 for p in probs) or sum(probs, _ZERO) != 1:
         raise ValueError("replacement distribution must be a probability vector")
     n = len(probs)
@@ -263,10 +267,10 @@ def replacement_garbling_channel_inverse(
     the channel is (1-noise) I + noise P and P is idempotent, so the inverse
     is (I - noise P) / (1-noise).
     """
-    noise = Fraction(noise)
+    noise = parse_rational(noise)
     if not 0 <= noise < 1:
         raise ValueError("noise probability must lie in [0, 1)")
-    probs = [Fraction(p) for p in replacement]
+    probs = [parse_rational(p) for p in replacement]
     n = len(probs)
     scale = 1 / (1 - noise)
     return Matrix.from_rows(
@@ -332,6 +336,8 @@ def grid_counts(n_parameters: int, denominator: int) -> Iterator[tuple[int, ...]
     the 1/denominator belief grid; ``belief_grid`` builds its beliefs from
     them, so both share one order.
     """
+    if n_parameters < 1:
+        raise ValueError(f"need at least one parameter, got {n_parameters}")
     if denominator < 1:
         raise ValueError("denominator must be at least 1")
     return _compositions(denominator, n_parameters)

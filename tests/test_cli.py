@@ -14,6 +14,7 @@ from fractions import Fraction as F
 
 import elicitkit
 from elicitkit.cli import main
+from elicitkit.demos import DEMOS
 from elicitkit.catalog import bernoulli_experiment, noisy_bernoulli_experiment
 from elicitkit.exactcore import Matrix
 from elicitkit.mechanisms import (
@@ -114,11 +115,12 @@ class TestDemo:
         assert payload["inputs"] == {"n_max": 4}
         assert "all claims passed" in captured.err
 
-    def test_demo_runs_as_a_module_subprocess(self):
+    @pytest.mark.parametrize("name", sorted(DEMOS))
+    def test_demo_runs_as_a_module_subprocess(self, name):
         # the entry point the benchmark times: a fresh interpreter, src on the path
         src = str(Path(elicitkit.__file__).resolve().parents[1])
         run = subprocess.run(
-            [sys.executable, "-m", "elicitkit.cli", "demo", "german_tank"],
+            [sys.executable, "-m", "elicitkit.cli", "demo", name],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True,
             text=True,
@@ -136,6 +138,20 @@ class TestDemo:
     def test_unknown_param_name(self, capsys):
         assert main(["demo", "german_tank", "--param", "populations=4"]) == 2
         assert "bad parameters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            ("regression", "belief=x"),
+            ("regression", "reg=x"),
+            ("expertise", "e=x"),
+            ("poisson", "k_max=-1"),
+        ],
+    )
+    def test_bad_param_value_is_a_usage_error(self, capsys, name, param):
+        # exit 1 is reserved for failed claims
+        assert main(["demo", name, "--param", param]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestVerify:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from fractions import Fraction as F
 
 import pytest
 
+from elicitkit.catalog import bernoulli_experiment
 from elicitkit.model import Belief
 from elicitkit.demos import (
     DEMOS,
@@ -155,3 +158,45 @@ def test_registry_names():
         "regression",
         "bernoulli_orders",
     }
+
+
+# Every demo on a fixed corpus, canonical JSON, one hash. The density demo's
+# floats depend on the platform's libm, so only its claim descriptions and
+# pass flags are hashed. Regenerate with ``python tests/test_demos.py``.
+PINNED_CORPUS = "e0ca8eab00d83d89f17e83cd5296e72ad5a3a2cbbe48517bfc384bc94b9b3443"
+
+
+def corpus_reports():
+    yield demo_german_tank()
+    yield demo_german_tank(n_max=3)
+    yield demo_german_tank(n_max=8)
+    yield demo_poisson()
+    yield demo_poisson(k_max=30, rates=[F(1, 3), F(5, 2)], max_power=4)
+    yield demo_expertise()
+    yield demo_expertise(grid_denominator=6)
+    yield demo_expertise(bernoulli_experiment([F(0), F(1, 3), F(2, 3), F(1)]))
+    yield demo_density()
+    yield demo_density("exponential")
+    yield demo_density(max_degree=3)
+    yield demo_regression()
+    yield demo_regression(belief=Belief((F(1, 2), F(1, 4), F(1, 8), F(1, 8))))
+    yield demo_bernoulli_orders()
+
+
+def corpus_digest() -> str:
+    docs = [
+        [[c.description, c.passed] for c in report.claims]
+        if report.name == "density"
+        else report.to_doc()
+        for report in corpus_reports()
+    ]
+    text = "\n".join(json.dumps(doc, sort_keys=True) for doc in docs)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_corpus_matches_pinned_hash():
+    assert corpus_digest() == PINNED_CORPUS
+
+
+if __name__ == "__main__":
+    print(corpus_digest())

@@ -13,7 +13,9 @@ from elicitkit.catalog import (
     bernoulli_experiment,
     noisy_bernoulli_experiment,
     random_experiment,
+    truncated_poisson_experiment,
 )
+from elicitkit.elicit import mode_elicitable, moment_weights, unbiased_weights
 from elicitkit.exactcore import Matrix, lp_feasible
 from elicitkit.model import (
     Belief,
@@ -22,6 +24,7 @@ from elicitkit.model import (
     belief_grid,
     experiment_to_doc,
     garble,
+    grid_counts,
     is_complete,
     is_identified,
     load_experiment,
@@ -35,6 +38,7 @@ from elicitkit.model import (
     replacement_garbling_channel_inverse,
     uniform_garble,
 )
+from elicitkit.mechanisms import MeanScoreMechanism, QuadraticPanelMechanism
 
 BERNOULLI_DOC = {
     "parameters": ["0", "1/2", "1"],
@@ -94,6 +98,79 @@ class TestBelief:
         # compositions of d into n nonnegative parts
         assert len(belief_grid(3, 6)) == 28
         assert len(belief_grid(2, 4)) == 5
+
+    @pytest.mark.parametrize(
+        "weights", [(0.5, 0.25, 0.25), (F(1, 2), 0.5), (True, False), (1.0,)]
+    )
+    def test_float_and_bool_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            Belief(weights)
+
+    def test_int_weights_accepted(self):
+        assert Belief((0, 1)).weights == (0, 1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: belief_grid(0, 3),
+            lambda: grid_counts(-1, 2),
+            lambda: Belief.uniform(0),
+        ],
+        ids=["belief_grid", "grid_counts", "uniform"],
+    )
+    def test_no_parameters_rejected(self, build):
+        with pytest.raises(ValueError, match="at least one parameter"):
+            build()
+
+
+
+_BERNOULLI = bernoulli_experiment()
+
+
+class TestExactInputs:
+    """Constructors parse their numbers; a float is refused, never converted."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: unbiased_weights(_BERNOULLI, (0.0, 0.5, 1.0)),
+            lambda: moment_weights(_BERNOULLI, 2, (0.0, 0.5, 1.0), 2),
+            lambda: mode_elicitable(_BERNOULLI, (0.0, 0.5, 1.0)),
+            lambda: QuadraticPanelMechanism(_BERNOULLI, (0.5, 0.5)),
+            lambda: MeanScoreMechanism(_BERNOULLI, (0.0, 0.5, 1.0), (F(0), F(1))),
+            lambda: MeanScoreMechanism(_BERNOULLI, (F(0), F(1, 2), F(1)), (0.0, 1.0)),
+            lambda: replacement_garbling_channel((0.5, 0.5), F(1, 10)),
+            lambda: replacement_garbling_channel((F(1, 2), F(1, 2)), 0.125),
+            lambda: replacement_garbling_channel_inverse((0.5, 0.5), F(1, 10)),
+            lambda: replacement_garbling_channel_inverse((F(1, 2), F(1, 2)), 0.125),
+            lambda: bernoulli_experiment((0.0, 0.5)),
+            lambda: truncated_poisson_experiment(3, (0.5,)),
+        ],
+        ids=[
+            "unbiased_weights",
+            "moment_weights",
+            "mode_elicitable",
+            "quadratic_panel",
+            "mean_score_statistic",
+            "mean_score_weights",
+            "channel_replacement",
+            "channel_noise",
+            "inverse_replacement",
+            "inverse_noise",
+            "bernoulli_rates",
+            "poisson_rates",
+        ],
+    )
+    def test_float_inputs_rejected(self, build):
+        with pytest.raises(ValueError, match="rational values"):
+            build()
+
+    def test_mean_outcome_distribution_stays_exact(self):
+        with pytest.raises(ValueError):
+            mean_outcome_distribution(_BERNOULLI, Belief((0.5, 0.25, 0.25)))
+        lam = mean_outcome_distribution(_BERNOULLI, Belief((F(1, 2), F(1, 4), F(1, 4))))
+        assert lam == (F(5, 8), F(3, 8))
+        assert all(type(x) is F for x in lam)
 
 
 class TestProduct:
