@@ -48,6 +48,11 @@ from .orders import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# German tank's time grows about as n_max**4.5, and the expertise demo checks
+# every belief of its grid, so both sizes are capped before any work.
+MAX_TANK_POPULATION = 40
+MAX_GRID_BELIEFS = 10_000
+
 
 @dataclass(frozen=True)
 class Claim:
@@ -99,8 +104,10 @@ def demo_german_tank(n_max: int = 5) -> DemoReport:
     serials up to m, -m on serial m+1, 0 above), so every c.d.f. level of the
     population size, and hence the whole belief, can be elicited at once.
     """
-    if n_max < 2:
-        raise ValueError("need a population bound of at least 2")
+    if not 2 <= n_max <= MAX_TANK_POPULATION:
+        raise ValueError(
+            f"need a population bound from 2 to {MAX_TANK_POPULATION}, got {n_max}"
+        )
     e = german_tank_experiment(n_max)
     claims = _Claims()
     weight_table: dict[str, list[str]] = {}
@@ -244,9 +251,14 @@ def demo_expertise(
         raise ValueError("the expertise demo needs an Experiment")
     if not is_identified(e):
         raise ValueError("experiment must be identified (distinct kernel rows)")
+    n = len(e.parameters)
+    d = grid_denominator
+    if d < 1 or math.comb(d + n - 1, n - 1) > MAX_GRID_BELIEFS:
+        raise ValueError(
+            f"grid_denominator must give 1 to {MAX_GRID_BELIEFS} grid beliefs, got {d}"
+        )
     claims = _Claims()
     doubled = power(e, 2)
-    n = len(e.parameters)
     columns = [e.kernel.col(y) for y in range(len(e.outcomes))]
     # product-experiment weights, (mean, square) per kernel column
     weights = []

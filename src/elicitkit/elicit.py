@@ -21,7 +21,6 @@ outcome-contingent payment can separate but whose target values differ.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -30,6 +29,7 @@ from .exactcore import (
     Matrix,
     determinant,
     format_rational,
+    kron,
     null_space_basis,
     parse_rational,
     rank,
@@ -223,27 +223,22 @@ def moment_weights(
 ) -> ElicitabilityReport:
     """Weights on the product of ``copies`` observations estimating a power.
 
-    Multiplies the single-observation unbiased weights over the first
-    ``exponent`` coordinates (constant 1 on the rest); by independence the
-    kernel average is the statistic raised to ``exponent``. Fixing the
-    leading coordinates makes the output canonical; any choice of coordinates
-    would be unbiased by exchangeability. A failed base solve is propagated
-    unchanged, witness and all.
+    The ``kron`` product of the single-observation unbiased weights over the
+    first ``exponent`` coordinates (constant 1 on the rest), so its outcomes
+    line up with ``power(e, copies)``; by independence the kernel average is
+    the statistic raised to ``exponent``. Fixing the leading coordinates
+    makes the output canonical; any choice of coordinates would be unbiased
+    by exchangeability. A failed base solve is propagated unchanged, witness
+    and all.
     """
     if copies < 0 or not 0 <= exponent <= copies:
         raise ValueError("need 0 <= exponent <= copies")
     base = unbiased_weights(e, statistic)
     if not base.elicitable:
         return base
-    w = base.weights
-    m = len(e.outcomes)
-    out: list[Fraction] = []
-    for combo in itertools.product(range(m), repeat=copies):
-        value = _ONE
-        for j in range(exponent):
-            value *= w[combo[j]]
-        out.append(value)
-    return ElicitabilityReport(elicitable=True, weights=tuple(out))
+    ones = (_ONE,) * len(e.outcomes)
+    weights = kron([base.weights] * exponent + [ones] * (copies - exponent))
+    return ElicitabilityReport(elicitable=True, weights=tuple(weights))
 
 
 def mode_elicitable(

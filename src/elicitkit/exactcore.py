@@ -1,13 +1,14 @@
 """Exact rational linear algebra.
 
-Dense matrices over :class:`fractions.Fraction`, linear solves, null-space
-bases, and linear-programming feasibility via a phase-I simplex with Bland's
-rule. Several right-hand sides of one linear system share one reduction,
-with None for each inconsistent one. The LP is A @ x == b over nonnegative
-x and nothing else: a caller that needs x <= u adds the equality x + s == u
-with a slack s >= 0. Everything is exact; no floating point enters. All
-values are immutable and all functions are pure, so they are safe to share
-across threads.
+Dense matrices over :class:`fractions.Fraction`, the Kronecker product of
+vectors, linear solves, null-space bases, and linear-programming
+feasibility via a phase-I simplex with Bland's rule. Several right-hand
+sides of one linear system share one reduction, with None for each
+inconsistent one. The LP is A @ x == b over nonnegative x and nothing else:
+a caller that needs x <= u adds the equality x + s == u with a slack
+s >= 0. Everything is exact; no floating point enters. All values are
+immutable and all functions are pure, so they are safe to share across
+threads.
 
 Conventions that make outputs reproducible:
 
@@ -158,6 +159,19 @@ class Matrix:
 
     def to_doc(self) -> list[list[str]]:
         return [[format_rational(x) for x in self.row(i)] for i in range(self.rows)]
+
+
+def kron(vectors: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    """Every product of one entry per vector, first vector slowest.
+
+    Each entry is one multiplication on the product of the earlier vectors'
+    entries; no vectors give ``[1]``. Product experiments and their weights
+    list outcomes in this order.
+    """
+    out = [_ONE]
+    for vec in vectors:
+        out = [a * b for a in out for b in vec]
+    return out
 
 
 def _pivot(rows: list[list[Fraction]], r: int, c: int) -> None:

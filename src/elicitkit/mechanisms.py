@@ -489,12 +489,9 @@ def level_set_transform(
     return TableMechanism(experiment, base.reports, Matrix.from_rows(rows))
 
 
-def tabulate(
-    m: Mechanism, beliefs: Sequence[Belief], labels: Optional[Sequence[str]] = None
-) -> TableMechanism:
+def tabulate(m: Mechanism, beliefs: Sequence[Belief]) -> TableMechanism:
     """Freeze a mechanism's payoffs over a finite belief menu into a table."""
-    if labels is None:
-        labels = ["(" + ",".join(format_rational(w) for w in p.weights) + ")" for p in beliefs]
+    labels = ["(" + ",".join(format_rational(w) for w in p.weights) + ")" for p in beliefs]
     rows = [list(m.payoff_vector(m.report_for_belief(p))) for p in beliefs]
     return TableMechanism(m.experiment, labels, Matrix.from_rows(rows), beliefs)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .exactcore import Matrix, format_rational, parse_rational
+from .exactcore import Matrix, format_rational, kron, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -48,6 +48,11 @@ class Experiment:
         for i, label in enumerate(self.parameters):
             row = self.kernel.row(i)
             for x in row:
+                if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                    raise ValueError(
+                        f"kernel entries must be ints or Fractions, got {x!r} "
+                        f"for parameter {label!r}"
+                    )
                 if x < 0 or x > 1:
                     raise ValueError(
                         f"kernel entry {format_rational(x)} for parameter "
@@ -144,8 +149,8 @@ class CovariateMixture:
 def product_many(experiments: Sequence[Experiment]) -> Experiment:
     """Product experiment: independent draws, one per factor.
 
-    Outcomes are tuples in lexicographic order (first factor slowest); the
-    kernel entry for a tuple is the product of the factor probabilities. Zero
+    Outcomes are tuples in ``kron`` order (first factor slowest); the kernel
+    entry for a tuple is the product of the factor probabilities. Zero
     factors raise ValueError, since there is no parameter set to take; use
     ``power(e, 0)`` for the single dummy outcome of probability 1.
     """
@@ -155,32 +160,24 @@ def product_many(experiments: Sequence[Experiment]) -> Experiment:
     for e in experiments[1:]:
         if e.parameters != params:
             raise ValueError("product requires identical parameter sets")
-    labels = [
-        "(" + ",".join(combo) + ")"
-        for combo in itertools.product(*(e.outcomes for e in experiments))
-    ]
-    rows: list[list[Fraction]] = []
-    for t in range(len(params)):
-        factor_rows = [e.kernel.row(t) for e in experiments]
-        row = []
-        for combo in itertools.product(*(range(len(e.outcomes)) for e in experiments)):
-            p = _ONE
-            for fr, idx in zip(factor_rows, combo):
-                p *= fr[idx]
-            row.append(p)
-        rows.append(row)
-    return Experiment(params, tuple(labels), Matrix.from_rows(rows))
+    return _product(params, experiments)
 
 
 def power(e: Experiment, copies: int) -> Experiment:
     """``copies`` independent observations from the same experiment."""
     if copies < 0:
         raise ValueError("copies must be nonnegative")
-    if copies == 0:
-        return Experiment(
-            e.parameters, ("()",), Matrix.from_rows([[1]] * len(e.parameters))
-        )
-    return product_many((e,) * copies)
+    return _product(e.parameters, (e,) * copies)
+
+
+def _product(params: tuple[str, ...], factors: Sequence[Experiment]) -> Experiment:
+    """Independent draws from ``factors`` over ``params``; no factors give the
+    single outcome ``"()"`` of probability 1."""
+    labels = itertools.product(*(e.outcomes for e in factors))
+    rows = [kron([e.kernel.row(t) for e in factors]) for t in range(len(params))]
+    return Experiment(
+        params, tuple(f"({','.join(c)})" for c in labels), Matrix.from_rows(rows)
+    )
 
 
 def mixture(m: CovariateMixture) -> Experiment:
@@ -232,6 +229,30 @@ def garble(
     return Experiment(e.parameters, tuple(outcome_labels), e.kernel @ channel)
 
 
+def _replacement_matrix(
+    replacement: Sequence[Fraction], noise: Fraction, inverse: bool
+) -> Matrix:
+    """(1-a) I + a P, every row of P being ``replacement``.
+
+    The channel takes a = noise. P is idempotent, so a = -noise/(1-noise)
+    gives its inverse. Both check the noise and the replacement alike.
+    """
+    noise = parse_rational(noise)
+    if not 0 <= noise < 1:
+        raise ValueError("noise probability must lie in [0, 1)")
+    probs = [parse_rational(p) for p in replacement]
+    if any(p < 0 for p in probs) or sum(probs, _ZERO) != 1:
+        raise ValueError("replacement distribution must be a probability vector")
+    a = -noise / (1 - noise) if inverse else noise
+    n = len(probs)
+    return Matrix.from_rows(
+        [
+            [(1 - a) * (_ONE if i == j else _ZERO) + a * probs[j] for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
 def replacement_garbling_channel(
     replacement: Sequence[Fraction], noise: Fraction
 ) -> Matrix:
@@ -240,22 +261,7 @@ def replacement_garbling_channel(
     The redraw follows ``replacement``; with the uniform replacement this is
     the uniform-noise channel ``(1-noise) I + (noise/n) J``.
     """
-    noise = parse_rational(noise)
-    if not 0 <= noise < 1:
-        raise ValueError("noise probability must lie in [0, 1)")
-    probs = [parse_rational(p) for p in replacement]
-    if any(p < 0 for p in probs) or sum(probs, _ZERO) != 1:
-        raise ValueError("replacement distribution must be a probability vector")
-    n = len(probs)
-    return Matrix.from_rows(
-        [
-            [
-                (1 - noise) * (_ONE if i == j else _ZERO) + noise * probs[j]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
+    return _replacement_matrix(replacement, noise, inverse=False)
 
 
 def replacement_garbling_channel_inverse(
@@ -267,21 +273,7 @@ def replacement_garbling_channel_inverse(
     the channel is (1-noise) I + noise P and P is idempotent, so the inverse
     is (I - noise P) / (1-noise).
     """
-    noise = parse_rational(noise)
-    if not 0 <= noise < 1:
-        raise ValueError("noise probability must lie in [0, 1)")
-    probs = [parse_rational(p) for p in replacement]
-    n = len(probs)
-    scale = 1 / (1 - noise)
-    return Matrix.from_rows(
-        [
-            [
-                scale * ((_ONE if i == j else _ZERO) - noise * probs[j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
+    return _replacement_matrix(replacement, noise, inverse=True)
 
 
 def replacement_garble(

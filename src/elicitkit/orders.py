@@ -326,12 +326,10 @@ def uniform_garbling_decomposition(
 
 @dataclass(frozen=True)
 class PairAudit:
-    index: int
     elicitation: bool
     blackwell: bool
     nonneg: bool
     bounded: Optional[bool]
-    dominating_complete: bool
 
 
 @dataclass(frozen=True)
@@ -359,14 +357,6 @@ class AuditReport:
     @property
     def found_nonneg_without_blackwell(self) -> bool:
         return any(r.nonneg and not r.blackwell for r in self.results)
-
-    def to_doc(self) -> dict:
-        return {
-            "pairs": self.pair_count,
-            "violations": list(self.violations),
-            "elicitation_without_nonneg": self.found_elicitation_without_nonneg,
-            "nonneg_without_blackwell": self.found_nonneg_without_blackwell,
-        }
 
 
 def order_consistency_audit(
@@ -411,8 +401,7 @@ def order_consistency_audit(
             if bounded_res.holds and not elicit_res.holds:
                 violations.append(f"pair {index}: bounded without elicitation")
 
-        complete_y = is_complete(ey)
-        if complete_y and nonneg_res.holds != blackwell_res.holds:
+        if is_complete(ey) and nonneg_res.holds != blackwell_res.holds:
             violations.append(
                 f"pair {index}: complete dominating experiment but nonneg and "
                 "blackwell disagree"
@@ -420,12 +409,10 @@ def order_consistency_audit(
 
         results.append(
             PairAudit(
-                index=index,
                 elicitation=elicit_res.holds,
                 blackwell=blackwell_res.holds,
                 nonneg=nonneg_res.holds,
                 bounded=None if bounded_res is None else bounded_res.holds,
-                dominating_complete=complete_y,
             )
         )
     return AuditReport(tuple(results), tuple(violations))

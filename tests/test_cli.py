@@ -146,6 +146,8 @@ class TestDemo:
             ("regression", "reg=x"),
             ("expertise", "e=x"),
             ("poisson", "k_max=-1"),
+            ("german_tank", "n_max=41"),
+            ("expertise", "grid_denominator=140"),
         ],
     )
     def test_bad_param_value_is_a_usage_error(self, capsys, name, param):

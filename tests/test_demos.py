@@ -13,6 +13,8 @@ from elicitkit.catalog import bernoulli_experiment
 from elicitkit.model import Belief
 from elicitkit.demos import (
     DEMOS,
+    MAX_GRID_BELIEFS,
+    MAX_TANK_POPULATION,
     DiscretizedRegression,
     demo_bernoulli_orders,
     demo_density,
@@ -39,6 +41,10 @@ class TestGermanTank:
     def test_rejects_tiny_population(self):
         with pytest.raises(ValueError):
             demo_german_tank(1)
+
+    def test_population_cap_is_named(self):
+        with pytest.raises(ValueError, match=str(MAX_TANK_POPULATION)):
+            demo_german_tank(MAX_TANK_POPULATION + 1)
 
     def test_doc_shape(self):
         doc = demo_german_tank(3).to_doc()
@@ -75,6 +81,12 @@ class TestExpertise:
         )
         with pytest.raises(ValueError, match="identified"):
             demo_expertise(clone_rows)
+
+    def test_grid_cap_is_named(self):
+        # the default trial has 3 parameters: C(d + 2, 2) grid beliefs
+        d = next(d for d in range(1, 1000) if math.comb(d + 2, 2) > MAX_GRID_BELIEFS)
+        with pytest.raises(ValueError, match=str(MAX_GRID_BELIEFS)):
+            demo_expertise(grid_denominator=d)
 
 
 class TestDensity:

@@ -79,6 +79,17 @@ class TestLoading:
         with pytest.raises(ValueError):
             load_experiment(doc)
 
+    @pytest.mark.parametrize("entry", [0.5, "1/2", True], ids=["float", "str", "bool"])
+    def test_kernel_matrix_built_directly_must_be_exact(self, entry):
+        # only Matrix.from_rows parses; a Matrix built directly skips it
+        other = F(1, 2) if entry is not True else F(0)
+        with pytest.raises(ValueError, match="parameter 'a'"):
+            Experiment(("a",), ("x", "y"), Matrix(1, 2, (entry, other)))
+
+    def test_int_kernel_entries_accepted(self):
+        e = Experiment(("a",), ("x", "y"), Matrix(1, 2, (1, 0)))
+        assert e.kernel.row(0) == (1, 0)
+
 
 class TestBelief:
     def test_validation(self):
@@ -281,6 +292,15 @@ class TestGarbling:
         channel = replacement_garbling_channel(mu, F(1, 3))
         inverse = replacement_garbling_channel_inverse(mu, F(1, 3))
         assert channel @ inverse == Matrix.identity(2)
+
+    @pytest.mark.parametrize(
+        "build", [replacement_garbling_channel, replacement_garbling_channel_inverse]
+    )
+    @pytest.mark.parametrize("replacement", [[1, 1], [F(3, 2), F(-1, 2)]])
+    def test_replacement_must_be_a_distribution(self, build, replacement):
+        # the inverse of a channel that cannot be built is refused too
+        with pytest.raises(ValueError, match="probability vector"):
+            build(replacement, F(1, 2))
 
     @given(
         st.fractions(min_value=F(0), max_value=F(4, 5), max_denominator=5),
