@@ -22,10 +22,8 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import orders
-from .elicit import load_statistic_family, maximal_partition
-from .mechanisms import MAX_PAIRS, ic_verify, load_mechanism
-from .model import load_experiment
+# Each run function imports only the modules it uses: a CLI run is one short
+# process, and importing modules it never calls would be most of its own time.
 
 RELATIONS = ("elicitation", "blackwell", "nonneg", "bounded", "garbling")
 
@@ -55,7 +53,21 @@ def _parse_param(text: str) -> tuple[str, object]:
     return key, value
 
 
+def _cap(text: str) -> int:
+    """An int of at least 1; a non-int gets the message ``type=int`` gives."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _run_compare(args: argparse.Namespace) -> int:
+    from . import orders
+    from .model import load_experiment
+
     ey = load_experiment(_read_json(args.experiment_y))
     ez = load_experiment(_read_json(args.experiment_z))
     if args.relation == "elicitation":
@@ -65,24 +77,22 @@ def _run_compare(args: argparse.Namespace) -> int:
     elif args.relation == "nonneg":
         doc = orders.nonneg_dominates(ey, ez).to_doc()
     elif args.relation == "bounded":
-        doc = orders.bounded_dominates(ey, ez, args.max_outcomes).to_doc()
+        cap = args.max_outcomes or orders.MAX_BOUNDED_OUTCOMES
+        doc = orders.bounded_dominates(ey, ez, cap).to_doc()
+    elif orders.elicitation_dominates(ey, ez).holds:
+        doc = orders.uniform_garbling_decomposition(ey, ez).to_doc()
+        doc["relation"] = "garbling"
     else:
-        if orders.elicitation_dominates(ey, ez).holds:
-            doc = orders.uniform_garbling_decomposition(ey, ez).to_doc()
-            doc["relation"] = "garbling"
-        else:
-            doc = {
-                "relation": "garbling",
-                "holds": False,
-                "note": "no elicitation dominance, so no garbling decomposition",
-            }
+        doc = {
+            "relation": "garbling",
+            "holds": False,
+            "note": "no elicitation dominance, so no garbling decomposition",
+        }
     print(json.dumps(doc, indent=2))
     return 0
 
 
 def _run_demo(args: argparse.Namespace) -> int:
-    # deferred: keeps demos and catalog (about 20 ms of imports) out of the
-    # start-up of compare and verify
     from .demos import DEMOS
 
     if args.name not in DEMOS:
@@ -107,12 +117,15 @@ def _run_demo(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from .elicit import load_statistic_family, maximal_partition
+    from .mechanisms import MAX_PAIRS, ic_verify, load_mechanism
+
     mechanism = load_mechanism(_read_json(args.mechanism))
     if args.target is not None:
         target = load_statistic_family(_read_json(args.target))
     else:
         target = maximal_partition(mechanism.experiment)
-    report = ic_verify(mechanism, target, args.denominator, args.max_pairs)
+    report = ic_verify(mechanism, target, args.denominator, args.max_pairs or MAX_PAIRS)
     print(json.dumps(report.to_doc(), indent=2))
     return 0
 
@@ -135,8 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("experiment_z", help="JSON file for the dominated side")
     compare.add_argument(
         "--max-outcomes",
-        type=int,
-        default=orders.MAX_BOUNDED_OUTCOMES,
+        type=_cap,
         help="cap on the dominated outcome count for the bounded relation",
     )
     compare.set_defaults(run=_run_compare)
@@ -164,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--max-pairs",
-        type=int,
-        default=MAX_PAIRS,
+        type=_cap,
         help="cap on the ordered belief pairs G(G-1) the grid may have",
     )
     verify.set_defaults(run=_run_verify)

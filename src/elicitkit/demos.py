@@ -36,14 +36,6 @@ from .model import (
 from .elicit import (
     complete_elicitation, moment_weights, statistic_mean, unbiased_weights
 )
-from .mechanisms import TableMechanism, expected_payoff, pushforward
-from .orders import (
-    blackwell_dominates,
-    bounded_dominates,
-    elicitation_dominates,
-    nonneg_dominates,
-    uniform_garbling_decomposition,
-)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -724,6 +716,13 @@ def demo_bernoulli_orders() -> DemoReport:
     noisy-dominates-clean direction into a minimal uniform garbling, and
     checks pushforward payoff equivalence on an exact belief grid.
     """
+    # the only demo that uses these modules, so only it loads them
+    from .mechanisms import TableMechanism, expected_payoff, pushforward
+    from .orders import (
+        blackwell_dominates, bounded_dominates, elicitation_dominates,
+        nonneg_dominates, uniform_garbling_decomposition,
+    )
+
     clean = bernoulli_experiment()
     noisy = noisy_bernoulli_experiment()
     claims = _Claims()

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .exactcore import Matrix, format_rational, parse_rational
 from .elicit import StatisticFamily, statistic_mean
@@ -52,7 +52,8 @@ from .model import (
     require_keys,
     require_list,
 )
-from .orders import EventWeightMatrix
+if TYPE_CHECKING:  # only an annotation here; verify need not load orders
+    from .orders import EventWeightMatrix
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

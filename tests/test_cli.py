@@ -104,6 +104,21 @@ class TestCompare:
         assert main(["compare", "blackwell", str(bad), str(bad)]) == 2
         assert "missing" in capsys.readouterr().err
 
+    def test_bounded_cap_defaults_to_twelve(self, experiment_files, tmp_path, capsys):
+        clean, _ = experiment_files
+        wide = tmp_path / "wide.json"
+        wide.write_text(
+            json.dumps(
+                {
+                    "parameters": ["0", "1/2", "1"],
+                    "outcomes": [str(z) for z in range(13)],
+                    "kernel": [["1/13"] * 13] * 3,
+                }
+            )
+        )
+        assert main(["compare", "bounded", clean, str(wide)]) == 2
+        assert "size 13 exceeds the cap 12" in capsys.readouterr().err
+
 
 class TestDemo:
     def test_demo_json_and_summary(self, capsys):
@@ -342,6 +357,23 @@ def test_malformed_input_is_an_error(tmp_path, capsys, argv, docs, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "bounded", "y.json", "z.json", "--max-outcomes", "0"],
+        ["compare", "bounded", "y.json", "z.json", "--max-outcomes", "-1"],
+        ["verify", "mechanism.json", "--max-pairs", "0"],
+        ["verify", "mechanism.json", "--max-pairs", "-5"],
+    ],
+)
+def test_caps_below_one_are_refused_when_parsed(capsys, argv):
+    # argparse exits before any file is read
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert f"must be at least 1, got {argv[-1]}" in capsys.readouterr().err
+
+
 _STARTUP_PROBE = """
 import json, sys
 before = set(sys.modules)
@@ -354,16 +386,55 @@ print(json.dumps(sorted(
 """
 
 
-def test_cli_and_demos_import_only_the_standard_library():
-    # a fresh interpreter, so modules this test session imported do not hide
-    # any; comparing module sets before and after ignores what site loads
+def _fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter, so modules this test session imported do not hide any
     src = str(Path(elicitkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE],
+    return subprocess.run(
+        [sys.executable, "-c", *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert json.loads(probe.stdout) == []
+
+
+def test_cli_and_demos_import_only_the_standard_library():
+    # comparing module sets before and after ignores what site loads
+    assert json.loads(_fresh_interpreter(_STARTUP_PROBE).stdout) == []
+
+
+_FOOTPRINT_PROBE = """
+import contextlib, io, json, sys
+clean, noisy, mechanism = sys.argv[1:4]
+with contextlib.redirect_stdout(io.StringIO()):
+    exec(sys.argv[4])
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("elicitkit."))))
+"""
+_RUN = "from elicitkit.cli import main; assert main([{}]) == 0".format
+
+
+@pytest.mark.parametrize(
+    "statement, loaded",
+    [
+        ("import elicitkit", set()),
+        ("import elicitkit; elicitkit.mechanisms", {"exactcore", "model", "elicit", "mechanisms"}),
+        (_RUN("'compare', 'blackwell', clean, noisy"), {"cli", "exactcore", "model", "orders"}),
+        (_RUN("'verify', mechanism"), {"cli", "exactcore", "model", "elicit", "mechanisms"}),
+        (
+            _RUN("'demo', 'german_tank'"),
+            {"cli", "exactcore", "model", "elicit", "catalog", "demos"},
+        ),
+    ],
+    ids=["import", "submodule-attribute", "compare", "verify", "demo-german-tank"],
+)
+def test_each_entry_point_loads_only_the_modules_it_runs(
+    experiment_files, tmp_path, statement, loaded
+):
+    # module sets, not times, so the answer does not depend on the machine
+    mechanism = tmp_path / "mechanism.json"
+    mechanism.write_text(json.dumps(_QUADRATIC))
+    probe = _fresh_interpreter(
+        _FOOTPRINT_PROBE, *experiment_files, str(mechanism), statement
+    )
+    assert set(json.loads(probe.stdout)) == {f"elicitkit.{name}" for name in loaded}

@@ -1,0 +1,91 @@
+"""The package namespace: every public name, resolved from its home module."""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+import elicitkit
+
+# the public names, by home module
+PUBLIC = {
+    "exactcore": ["Matrix", "format_rational", "parse_rational"],
+    "model": [
+        "Belief",
+        "CovariateMixture",
+        "Experiment",
+        "belief_grid",
+        "garble",
+        "is_complete",
+        "is_identified",
+        "load_experiment",
+        "mean_outcome_distribution",
+        "mixture",
+        "power",
+        "product_many",
+        "uniform_garble",
+    ],
+    "elicit": [
+        "ElicitabilityReport",
+        "StatisticFamily",
+        "complete_elicitation",
+        "indistinguishable",
+        "is_coarser",
+        "maximal_partition",
+        "mode_elicitable",
+        "moment_weights",
+        "unbiased_weights",
+    ],
+    "mechanisms": [
+        "Mechanism",
+        "TableMechanism",
+        "compound_mechanism",
+        "evaluate",
+        "expected_payoff",
+        "ic_verify",
+        "level_set_transform",
+        "mean_mechanism",
+        "pushforward",
+        "quadratic_mechanism",
+        "value_function",
+    ],
+    "orders": [
+        "DominanceResult",
+        "EventWeightMatrix",
+        "blackwell_dominates",
+        "bounded_dominates",
+        "elicitation_dominates",
+        "nonneg_dominates",
+        "order_consistency_audit",
+        "uniform_garbling_decomposition",
+    ],
+}
+NAMES = sorted(name for names in PUBLIC.values() for name in names)
+
+
+def test_all_lists_every_public_name():
+    assert len(NAMES) == 44
+    assert sorted(elicitkit.__all__) == NAMES
+    assert elicitkit.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("home", sorted(PUBLIC))
+def test_each_name_is_its_home_modules_attribute(home):
+    module = importlib.import_module(f"elicitkit.{home}")
+    assert getattr(elicitkit, home) is module
+    for name in PUBLIC[home]:
+        assert getattr(elicitkit, name) is getattr(module, name)
+
+
+def test_dir_and_star_import_cover_every_name():
+    assert set(NAMES) | set(PUBLIC) <= set(dir(elicitkit))
+    scope: dict = {}
+    exec("from elicitkit import *", scope)
+    for name in NAMES:
+        assert scope[name] is getattr(elicitkit, name)
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        elicitkit.no_such_name
