@@ -23,9 +23,9 @@ _EXPORTS = {
     "elicit": """ElicitabilityReport StatisticFamily complete_elicitation
         indistinguishable is_coarser maximal_partition mode_elicitable
         moment_weights unbiased_weights""",
-    "mechanisms": """Mechanism TableMechanism compound_mechanism evaluate
-        expected_payoff ic_verify level_set_transform mean_mechanism
-        pushforward quadratic_mechanism value_function""",
+    "mechanisms": """Mechanism TableMechanism compound_mechanism expected_payoff
+        ic_verify level_set_transform mean_mechanism pushforward
+        quadratic_mechanism value_function""",
     "orders": """DominanceResult EventWeightMatrix blackwell_dominates
         bounded_dominates elicitation_dominates nonneg_dominates
         order_consistency_audit uniform_garbling_decomposition""",

@@ -79,15 +79,8 @@ def _run_compare(args: argparse.Namespace) -> int:
     elif args.relation == "bounded":
         cap = args.max_outcomes or orders.MAX_BOUNDED_OUTCOMES
         doc = orders.bounded_dominates(ey, ez, cap).to_doc()
-    elif orders.elicitation_dominates(ey, ez).holds:
-        doc = orders.uniform_garbling_decomposition(ey, ez).to_doc()
-        doc["relation"] = "garbling"
     else:
-        doc = {
-            "relation": "garbling",
-            "holds": False,
-            "note": "no elicitation dominance, so no garbling decomposition",
-        }
+        doc = orders.uniform_garbling_decomposition(ey, ez).to_doc()
     print(json.dumps(doc, indent=2))
     return 0
 

@@ -40,10 +40,15 @@ from .elicit import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# German tank's time grows about as n_max**4.5, and the expertise demo checks
-# every belief of its grid, so both sizes are capped before any work.
+# Sizes that drive a demo's work are capped before any work: German tank's time
+# grows about as n_max**4.5, expertise checks every grid belief, density builds
+# a power with 2**max_degree outcomes, and Poisson's exact sums grow with both
+# the count truncation and the moment order.
 MAX_TANK_POPULATION = 40
 MAX_GRID_BELIEFS = 10_000
+MAX_DENSITY_DEGREE = 14
+MAX_POISSON_COUNT = 1_000
+MAX_POISSON_POWER = 10
 
 
 @dataclass(frozen=True)
@@ -155,8 +160,12 @@ def demo_poisson(
     shortfall is computed exactly and reported. Complex-exponential target
     functions are not used; polynomial moments carry the same point here.
     """
-    if k_max < 0:
-        raise ValueError("count truncation must be nonnegative")
+    if not 0 <= k_max <= MAX_POISSON_COUNT:
+        raise ValueError(f"need k_max from 0 to {MAX_POISSON_COUNT}, got {k_max}")
+    if not 0 <= max_power <= MAX_POISSON_POWER:
+        raise ValueError(
+            f"need max_power from 0 to {MAX_POISSON_POWER}, got {max_power}"
+        )
     rates = [parse_rational(t) for t in rates]
     claims = _Claims()
     partial_sums = []
@@ -428,8 +437,10 @@ def demo_density(density: str = "quadratic", max_degree: int = 8) -> DemoReport:
     """
     if density not in _DENSITIES:
         raise ValueError(f"unknown density {density!r}; options: {sorted(_DENSITIES)}")
-    if max_degree < 1:
-        raise ValueError("need max_degree >= 1")
+    if not 1 <= max_degree <= MAX_DENSITY_DEGREE:
+        raise ValueError(
+            f"need max_degree from 1 to {MAX_DENSITY_DEGREE}, got {max_degree}"
+        )
     f = _DENSITIES[density]
     claims = _Claims()
     basis = _orthogonal_polynomials(max_degree)
@@ -454,12 +465,13 @@ def demo_density(density: str = "quadratic", max_degree: int = 8) -> DemoReport:
         numeric_worst <= 1e-12,
         detail=f"{numeric_worst:.3e}",
     )
-    # the normalized exact basis and the recurrence evaluation agree pointwise
+    # the exact basis, evaluated exactly (float monomial sums cancel), matches
+    # the recurrence evaluation pointwise
     basis_gap = 0.0
     for x in (0.0, 0.31, 0.5, 0.77, 1.0):
         values = _orthonormal_values(max_degree, x)
         for k, (coef, norm) in enumerate(basis):
-            direct = sum(float(c) * x**j for j, c in enumerate(coef))
+            direct = float(sum(c * Fraction(x) ** j for j, c in enumerate(coef)))
             basis_gap = max(
                 basis_gap, abs(direct / math.sqrt(float(norm)) - values[k])
             )

@@ -109,11 +109,6 @@ class Mechanism:
         return outcome
 
 
-def evaluate(m: Mechanism, report: Report, outcome: Union[int, str]) -> Fraction:
-    """Exact payoff of one (report, outcome) pair."""
-    return m.payoff(report, outcome)
-
-
 def expected_payoff(m: Mechanism, belief: Belief, report: Report) -> Fraction:
     """Expected payoff under a belief: outcome-distribution-weighted payoffs."""
     lam = mean_outcome_distribution(m.experiment, belief)

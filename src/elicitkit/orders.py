@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exactcore import Matrix, format_rational, lp_feasible, solve_linear
-from .model import Experiment, is_complete, uniform_garble
+from .model import Experiment, is_complete, replacement_garbling_channel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -126,17 +126,21 @@ class DominanceResult:
 
 @dataclass(frozen=True)
 class GarblingDecomposition:
-    """Uniform-noise level, minimal for one witness, and Markov channel."""
+    """Garbling answer: noise minimal for one witness and channel, or a note."""
 
-    noise: Fraction
-    transition: Matrix
+    holds: bool
+    noise: Optional[Fraction] = None
+    transition: Optional[Matrix] = None
+    note: Optional[str] = None
 
     def to_doc(self) -> dict:
-        return {
-            "holds": True,
-            "noise": format_rational(self.noise),
-            "transition": self.transition.to_doc(),
-        }
+        doc: dict = {"relation": "garbling", "holds": self.holds}
+        if self.holds:
+            doc["noise"] = format_rational(self.noise)
+            doc["transition"] = self.transition.to_doc()
+        if self.note is not None:
+            doc["note"] = self.note
+        return doc
 
 
 def _require_shared_parameters(ey: Experiment, ez: Experiment) -> None:
@@ -291,37 +295,28 @@ def uniform_garbling_decomposition(
 ) -> GarblingDecomposition:
     """Express elicitation dominance as Blackwell dominance over noisy data.
 
-    Takes the row-normalized elicitation witness M and finds the minimal
-    noise level in [0, 1) whose uniform mixing makes every entry nonnegative:
-    each negative entry m needs noise >= |m| / (1/|Z| + |m|). The resulting
-    Markov channel T carries the dominating kernel exactly onto the uniform
-    garbling of the dominated one at that noise level. The noise is minimal
-    for M, and overall only when the dominating kernel has full column rank:
+    Without elicitation dominance the answer is no, with a note. Otherwise,
+    with M the row-normalized elicitation witness and C the uniform-noise
+    channel, T = M @ C is M mixed with uniform noise (M's rows sum to 1) and
+    carries K_Y exactly onto K_Z @ C. The noise is the least in [0, 1) making
+    T nonnegative, each negative entry m needing noise >= |m| / (1/|Z| + |m|),
+    so minimal for M; it is minimal overall only when K_Y has full column rank:
     K_Y = [[1/2,1/4,1/4],[1/4,3/8,3/8]] gives 1/2 where Blackwell holds.
     """
     dominance = elicitation_dominates(ey, ez)
     if not dominance.holds:
-        raise ValueError(
-            "no elicitation dominance, so no garbling decomposition exists"
+        return GarblingDecomposition(
+            False, note="no elicitation dominance, so no garbling decomposition"
         )
     m = dominance.witness
     nz = len(ez.outcomes)
     share = Fraction(1, nz)
-    noise = _ZERO
-    for x in m.entries:
-        if x < 0:
-            needed = -x / (share - x)
-            if needed > noise:
-                noise = needed
-    transition = Matrix(
-        m.rows,
-        m.cols,
-        tuple((1 - noise) * x + noise * share for x in m.entries),
-    )
-    garbled = uniform_garble(ez, noise)
-    if ey.kernel @ transition != garbled.kernel:
+    noise = max((-x / (share - x) for x in m.entries if x < 0), default=_ZERO)
+    channel = replacement_garbling_channel((share,) * nz, noise)
+    transition = m @ channel
+    if ey.kernel @ transition != ez.kernel @ channel:
         raise RuntimeError("garbling decomposition failed its own certificate")
-    return GarblingDecomposition(noise, transition)
+    return GarblingDecomposition(True, noise, transition)
 
 
 @dataclass(frozen=True)

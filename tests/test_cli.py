@@ -93,6 +93,47 @@ class TestCompare:
         payload = json.loads(capsys.readouterr().out)
         assert payload["holds"] is False
 
+    def test_garbling_answers_lead_with_relation_and_holds(
+        self, experiment_files, tmp_path, capsys
+    ):
+        clean, noisy = experiment_files
+        assert main(["compare", "garbling", noisy, clean]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["relation", "holds", "noise", "transition"]
+        flip = tmp_path / "flip.json"
+        flip.write_text(
+            json.dumps(
+                {
+                    "parameters": ["0", "1/2", "1"],
+                    "outcomes": ["0", "1"],
+                    "kernel": [["1/2", "1/2"]] * 3,
+                }
+            )
+        )
+        assert main(["compare", "garbling", str(flip), clean]) == 0
+        assert capsys.readouterr().out == (
+            "{\n"
+            '  "relation": "garbling",\n'
+            '  "holds": false,\n'
+            '  "note": "no elicitation dominance, so no garbling decomposition"\n'
+            "}\n"
+        )
+
+    def test_garbling_solves_one_system(self, experiment_files, monkeypatch):
+        import elicitkit.orders
+
+        calls = []
+        solve = elicitkit.orders.solve_linear
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(elicitkit.orders, "solve_linear", counting)
+        clean, noisy = experiment_files
+        assert main(["compare", "garbling", noisy, clean]) == 0
+        assert len(calls) == 1
+
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         path = str(tmp_path / "absent.json")
         assert main(["compare", "blackwell", path, path]) == 2
@@ -161,6 +202,10 @@ class TestDemo:
             ("regression", "reg=x"),
             ("expertise", "e=x"),
             ("poisson", "k_max=-1"),
+            ("poisson", "k_max=1001"),
+            ("poisson", "max_power=-1"),
+            ("poisson", "max_power=11"),
+            ("density", "max_degree=15"),
             ("german_tank", "n_max=41"),
             ("expertise", "grid_denominator=140"),
         ],

@@ -13,7 +13,10 @@ from elicitkit.catalog import bernoulli_experiment
 from elicitkit.model import Belief
 from elicitkit.demos import (
     DEMOS,
+    MAX_DENSITY_DEGREE,
     MAX_GRID_BELIEFS,
+    MAX_POISSON_COUNT,
+    MAX_POISSON_POWER,
     MAX_TANK_POPULATION,
     DiscretizedRegression,
     demo_bernoulli_orders,
@@ -64,6 +67,12 @@ class TestPoisson:
     def test_tail_bound_enforced(self):
         with pytest.raises(ValueError, match="tail"):
             demo_poisson(k_max=4, rates=[F(3)])
+
+    def test_size_caps_are_named(self):
+        with pytest.raises(ValueError, match=str(MAX_POISSON_COUNT)):
+            demo_poisson(k_max=MAX_POISSON_COUNT + 1)
+        with pytest.raises(ValueError, match=str(MAX_POISSON_POWER)):
+            demo_poisson(max_power=MAX_POISSON_POWER + 1)
 
 
 class TestExpertise:
@@ -118,6 +127,17 @@ class TestDensity:
         for k in range(2 * _QUAD_NODES):
             integral = math.fsum(w * x**k for x, w in zip(nodes, weights))
             assert integral == pytest.approx(1 / (k + 1), rel=1e-14)
+
+    def test_quadratic_passes_past_degree_ten(self):
+        # the basis check evaluates each exact polynomial without cancellation
+        report = demo_density("quadratic", 12)
+        assert report.passed
+        gap = next(c for c in report.claims if "recurrence" in c.description)
+        assert float(gap.detail) <= 1e-15
+
+    def test_degree_cap_is_named(self):
+        with pytest.raises(ValueError, match=str(MAX_DENSITY_DEGREE)):
+            demo_density(max_degree=MAX_DENSITY_DEGREE + 1)
 
     def test_unknown_density_rejected(self):
         with pytest.raises(ValueError, match="unknown density"):

@@ -31,7 +31,6 @@ from elicitkit.mechanisms import (
     _upper_level_decomposition,
     compound_mechanism,
     envelope_check,
-    evaluate,
     expected_payoff,
     ic_verify,
     level_set_transform,
@@ -55,11 +54,11 @@ GRID = (F(0), F(1, 2), F(1))
 class TestEvaluate:
     def test_quadratic_point_mass_perfect_score(self):
         m = quadratic_mechanism(bernoulli_experiment())
-        assert evaluate(m, Belief.point_mass(3, 2), "1") == F(1)
+        assert m.payoff(Belief.point_mass(3, 2), "1") == F(1)
 
     def test_mean_score_half_report(self):
         m = mean_mechanism(bernoulli_experiment(), GRID, (F(0), F(1)))
-        assert evaluate(m, F(1, 2), "1") == F(3, 4)
+        assert m.payoff(F(1, 2), "1") == F(3, 4)
 
     def test_table_lookup(self):
         m = TableMechanism(
@@ -67,11 +66,11 @@ class TestEvaluate:
             ("a", "b"),
             Matrix.from_rows([[0, 1], ["1/2", "1/2"]]),
         )
-        assert evaluate(m, "b", "0") == F(1, 2)
+        assert m.payoff("b", "0") == F(1, 2)
         with pytest.raises(ValueError):
-            evaluate(m, "missing", "0")
+            m.payoff("missing", "0")
         with pytest.raises(ValueError):
-            evaluate(m, "a", "missing")
+            m.payoff("a", "missing")
 
 
 class TestQuadraticPanel:
@@ -181,8 +180,8 @@ class TestMeanScore:
         m = mean_mechanism(
             bernoulli_experiment(), GRID, (F(0), F(1)), variant="linear"
         )
-        assert evaluate(m, F(1, 2), "1") == F(3, 4)  # 2*(1/2)*1 - 1/4
-        assert evaluate(m, F(1, 2), "0") == F(-1, 4)
+        assert m.payoff(F(1, 2), "1") == F(3, 4)  # 2*(1/2)*1 - 1/4
+        assert m.payoff(F(1, 2), "0") == F(-1, 4)
 
 
 class TestCompound:

@@ -244,8 +244,56 @@ class TestGarblingDecomposition:
         flip = garble(
             CLEAN, Matrix.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
         )
-        with pytest.raises(ValueError, match="dominance"):
-            uniform_garbling_decomposition(flip, CLEAN)
+        decomposition = uniform_garbling_decomposition(flip, CLEAN)
+        assert decomposition.holds is False
+        assert decomposition.noise is None and decomposition.transition is None
+        assert decomposition.note == (
+            "no elicitation dominance, so no garbling decomposition"
+        )
+
+    def test_doc_of_both_answers(self):
+        assert uniform_garbling_decomposition(NOISY, CLEAN).to_doc() == {
+            "relation": "garbling",
+            "holds": True,
+            "noise": "1/10",
+            "transition": [["1", "0"], ["0", "1"]],
+        }
+        flip = garble(
+            CLEAN, Matrix.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
+        )
+        assert uniform_garbling_decomposition(flip, CLEAN).to_doc() == {
+            "relation": "garbling",
+            "holds": False,
+            "note": "no elicitation dominance, so no garbling decomposition",
+        }
+
+    def test_matches_entrywise_mixing_formula(self):
+        # reference: the least noise making the witness nonnegative, and the
+        # witness mixed with uniform noise entry by entry
+        checked = noisy = 0
+        for seed in range(10):
+            for ey, ez in random_experiment_pairs(seed, 12):
+                for a, b in ((ey, ez), (ez, ey)):
+                    dominance = elicitation_dominates(a, b)
+                    if not dominance.holds:
+                        continue
+                    m = dominance.witness
+                    share = F(1, len(b.outcomes))
+                    noise = max(
+                        [-x / (share - x) for x in m.entries if x < 0], default=F(0)
+                    )
+                    transition = Matrix(
+                        m.rows,
+                        m.cols,
+                        tuple((1 - noise) * x + noise * share for x in m.entries),
+                    )
+                    decomposition = uniform_garbling_decomposition(a, b)
+                    assert decomposition.holds
+                    assert decomposition.noise == noise
+                    assert decomposition.transition == transition
+                    checked += 1
+                    noisy += noise > 0
+        assert checked > 100 and noisy > 50
 
     def test_round_trip_through_blackwell(self):
         # noisy data Blackwell-dominates the matching uniform garbling

@@ -41,7 +41,6 @@ PUBLIC = {
         "Mechanism",
         "TableMechanism",
         "compound_mechanism",
-        "evaluate",
         "expected_payoff",
         "ic_verify",
         "level_set_transform",
@@ -65,7 +64,7 @@ NAMES = sorted(name for names in PUBLIC.values() for name in names)
 
 
 def test_all_lists_every_public_name():
-    assert len(NAMES) == 44
+    assert len(NAMES) == 43
     assert sorted(elicitkit.__all__) == NAMES
     assert elicitkit.__version__ == "0.1.0"
 
