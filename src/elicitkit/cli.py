@@ -11,7 +11,8 @@ Three subcommands:
 * ``verify <mechanism.json> [--target family.json] [--denominator d]
   [--max-pairs N]`` runs the exhaustive incentive-compatibility oracle and
   prints its report as JSON on stdout; a grid with more than N ordered
-  belief pairs is refused before it is built.
+  belief pairs is refused before it is built, and d or N below 1 when the
+  arguments are parsed.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--target", help="statistic family JSON file", default=None)
     verify.add_argument(
         "--denominator",
-        type=int,
+        type=_cap,
         default=4,
         help="belief grid resolution (weights are multiples of 1/d)",
     )

@@ -21,6 +21,7 @@ outcome-contingent payment can separate but whose target values differ.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -35,7 +36,15 @@ from .exactcore import (
     rank,
     solve_linear,
 )
-from .model import Belief, Experiment, is_identified, power, require_keys, require_list
+from .model import (
+    Belief,
+    Experiment,
+    is_identified,
+    power,
+    require_keys,
+    require_list,
+    require_product_size,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -229,10 +238,12 @@ def moment_weights(
     the statistic raised to ``exponent``. Fixing the leading coordinates
     makes the output canonical; any choice of coordinates would be unbiased
     by exchangeability. A failed base solve is propagated unchanged, witness
-    and all.
+    and all. A product past ``model.MAX_PRODUCT_OUTCOMES`` outcomes raises
+    ValueError before any work.
     """
     if copies < 0 or not 0 <= exponent <= copies:
         raise ValueError("need 0 <= exponent <= copies")
+    require_product_size(itertools.repeat(len(e.outcomes), copies))
     base = unbiased_weights(e, statistic)
     if not base.elicitable:
         return base

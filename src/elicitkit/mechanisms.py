@@ -58,8 +58,8 @@ if TYPE_CHECKING:  # only an annotation here; verify need not load orders
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# ic_verify's scan is quadratic in the belief-grid size, so the number of
-# ordered belief pairs is capped.
+# ic_verify certifies every ordered belief pair, G(G-1) for a grid of G
+# beliefs, in G rows of G packed slots, so the number of pairs is capped.
 MAX_PAIRS = 1_000_000
 
 Report = Union[Belief, Fraction, str, int]
@@ -551,6 +551,42 @@ def _class_ids(keys: Sequence[tuple[int, ...]]) -> list[int]:
     return [ids.setdefault(key, len(ids)) for key in keys]
 
 
+def _pack(values: Sequence[int], width: int) -> int:
+    """Nonnegative ints as the width-byte slots of one int, the first lowest."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
+def _unpack(packed: int, size: int, width: int) -> list[int]:
+    data = packed.to_bytes(size * width, "little")
+    return [int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)]
+
+
+def _class_masks(ids: Sequence[int], bits: int) -> dict[int, int]:
+    """The top bit of every member's slot, for each class of two or more."""
+    members: dict[int, list[int]] = {}
+    for j, c in enumerate(ids):
+        members.setdefault(c, []).append(j)
+    return {
+        c: sum(1 << ((j + 1) * bits - 1) for j in js) for c, js in members.items() if len(js) > 1
+    }
+
+
+def _first_violation(
+    row: Sequence[int], i: int, lambda_ids: Sequence[int], target_ids: Sequence[int]
+) -> tuple[str, int]:
+    """The check and index of the first deviation that belief i's row violates."""
+    truth, lam_id, target_id = row[i], lambda_ids[i], target_ids[i]
+    for j, value in enumerate(row):
+        if value > truth:
+            return "weak_ic", j
+        if value == truth:
+            if target_ids[j] != target_id:
+                return "strictness", j
+        elif lambda_ids[j] == lam_id:
+            return "indifference", j
+    raise RuntimeError("row certificate failed on a clean row; invariant broken")
+
+
 def ic_verify(
     m: Mechanism,
     target: StatisticFamily,
@@ -573,23 +609,25 @@ def ic_verify(
     lexicographically first violating pair (beliefs ordered by their weight
     tuples, truth before deviation).
 
-    Cost: the grid has G = C(d+n-1, n-1) beliefs for n parameters, and
-    each is held as its integer count vector k (belief k/d). The kernel and
-    the target statistics are scaled once to integers, so belief k/d has
-    mean outcome distribution k @ K_int over a common scale. The truthful
-    payoff vectors come from the mechanism's ``grid_payoffs`` as integer
-    rows over one scale; the quadratic panel and the mean-score mechanism
-    build no Fraction per belief. For each belief one row of G integer
-    expected payoffs is formed in m passes over the payoff columns for m
-    outcomes, and every gap is a difference of two entries of that row;
-    only the reported violation goes back to Beliefs and a Fraction.
-    Memory is O(G*m) whatever the number of violations: only the first is
-    kept. The scan stops at the first weak-IC or indifference violation,
-    since nothing later can change the report; strictness violations alone
-    do not stop it. ``pairs_checked`` is always G(G-1). When G(G-1)
-    exceeds ``max_pairs`` the call raises ``ValueError`` before
-    enumerating anything.
+    Cost: the grid has G = C(d+n-1, n-1) beliefs for n parameters, each
+    held as its integer count vector k (belief k/d). With the kernel scaled
+    to integers once, belief k/d has mean outcome distribution k @ K_int,
+    which sums to S = d * (kernel scale). The truthful payoffs come from the
+    mechanism's ``grid_payoffs`` as integer rows over one scale; shifted by
+    their least entry, each outcome's column is packed into one int of G
+    byte-aligned slots. A belief's row of G expected payoffs is then m
+    multiply-adds of those ints, and a few whole-row int operations certify
+    its G pairs at once (the shift moves a row by one constant, so no gap
+    changes). Only the first row that fails is unpacked and scanned pair by
+    pair, to find the reported violation. Memory is O(G*m) plus a G-slot
+    mask per class of two or more beliefs, whatever the number of
+    violations. The pass stops at the first weak-IC or indifference
+    failure; ``pairs_checked`` is always G(G-1). When G(G-1) exceeds
+    ``max_pairs`` the call raises ``ValueError`` before enumerating anything.
     """
+    for name, value in (("grid_denominator", grid_denominator), ("max_pairs", max_pairs)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if grid_denominator < 1:
         raise ValueError("grid denominator must be at least 1")
     e = m.experiment
@@ -609,43 +647,40 @@ def ic_verify(
         counts, [e.kernel.col(y) for y in range(len(e.outcomes))]
     )
     vectors, payoff_scale = m.grid_payoffs(counts, d)
-    columns = list(zip(*vectors))  # every belief's truthful payoff on outcome y
     lambda_ids = _class_ids(lambdas)
     target_ids = _class_ids(_scaled_means(counts, target.functions)[0])
     scale = d * kernel_scale * payoff_scale
+    # shifted rows lie in [0, S * spread]; a slot keeps its top two bits spare
+    low = min(map(min, vectors))
+    spread = max(map(max, vectors)) - low
+    width = ((d * kernel_scale * spread).bit_length() + 9) // 8
+    bits = 8 * width
+    packed = [_pack([x - low for x in col], width) for col in zip(*vectors)]
+    ones = _pack([1] * size, width)
+    half, highs = 1 << (bits - 1), ones << (bits - 1)
+    lambda_masks, target_masks = _class_masks(lambda_ids, bits), _class_masks(target_ids, bits)
 
     first: Optional[ICViolation] = None
     weak_ok = strict_ok = True
     for i, lam in enumerate(lambdas):
-        row = [0] * size
-        for ly, col in zip(lam, columns):
-            row = [r + ly * x for r, x in zip(row, col)]
-        truth, lam_id, target_id = row[i], lambda_ids[i], target_ids[i]
-        for j, value in enumerate(row):
-            if value > truth:
-                check = "weak_ic"
-            elif value == truth:
-                if target_ids[j] == target_id:
-                    continue
-                check = "strictness"
-            elif lambda_ids[j] == lam_id:
-                check = "indifference"
-            else:
-                continue
-            if first is None:
-                first = ICViolation(
-                    check,
-                    grid_belief(counts[i], d),
-                    grid_belief(counts[j], d),
-                    Fraction(truth - value, scale),
-                )
-            if check == "strictness":
-                strict_ok = False
-            else:
-                weak_ok = False
-                break
-        if not weak_ok:
+        row = sum(map(mul, lam, packed))
+        # slot j holds half + truth - row[j]: its top bit is set iff truth
+        # wins weakly, and then it is half exactly iff the two tie. A class
+        # with no mask is belief i alone, and its own slot always ties.
+        slack = (((row >> i * bits) & (2 * half - 1)) + half) * ones - row
+        ties = ~(slack - ones) & highs
+        row_weak = slack & highs == highs and not lambda_masks.get(lambda_ids[i], 0) & ~ties
+        if row_weak and not ties & ~target_masks.get(target_ids[i], half << i * bits):
+            continue
+        if first is None:
+            values = _unpack(row, size, width)
+            check, j = _first_violation(values, i, lambda_ids, target_ids)
+            gap = Fraction(values[i] - values[j], scale)
+            first = ICViolation(check, grid_belief(counts[i], d), grid_belief(counts[j], d), gap)
+        if not row_weak:
+            weak_ok = False
             break
+        strict_ok = False
     return ICReport(
         incentive_compatible=weak_ok,
         elicits_target=weak_ok and strict_ok,

@@ -419,6 +419,14 @@ def test_caps_below_one_are_refused_when_parsed(capsys, argv):
     assert f"must be at least 1, got {argv[-1]}" in capsys.readouterr().err
 
 
+def test_denominator_below_one_is_refused_when_parsed(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", "mechanism.json", "--denominator", "0"])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --denominator: must be at least 1, got 0" in err
+
+
 _STARTUP_PROBE = """
 import json, sys
 before = set(sys.modules)

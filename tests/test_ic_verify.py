@@ -10,8 +10,11 @@ from __future__ import annotations
 import random
 import tracemalloc
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elicitkit import mechanisms, model
 from elicitkit.catalog import random_experiment
@@ -276,3 +279,146 @@ def test_memory_does_not_grow_with_violations():
     )
     assert ic_verify(anti, target, 6).violation.check == "weak_ic"
     assert _peak_bytes(anti, target, 6) <= 2 * _peak_bytes(proper, target, 6)
+
+
+def _table(e, rows, d):
+    """A table mechanism whose reports are the 1/d grid beliefs, in order."""
+    beliefs = belief_grid(len(e.parameters), d)
+    labels = [str(i) for i in range(len(beliefs))]
+    return TableMechanism(e, labels, Matrix.from_rows(rows), beliefs)
+
+
+def _verified(m, target, d) -> tuple[ICReport, int]:
+    """The report, checked against the reference, and how often the pair scan ran."""
+    scan = mock.patch.object(
+        mechanisms, "_first_violation", wraps=mechanisms._first_violation
+    )
+    with scan as helper:
+        report = ic_verify(m, target, d)
+    expected = reference_ic_verify(m, target, d)
+    assert report == expected
+    assert report.to_doc() == expected.to_doc()
+    # the pair-by-pair scan runs once, and only to locate the reported violation
+    assert helper.call_count == (report.violation is not None)
+    return report, helper.call_count
+
+
+@pytest.mark.parametrize("name", ["grid_denominator", "max_pairs"])
+@pytest.mark.parametrize("value", [True, False, 2.5, 3.0, F(3), "3", None])
+def test_sizes_must_be_ints(name, value):
+    e = random_experiment(random.Random(2), 2, 2)
+    args = {"grid_denominator": 2, "max_pairs": 100, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        ic_verify(quadratic_mechanism(e), maximal_partition(e), **args)
+
+
+def test_one_parameter_has_no_pairs():
+    e = random_experiment(random.Random(4), 1, 3)
+    for d in (1, 5):
+        report, _ = _verified(quadratic_mechanism(e), maximal_partition(e), d)
+        assert report.pairs_checked == 0 and report.elicits_target
+
+
+def test_denominator_one_grid_is_the_point_masses():
+    rng = random.Random(6)
+    for kind in KINDS:
+        m, target = _instance(rng, kind, 3, 1)
+        assert _verified(m, target, 1)[0].pairs_checked == 6
+
+
+def test_constant_mean_score_fails_only_on_strictness():
+    rng = random.Random(8)
+    for n, d in ((2, 5), (3, 4), (4, 3)):
+        m, target = _instance(rng, "constant", n, d)
+        report, _ = _verified(m, target, d)
+        assert report.incentive_compatible and not report.elicits_target
+        assert report.violation.check == "strictness"
+
+
+def test_linear_variant_pays_negative_amounts():
+    rng = random.Random(10)
+    e = random_experiment(rng, 3, 3)
+    weights = [F(-3), F(1, 2), F(2)]
+    m = mean_mechanism(e, list(e.kernel.mul_vec(weights)), weights, "linear")
+    assert min(m.payoff_vector(F(1))) < 0
+    report, _ = _verified(m, StatisticFamily(e.parameters, (m.statistic,)), 5)
+    assert report.elicits_target
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_payoffs_near_ten_to_the_thirty_need_wide_slots(sign):
+    rng = random.Random(12)
+    e = random_experiment(rng, 3, 3)
+    beliefs = belief_grid(3, 4)
+    proper = quadratic_mechanism(e)
+    big = sign * 10**30
+    for flip in (1, -1):  # proper, then anti-proper
+        rows = [[big + flip * x for x in proper.payoff_vector(p)] for p in beliefs]
+        _verified(_table(e, rows, 4), maximal_partition(e), 4)
+    rows = [[big + rng.randrange(-2, 3) * 10**29 for _ in e.outcomes] for _ in beliefs]
+    _verified(_table(e, rows, 4), maximal_partition(e), 4)
+
+
+@pytest.mark.parametrize("power", range(25))
+def test_spread_at_a_power_of_two_fills_the_slot(power):
+    # identity kernel: belief (1, 0) puts all of S = d on outcome 0, so its
+    # payoff for report 0 is S * spread, a power of two in integers (the
+    # payoff scale is one too). The sweep steps the slot width from one byte
+    # up to four, each step at such a power.
+    e = Experiment(("a", "b"), ("0", "1"), Matrix.identity(2))
+    d = 4
+    spread = F(2**power, d)
+    rng = random.Random(power)
+    rows = [[spread, 0]] + [
+        [spread * F(rng.randrange(5), 4), spread * F(rng.randrange(5), 4)]
+        for _ in range(d)
+    ]
+    for sign in (1, -1):
+        table = _table(e, [[sign * x for x in row] for row in rows], d)
+        _verified(table, maximal_partition(e), d)
+
+
+@st.composite
+def _table_instances(draw):
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    outcomes = draw(st.integers(1, 3))
+    kernel = []
+    for _ in range(n):
+        raw = draw(st.lists(st.integers(0, 2), min_size=outcomes, max_size=outcomes))
+        raw[draw(st.integers(0, outcomes - 1))] += 1
+        kernel.append([F(x, sum(raw)) for x in raw])
+    e = Experiment(
+        tuple(f"t{i}" for i in range(n)),
+        tuple(f"o{j}" for j in range(outcomes)),
+        Matrix.from_rows(kernel),
+    )
+    size = len(belief_grid(n, d))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(
+        st.lists(entry, min_size=outcomes, max_size=outcomes), min_size=size, max_size=size
+    ))
+    factor = draw(st.sampled_from([1, F(1, 3), 10**30]))
+    offset = draw(st.sampled_from([0, 10**30, -(10**30)]))
+    rows = [[x * factor + offset for x in row] for row in rows]
+    functions = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple), max_size=2
+    ))
+    return _table(e, rows, d), StatisticFamily(e.parameters, tuple(functions)), d
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_instances())
+def test_random_tables_and_targets_match_reference(instance):
+    _verified(*instance)
+
+
+def test_the_pair_scan_runs_only_on_a_row_that_holds_a_violation():
+    rng = random.Random(14)
+    e = random_experiment(rng, 4, 3)
+    assert _verified(quadratic_mechanism(e), maximal_partition(e), 6)[1] == 0
+    anti, target = _instance(rng, "anti_proper", 4, 6)
+    assert _verified(anti, target, 6)[1] == 1
+    constant, target = _instance(rng, "constant", 4, 6)
+    # every row fails, on strictness only: only the first is scanned
+    assert _verified(constant, target, 6)[1] == 1

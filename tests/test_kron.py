@@ -11,10 +11,13 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
+
+from elicitkit import demos, elicit, model
 from elicitkit.catalog import random_experiment
 from elicitkit.elicit import moment_weights, unbiased_weights
 from elicitkit.exactcore import Matrix, kron
-from elicitkit.model import Experiment, power, product_many
+from elicitkit.model import MAX_PRODUCT_OUTCOMES, Experiment, power, product_many
 
 
 def reference_product(experiments):
@@ -107,3 +110,54 @@ class TestMatchesReference:
                     checked += 1
         assert checked > 50  # the corpus really has elicitable statistics
 
+
+
+class TestOutcomeCap:
+    """Products past ``model.MAX_PRODUCT_OUTCOMES`` are refused before ``kron``."""
+
+    @pytest.fixture
+    def kron_calls(self, monkeypatch):
+        monkeypatch.setattr(model, "MAX_PRODUCT_OUTCOMES", 8)
+        calls = []
+        for module in (model, elicit):
+            monkeypatch.setattr(module, "kron", lambda vectors: calls.append(vectors))
+        return calls
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda e: power(e, 2),
+            lambda e: product_many([e, e]),
+            lambda e: moment_weights(e, 2, [F(1)] * len(e.parameters), 1),
+        ],
+    )
+    def test_nine_outcomes_are_refused(self, kron_calls, call):
+        e = random_experiment(random.Random(3), 2, 3)
+        with pytest.raises(ValueError, match="2 independent draws already have 9 "
+                           "outcomes, above the cap of 8"):
+            call(e)
+        assert kron_calls == []
+
+    def test_a_huge_power_is_refused_at_once(self, kron_calls):
+        # draw by draw: no list of 10**12 factors is ever made
+        e = random_experiment(random.Random(3), 2, 2)
+        with pytest.raises(ValueError, match="4 independent draws already have 16"):
+            power(e, 10**12)
+        with pytest.raises(ValueError, match="4 independent draws already have 16"):
+            moment_weights(e, 10**12, [F(1), F(0)], 0)
+        assert kron_calls == []
+
+    def test_the_cap_itself_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(model, "MAX_PRODUCT_OUTCOMES", 8)
+        e = random_experiment(random.Random(3), 2, 2)
+        assert len(power(e, 3).outcomes) == 8
+        assert len(moment_weights(e, 3, list(e.kernel.col(0)), 2).weights) == 8
+        with pytest.raises(ValueError, match="above the cap of 8"):
+            power(e, 4)
+
+    def test_the_cap_is_above_every_caller_in_the_package(self):
+        # the density demo's moments, complete_elicitation's desk-scale power
+        # (n * m**copies <= 20,000 with n >= 2) and the expertise demo's square
+        assert MAX_PRODUCT_OUTCOMES >= 2**demos.MAX_DENSITY_DEGREE
+        assert MAX_PRODUCT_OUTCOMES >= 20_000 // 2
+        assert MAX_PRODUCT_OUTCOMES >= len(demos.bernoulli_experiment().outcomes) ** 2
