@@ -19,12 +19,12 @@ incentive properties are decided, not estimated:
 
 ``ic_verify`` is the brute-force oracle: it enumerates an exact belief grid
 and asserts weak incentive compatibility everywhere, strict gaps exactly on
-target-distinguishable pairs, and indifference inside cells. It works in
-integers throughout: each mechanism gives the truthful payoffs of the whole
-grid as integer rows over one scale (``grid_payoffs``). The quadratic panel
-and the mean-score mechanism compute them from integer closed forms, and
-their ``payoff_vector`` is the same code applied to one report put over its
-least common denominator.
+target-distinguishable pairs, and indifference inside cells. A kind that is
+proper by construction (the quadratic panel, a mean score with unbiased
+weights) names the integer rows it scores (``_scored_rows``), and classes of
+scored means decide its grid in O(G). Other kinds give the grid's truthful
+payoffs as integer rows over one scale (``grid_payoffs``: closed forms for
+the two scoring kinds, a table's own rows), certified in packed integers.
 """
 
 from __future__ import annotations
@@ -99,6 +99,10 @@ class Mechanism:
 
     def payoff_range(self) -> Optional[tuple[Fraction, Fraction]]:
         """Certified payoff bounds, when statically known."""
+        return None
+
+    def _scored_rows(self) -> Optional[list[list[int]]]:
+        """Rows whose means alone set a proper kind's gains; None if not proper."""
         return None
 
     def _outcome_index(self, outcome: Union[int, str]) -> int:
@@ -188,6 +192,9 @@ class QuadraticPanelMechanism(Mechanism):
     def payoff_range(self) -> tuple[Fraction, Fraction]:
         return (_ZERO, _ONE)
 
+    def _scored_rows(self) -> list[list[int]]:
+        return self._columns  # the gain is sum W_y (lambda_p - lambda_q)_y^2
+
 
 class MeanScoreMechanism(Mechanism):
     """Strictly proper quadratic score for the mean of one statistic.
@@ -220,7 +227,8 @@ class MeanScoreMechanism(Mechanism):
             raise ValueError("statistic length does not match the parameter set")
         if len(weights) != len(experiment.outcomes):
             raise ValueError("weights length does not match the outcome set")
-        if check_unbiased and experiment.kernel.mul_vec(weights) != statistic:
+        self._unbiased = experiment.kernel.mul_vec(weights) == statistic
+        if check_unbiased and not self._unbiased:
             raise ValueError("weights are not unbiased for the statistic")
         self.experiment = experiment
         self.statistic = statistic
@@ -231,6 +239,10 @@ class MeanScoreMechanism(Mechanism):
 
     def report_for_belief(self, p: Belief) -> Fraction:
         return statistic_mean(self.statistic, p)
+
+    def _scored_rows(self) -> Optional[list[list[int]]]:
+        # unbiased weights make the gain (mu_p - mu_q)^2 in both variants
+        return [self._statistic] if self._unbiased else None
 
     def payoff_vector(self, report: Report) -> tuple[Fraction, ...]:
         # floats and bools are not exact mean estimates
@@ -293,15 +305,29 @@ class TableMechanism(Mechanism):
         self.reports = tuple(reports)
         self.payoffs = payoffs
         self.report_beliefs = None if report_beliefs is None else tuple(report_beliefs)
-        self._report_of: dict[Belief, str] = {}
-        for p, label in zip(self.report_beliefs or (), self.reports):
-            self._report_of.setdefault(p, label)  # the first report wins
+        # a belief's weights over their lcm are coprime ints; the first report wins
+        self._report_rows: dict[tuple[int, ...], int] = {}
+        for r, p in enumerate(self.report_beliefs or ()):
+            self._report_rows.setdefault(tuple(_scaled_ints([p.weights])[0][0]), r)
 
     def report_for_belief(self, p: Belief) -> str:
+        return self.reports[self._report_row(_scaled_ints([p.weights])[0][0])]
+
+    def grid_payoffs(
+        self, counts: Sequence[Sequence[int]], d: int
+    ) -> tuple[list[list[int]], int]:
+        """Each grid belief's payoff row, with the whole table scaled once."""
+        (flat,), scale = _scaled_ints([self.payoffs.entries])
+        m = self.payoffs.cols
+        return [flat[r * m : (r + 1) * m] for r in map(self._report_row, counts)], scale
+
+    def _report_row(self, weights: Sequence[int]) -> int:
+        """Index of the first report whose belief is proportional to ``weights``."""
         if self.report_beliefs is None:
             raise ValueError("table mechanism has no belief-to-report rule")
+        g = math.gcd(*weights)
         try:
-            return self._report_of[p]
+            return self._report_rows[tuple(x // g for x in weights)]
         except KeyError:
             raise ValueError("belief is not on the tabulated report menu") from None
 
@@ -492,7 +518,7 @@ def tabulate(m: Mechanism, beliefs: Sequence[Belief]) -> TableMechanism:
     return TableMechanism(m.experiment, labels, Matrix.from_rows(rows), beliefs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ICViolation:
     check: str  # "weak_ic", "strictness", or "indifference"
     belief: Belief
@@ -500,7 +526,7 @@ class ICViolation:
     gap: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ICReport:
     """Verdict of the exhaustive incentive-compatibility oracle."""
 
@@ -610,20 +636,24 @@ def ic_verify(
     tuples, truth before deviation).
 
     Cost: the grid has G = C(d+n-1, n-1) beliefs for n parameters, each
-    held as its integer count vector k (belief k/d). With the kernel scaled
-    to integers once, belief k/d has mean outcome distribution k @ K_int,
-    which sums to S = d * (kernel scale). The truthful payoffs come from the
-    mechanism's ``grid_payoffs`` as integer rows over one scale; shifted by
-    their least entry, each outcome's column is packed into one int of G
+    held as its integer count vector k (belief k/d); ``pairs_checked`` is
+    always G(G-1). When G(G-1) exceeds ``max_pairs`` the call raises
+    ``ValueError`` before enumerating anything. A kind whose
+    ``_scored_rows`` is not None gains a squared distance between scored
+    means over any report, so weak IC and indifference hold, and one O(G)
+    pass over the beliefs' scored and target classes finds the first class
+    holding two targets, forming no payoff. For every other kind, with the
+    kernel scaled to integers once, belief k/d has mean outcome distribution
+    k @ K_int, which sums to S = d * (kernel scale). ``grid_payoffs`` gives
+    the truthful payoffs as integer rows over one scale; shifted by their
+    least entry, each outcome's column is packed into one int of G
     byte-aligned slots. A belief's row of G expected payoffs is then m
     multiply-adds of those ints, and a few whole-row int operations certify
     its G pairs at once (the shift moves a row by one constant, so no gap
-    changes). Only the first row that fails is unpacked and scanned pair by
-    pair, to find the reported violation. Memory is O(G*m) plus a G-slot
-    mask per class of two or more beliefs, whatever the number of
-    violations. The pass stops at the first weak-IC or indifference
-    failure; ``pairs_checked`` is always G(G-1). When G(G-1) exceeds
-    ``max_pairs`` the call raises ``ValueError`` before enumerating anything.
+    changes). Only the first failing row is scanned pair by pair, to find
+    the reported violation. Memory is O(G*m) plus a G-slot mask per class
+    of two or more beliefs, whatever the number of violations, and the pass
+    stops at the first weak-IC or indifference failure.
     """
     for name, value in (("grid_denominator", grid_denominator), ("max_pairs", max_pairs)):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -642,13 +672,29 @@ def ic_verify(
             f"{pairs} ordered pairs, above the cap of {max_pairs} (max_pairs)"
         )
     counts = list(grid_counts(n, d))
+    target_ids = _class_ids(_scaled_means(counts, target.functions)[0])
+    scored = m._scored_rows()
+    if scored is not None:
+        # only strictness fails: first at the least i (a class's first member)
+        # whose scored class holds another target, against the first such j
+        firsts: dict[int, int] = {}
+        splits: dict[int, int] = {}
+        for j, c in enumerate(_class_ids(_scaled_means(counts, scored)[0])):
+            i = firsts.setdefault(c, j)
+            if target_ids[j] != target_ids[i]:
+                splits.setdefault(i, j)
+        first = None
+        if splits:
+            i = min(splits)
+            beliefs = grid_belief(counts[i], d), grid_belief(counts[splits[i]], d)
+            first = ICViolation("strictness", *beliefs, _ZERO)
+        return ICReport(True, first is None, first, grid_denominator, pairs)
     # a belief's mean outcome distribution is its means of the kernel columns
     lambdas, kernel_scale = _scaled_means(
         counts, [e.kernel.col(y) for y in range(len(e.outcomes))]
     )
     vectors, payoff_scale = m.grid_payoffs(counts, d)
     lambda_ids = _class_ids(lambdas)
-    target_ids = _class_ids(_scaled_means(counts, target.functions)[0])
     scale = d * kernel_scale * payoff_scale
     # shifted rows lie in [0, S * spread]; a slot keeps its top two bits spare
     low = min(map(min, vectors))
@@ -681,13 +727,7 @@ def ic_verify(
             weak_ok = False
             break
         strict_ok = False
-    return ICReport(
-        incentive_compatible=weak_ok,
-        elicits_target=weak_ok and strict_ok,
-        violation=first,
-        grid_denominator=grid_denominator,
-        pairs_checked=pairs,
-    )
+    return ICReport(weak_ok, weak_ok and strict_ok, first, grid_denominator, pairs)
 
 
 def value_function(

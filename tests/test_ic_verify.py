@@ -7,6 +7,8 @@ integer oracle must give an identical ``ICReport`` on every instance.
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -33,6 +35,7 @@ from elicitkit.mechanisms import (
     tabulate,
 )
 from elicitkit.model import (
+    Belief,
     CovariateMixture,
     Experiment,
     belief_grid,
@@ -278,7 +281,9 @@ def test_memory_does_not_grow_with_violations():
         beliefs,
     )
     assert ic_verify(anti, target, 6).violation.check == "weak_ic"
-    assert _peak_bytes(anti, target, 6) <= 2 * _peak_bytes(proper, target, 6)
+    # a tabulated proper mechanism still packs and scans its rows
+    scanned = tabulate(proper, beliefs)
+    assert _peak_bytes(anti, target, 6) <= 2 * _peak_bytes(scanned, target, 6)
 
 
 def _table(e, rows, d):
@@ -298,8 +303,12 @@ def _verified(m, target, d) -> tuple[ICReport, int]:
     expected = reference_ic_verify(m, target, d)
     assert report == expected
     assert report.to_doc() == expected.to_doc()
-    # the pair-by-pair scan runs once, and only to locate the reported violation
-    assert helper.call_count == (report.violation is not None)
+    # a proper kind never scans; any other kind scans once, and only to
+    # locate the reported violation
+    if m._scored_rows() is not None:
+        assert helper.call_count == 0
+    else:
+        assert helper.call_count == (report.violation is not None)
     return report, helper.call_count
 
 
@@ -420,5 +429,113 @@ def test_the_pair_scan_runs_only_on_a_row_that_holds_a_violation():
     anti, target = _instance(rng, "anti_proper", 4, 6)
     assert _verified(anti, target, 6)[1] == 1
     constant, target = _instance(rng, "constant", 4, 6)
+    # proper by construction: decided by identity, no row is scanned
+    assert _verified(constant, target, 6)[1] == 0
     # every row fails, on strictness only: only the first is scanned
-    assert _verified(constant, target, 6)[1] == 1
+    assert _verified(tabulate(constant, belief_grid(4, 6)), target, 6)[1] == 1
+
+
+PROPER_KINDS = ("quadratic", "brier", "linear", "constant")
+
+
+def _same_on_both_paths(m, target, d) -> ICReport:
+    """The identity path's report, checked against the scan of m's own table."""
+    assert m._scored_rows() is not None
+    report = ic_verify(m, target, d)
+    scanned = ic_verify(tabulate(m, belief_grid(len(m.experiment.parameters), d)), target, d)
+    assert report == scanned
+    assert report.to_doc() == scanned.to_doc()
+    return report
+
+
+def test_proper_kinds_of_the_corpus_match_the_scan():
+    proper = [(m, target, d) for _, m, target, d in _corpus() if m._scored_rows() is not None]
+    assert len(proper) == 4 * 3 * 6  # quadratic, brier, linear and constant
+    for m, target, d in proper:
+        _same_on_both_paths(m, target, d)
+
+
+def test_random_proper_instances_match_the_scan():
+    rng = random.Random(17)
+    seen = {"strictness": 0, None: 0}
+    for _ in range(1000):
+        n, d = rng.randint(1, 5), rng.randint(1, 7)
+        m, target = _instance(rng, rng.choice(PROPER_KINDS), n, d)
+        report = _same_on_both_paths(m, target, d)
+        assert report.incentive_compatible
+        seen[None if report.violation is None else report.violation.check] += 1
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_only_unbiased_mean_scores_take_the_identity_path():
+    rng = random.Random(19)
+    e = random_experiment(rng, 3, 3)
+    weights = [F(1), F(-2), F(1, 2)]
+    statistic = list(e.kernel.mul_vec(weights))
+    for check in (True, False):
+        m = mean_mechanism(e, statistic, weights, check_unbiased=check)
+        assert m._scored_rows() == [m._statistic]
+    biased, target = _instance(rng, "biased", 3, 4)
+    assert biased._scored_rows() is None
+    # a biased mean score can lose to a lie, and only the scan finds it
+    report, scans = _verified(biased, target, 4)
+    assert report.violation.check == "weak_ic" and scans == 1
+
+
+def test_proper_kinds_form_no_payoff_rows(monkeypatch):
+    calls = []
+    for holder, name in (
+        (mechanisms, "_pack"),
+        (mechanisms, "_first_violation"),
+        (mechanisms.Mechanism, "grid_payoffs"),
+        (mechanisms.QuadraticPanelMechanism, "grid_payoffs"),
+        (mechanisms.MeanScoreMechanism, "grid_payoffs"),
+    ):
+        _counting(monkeypatch, holder, name, calls)
+    rng = random.Random(21)
+    verdicts = set()
+    for kind in PROPER_KINDS:
+        for n, d in ((2, 5), (3, 4), (4, 3)):
+            m, target = _instance(rng, kind, n, d)
+            verdicts.add(ic_verify(m, target, d).elicits_target)
+    assert calls == [] and verdicts == {True, False}
+
+
+def test_table_rows_follow_the_first_report_of_each_belief():
+    e = Experiment(("a", "b"), ("0", "1"), Matrix.identity(2))
+    half, left = Belief((F(1, 2), F(1, 2))), Belief.point_mass(2, 0)
+    rows = [[0, F(1, 3)], [1, 0], [5, 5]]
+    table = TableMechanism(e, ("x", "y", "z"), Matrix.from_rows(rows), [half, left, half])
+    assert table.report_for_belief(half) == "x"
+    assert table.report_for_belief(Belief((1, 0))) == "y"
+    # (1,1)/2 and (3,3)/6 are the same belief: both get the first report's row
+    assert table.grid_payoffs([[1, 1], [2, 0]], 2) == ([[0, 1], [3, 0]], 3)
+    assert table.grid_payoffs([[3, 3]], 6) == ([[0, 1]], 3)
+    for call in (
+        lambda: table.report_for_belief(Belief.point_mass(2, 1)),
+        lambda: table.grid_payoffs([[2, 0], [0, 2]], 2),
+    ):
+        with pytest.raises(ValueError, match="^belief is not on the tabulated report menu$"):
+            call()
+    bare = TableMechanism(e, ("x", "y"), Matrix.from_rows(rows[:2]))
+    for call in (lambda: bare.report_for_belief(half), lambda: bare.grid_payoffs([[1, 1]], 2)):
+        with pytest.raises(ValueError, match="^table mechanism has no belief-to-report rule$"):
+            call()
+
+
+def test_reports_survive_pickling_and_replace():
+    rng = random.Random(23)
+    m, target = _instance(rng, "constant", 3, 4)
+    report = ic_verify(m, target, 4)
+    assert report.violation is not None
+    copy = pickle.loads(pickle.dumps(report))
+    assert copy == report and hash(copy) == hash(report)
+    assert copy.to_doc() == report.to_doc()
+    fewer = dataclasses.replace(report, pairs_checked=report.pairs_checked - 1)
+    assert fewer != report and fewer.violation == report.violation
+    assert fewer.to_doc() == {**report.to_doc(), "pairs_checked": report.pairs_checked - 1}
+    gap = dataclasses.replace(report.violation, gap=F(1))
+    assert gap != report.violation and (gap.belief, gap.gap) == (report.violation.belief, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.pairs_checked = 0
+    assert not hasattr(report, "__dict__") and not hasattr(report.violation, "__dict__")
