@@ -4,8 +4,7 @@ Core objects: finite statistical experiments with exact Markov kernels,
 beliefs over their parameters, statistic families representing information
 partitions, payment mechanisms with exactly computed incentives, and the
 comparison orders between experiments. See the module docstrings for the
-mathematics; everything outside demo quadrature is exact rational
-arithmetic.
+mathematics; everything is exact rational arithmetic.
 
 ``import elicitkit`` loads no submodule. The first use of a public name
 (``elicitkit.ic_verify``) or of a submodule (``elicitkit.orders``) imports

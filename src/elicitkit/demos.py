@@ -3,14 +3,13 @@
 Every demo builds small exact experiments, runs the library end to end, and
 records a list of claims that are asserted by computation, never narrated.
 A report with any failed claim makes the CLI exit nonzero. Truncation errors
-are computed exactly and reported, not absorbed. Floating point appears only
-inside the density demo's quadrature. The exact arithmetic comes from
+are computed exactly and reported, not absorbed; the density demo reports the
+correctly rounded floats of exact values. The exact arithmetic comes from
 ``exactcore``, ``model`` and ``elicit``; the demos do not repeat it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -362,66 +361,58 @@ def _orthogonal_polynomials(max_degree: int) -> list[tuple[list[Fraction], Fract
     return basis
 
 
-def _orthonormal_values(max_degree: int, x: float) -> list[float]:
-    """Stable float evaluation of the orthonormal basis at one point.
+def _value_at_inverse_e(num, den=(_ONE,), root=_ONE) -> float:
+    """Correctly rounded float, sign included, of sqrt(root) * num(u) / den(u).
 
-    Uses the classical three-term recurrence on [0, 1]. The orthonormal basis
-    with positive leading coefficients is unique, so these are exactly the
-    normalized Gram-Schmidt polynomials; the recurrence avoids the monomial
-    basis cancellation that degrades direct evaluation past degree 6 or so.
+    ``num`` and ``den`` (not 0) list rational coefficients of powers of u = 1/e.
+    u is transcendental (Hermite 1873): num(u) / den(u) is 0 only if ``num`` is,
+    and rational only if ``num`` is a multiple of ``den``. Otherwise the terms
+    of u's series double until the value's interval over the bracket they give
+    excludes 0 and both its ends round to one float, which is then the value's.
     """
-    t = 2.0 * x - 1.0
-    raw = [1.0]
-    if max_degree >= 1:
-        raw.append(t)
-    for k in range(1, max_degree):
-        raw.append(((2 * k + 1) * t * raw[k] - k * raw[k - 1]) / (k + 1))
-    return [math.sqrt(2 * k + 1) * raw[k] for k in range(max_degree + 1)]
+    if not any(num):
+        return 0.0
+    pairs = list(itertools.zip_longest(num, den, fillvalue=_ZERO))
+    if all(a * d == b * c for a, b in pairs for c, d in pairs):
+        num, den = (next(a / b for a, b in pairs if b),), (_ONE,)
+    terms = 4
+    while terms := 2 * terms:
+        m = math.factorial(terms)
+        # terms is even: u lies between the sums of (-1)^i / i! to terms - 1 and terms
+        top = sum((-1) ** i * (m // math.factorial(i)) for i in range(terms + 1))
+        low, high = Fraction(top - 1, m), Fraction(top, m)
+        # each term c u^i is monotone in u >= 0
+        n_ends, d_ends = (
+            [sum(c * (a if c > 0 else b) ** i for i, c in enumerate(poly))
+             for a, b in ((low, high), (high, low))]
+            for poly in (num, den)
+        )
+        # sqrt(root) = sqrt(pq) / q lies in [s, s + 1] / (m q), at s if s * s hits
+        s = math.isqrt(square := root.numerator * root.denominator * m * m)
+        roots = [Fraction(s + b, m * root.denominator) for b in (0, s * s != square)]
+        if min(d_ends) > 0 or max(d_ends) < 0:
+            # multilinear in (num, root, 1 / den): extremes at the box's corners
+            corners = [n / d * r for n in n_ends for d in d_ends for r in roots]
+            lo, hi = min(corners), max(corners)
+            if (lo > 0 or hi < 0) and float(lo) == float(hi):
+                return float(lo)
 
 
-_QUAD_NODES = 48  # even: the rule is built as mirrored pairs about 1/2
-
-
-@functools.cache
-def _gauss_legendre() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes and weights of the Gauss-Legendre rule on [0, 1], ascending.
-
-    The nodes are the roots of P_N(2x - 1), found by Newton steps from the
-    guesses cos(pi (i - 1/4) / (N + 1/2)); P_N and P_{N-1} come from
-    ``_orthonormal_values`` with its sqrt(2k + 1) factors divided out. The
-    rule is exact for polynomials of degree up to 2N - 1 (Golub & Welsch 1969),
-    so it integrates the demo's smooth integrands to rounding.
-    """
-    n = _QUAD_NODES
-
-    def legendre(x: float) -> tuple[float, float, float]:
-        """P_n(t) and dP_n/dt at t = 2x - 1, and 1 - t^2 without cancellation."""
-        values = _orthonormal_values(n, x)
-        p = values[n] / math.sqrt(2 * n + 1)
-        q = values[n - 1] / math.sqrt(2 * n - 1)
-        one_minus_t2 = 4.0 * x * (1.0 - x)
-        return p, n * (q - (2.0 * x - 1.0) * p) / one_minus_t2, one_minus_t2
-
-    pairs = []
-    for i in range(1, n // 2 + 1):
-        x = (1.0 + math.cos(math.pi * (i - 0.25) / (n + 0.5))) / 2.0
-        for _ in range(100):
-            p, dp, _ = legendre(x)
-            step = p / (2.0 * dp)  # d/dx P_n(2x - 1) = 2 P_n'(t)
-            x -= step
-            if abs(step) <= 1e-16:
-                break
-        _, dp, one_minus_t2 = legendre(x)
-        weight = 1.0 / (one_minus_t2 * dp * dp)
-        pairs += [(x, weight), (1.0 - x, weight)]  # 1 - x is exact for x >= 1/2
-    pairs.sort()
-    nodes, weights = zip(*pairs)
-    return nodes, weights
-
-
-_DENSITIES: dict[str, Callable[[float], float]] = {
-    "quadratic": lambda x: 6.0 * x * (1.0 - x),
-    "exponential": lambda x: math.exp(-x) / (1.0 - math.exp(-1.0)),
+# Each density is g / D on [0, 1]: (moment j of g, D, integral of g^2), each
+# given by its rational coefficients of ascending powers of u = 1/e.
+_DENSITIES: dict[str, tuple] = {
+    # g = 6x(1 - x), D = 1
+    "quadratic": (
+        lambda j: (Fraction(6, (j + 2) * (j + 3)), 0),
+        (_ONE, _ZERO),
+        (Fraction(6, 5), 0, 0),
+    ),
+    # g = e^(-x), D = 1 - u: the integral of x^j e^(-x) is j! (1 - u sum_{i<=j} 1/i!)
+    "exponential": (
+        lambda j: (math.factorial(j), -sum(math.perm(j, k) for k in range(j + 1))),
+        (_ONE, -_ONE),
+        (Fraction(1, 2), 0, Fraction(-1, 2)),
+    ),
 }
 
 
@@ -433,7 +424,8 @@ def demo_density(density: str = "quadratic", max_degree: int = 8) -> DemoReport:
     independent trials (verified exactly on a rational grid); an exact change
     of basis turns them into coefficients of the orthogonal polynomial
     expansion, giving the L2-best degree-n approximation of the density. The
-    mean integrated squared error is reported per degree.
+    mean integrated squared error is exact per degree; claims are decided on
+    exact values, and the report holds their correctly rounded floats.
     """
     if density not in _DENSITIES:
         raise ValueError(f"unknown density {density!r}; options: {sorted(_DENSITIES)}")
@@ -441,58 +433,27 @@ def demo_density(density: str = "quadratic", max_degree: int = 8) -> DemoReport:
         raise ValueError(
             f"need max_degree from 1 to {MAX_DENSITY_DEGREE}, got {max_degree}"
         )
-    f = _DENSITIES[density]
+    moment, d, g_squared = _DENSITIES[density]
     claims = _Claims()
     basis = _orthogonal_polynomials(max_degree)
 
-    # exact pairwise orthogonality, plus the quadrature view of the same
-    polys = [coef for coef, _ in basis]
     claims.check(
         "basis polynomials are exactly orthogonal",
-        all(_inner(a, b) == 0 for i, a in enumerate(polys) for b in polys[:i]),
-    )
-    # basis and density values at the quadrature nodes, shared by every integral
-    nodes, weights = _gauss_legendre()
-    node_values = [_orthonormal_values(max_degree, x) for x in nodes]
-    node_density = [f(x) for x in nodes]
-    numeric_worst = max(
-        abs(math.fsum(w * (v[i] * v[j]) for w, v in zip(weights, node_values)))
-        for i in range(max_degree + 1)
-        for j in range(i)
-    )
-    claims.check(
-        "quadrature off-diagonal inner products below 1e-12",
-        numeric_worst <= 1e-12,
-        detail=f"{numeric_worst:.3e}",
-    )
-    # the exact basis, evaluated exactly (float monomial sums cancel), matches
-    # the recurrence evaluation pointwise
-    basis_gap = 0.0
-    for x in (0.0, 0.31, 0.5, 0.77, 1.0):
-        values = _orthonormal_values(max_degree, x)
-        for k, (coef, norm) in enumerate(basis):
-            direct = float(sum(c * Fraction(x) ** j for j, c in enumerate(coef)))
-            basis_gap = max(
-                basis_gap, abs(direct / math.sqrt(float(norm)) - values[k])
-            )
-    claims.check(
-        "normalized basis matches its recurrence evaluation",
-        basis_gap <= 1e-9,
-        detail=f"{basis_gap:.3e}",
+        all(_inner(a, b) == 0 for i, (a, _) in enumerate(basis) for b, _ in basis[:i]),
     )
 
-    # raw moments of the density, and the exact change of basis to coefficients
-    moments = [
-        math.fsum(w * (x**j * fx) for x, fx, w in zip(nodes, node_density, weights))
-        for j in range(max_degree + 1)
+    # the exact change of basis from the raw moments of g to its projections
+    # (P_k, Q_k): the density's k-th coefficient is (P_k + Q_k u) / (D sqrt(N_k))
+    projections = [
+        tuple(sum(c * moment(j)[i] for j, c in enumerate(coef)) for i in (0, 1))
+        for coef, _ in basis
     ]
-    coefficients = []
-    for coef, norm in basis:
-        projection = sum(float(c) * moments[j] for j, c in enumerate(coef))
-        coefficients.append(projection / math.sqrt(float(norm)))
+    coefficients = [
+        _value_at_inverse_e(pq, d, 1 / n) for pq, (_, n) in zip(projections, basis)
+    ]
     claims.check(
         "degree-0 coefficient is 1 (densities integrate to 1)",
-        abs(coefficients[0] - 1.0) <= 1e-10,
+        projections[0] == d,
         detail=f"{coefficients[0]!r}",
     )
 
@@ -512,36 +473,34 @@ def demo_density(density: str = "quadratic", max_degree: int = 8) -> DemoReport:
         all(raw_moment_ok(j) for j in range(1, max_degree + 1)),
     )
 
-    mise: list[float] = []
-    for degree in range(1, max_degree + 1):
-        coeffs = coefficients[: degree + 1]
-        gaps = [
-            fx - sum(c * v for c, v in zip(coeffs, values))
-            for fx, values in zip(node_density, node_values)
-        ]
-        mise.append(math.fsum(w * (gap * gap) for w, gap in zip(weights, gaps)))
+    # MISE(n) D^2 = (integral of g^2) - sum_{k<=n} (P_k + Q_k u)^2 / N_k, a
+    # quadratic in u: three rationals per degree from 1 to max_degree
+    errors = [g_squared]
+    for (p, q), (_, n) in zip(projections, basis):
+        squares = (p * p, 2 * p * q, q * q)
+        errors.append([e - t / n for e, t in zip(errors[-1], squares)])
+    errors = errors[2:]
+    d_squared = (d[0] * d[0], 2 * d[0] * d[1], d[1] * d[1])
+    mise = [_value_at_inverse_e(e, d_squared) for e in errors]
 
     if density == "quadratic":
         claims.check(
-            "degree >= 2 reproduces the quadratic density to quadrature tolerance",
-            all(value <= 1e-10 for value in mise[1:]),
+            "degree >= 2 reproduces the quadratic density exactly",
+            not any(map(any, errors[1:])),
             detail=str(mise),
         )
-        claims.check(
-            "error is non-increasing in the degree",
-            all(b <= a + 1e-12 for a, b in zip(mise, mise[1:])),
-        )
     else:
+        # MISE(n-1) - MISE(n) = (P_n + Q_n u)^2 / (N_n D^2), and u is irrational
         claims.check(
             "error strictly decreases across the degree sweep",
-            all(b < a for a, b in zip(mise, mise[1:])),
+            all(p or q for p, q in projections[2:]),
             detail=str(mise),
         )
     claims.check(
         "degree-weighted error stays bounded along the sweep",
         all(
-            (n + 1) * value <= 10 * max(mise[0], 1e-10)
-            for n, value in enumerate(mise)
+            _value_at_inverse_e([10 * a - n * b for a, b in zip(errors[0], e)]) >= 0
+            for n, e in enumerate(errors, start=1)
         ),
     )
     return DemoReport(
@@ -551,7 +510,8 @@ def demo_density(density: str = "quadratic", max_degree: int = 8) -> DemoReport:
         artifacts={
             "mise_by_degree": {str(n + 1): mise[n] for n in range(len(mise))},
             "degree_weighted_error": {
-                str(n + 1): (n + 1) * mise[n] for n in range(len(mise))
+                str(n): _value_at_inverse_e([n * c for c in e], d_squared)
+                for n, e in enumerate(errors, start=1)
             },
             "basis_coefficients": coefficients,
             "exactness_note": (

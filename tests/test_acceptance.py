@@ -2,13 +2,13 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion. Every assertion is exact rational equality except the density
-criterion, whose quadrature tolerances are stated inline.
+criterion's, which compare the correctly rounded floats of exact values.
 
 Criterion 10 is known red in its last clause: it requires the degree-weighted
 approximation error of the exponential density to stay within a factor 10 of
 its median across degrees 1..8. The exponential density is analytic, so its
 orthogonal-expansion error decays super-polynomially (the computed sweep
-spans nineteen orders of magnitude); no faithful implementation can keep the
+spans eighteen orders of magnitude); no faithful implementation can keep the
 degree-weighted error inside a two-sided factor-10 band. The check is kept
 as stated rather than weakened; the strict-decrease and exact-reproduction
 clauses pass.
@@ -347,7 +347,7 @@ def test_criterion_09_envelope_property(capsys):
 
 
 def test_criterion_10_density_rate(capsys):
-    """Quadrature-tolerance reproduction plus sweep behavior; see module docstring.
+    """Exact reproduction plus sweep behavior; see module docstring.
 
     The factor-10-of-median clause is unattainable for an analytic density
     and is expected to fail; it is asserted as stated rather than weakened.
@@ -359,7 +359,7 @@ def test_criterion_10_density_rate(capsys):
     mise_quadratic = [
         quadratic.artifacts["mise_by_degree"][str(n)] for n in range(1, 9)
     ]
-    exact_ok = all(value <= 1e-10 for value in mise_quadratic[1:])
+    exact_ok = all(value == 0.0 for value in mise_quadratic[1:])
 
     exponential = demo_density("exponential", 8)
     mise_exp = [exponential.artifacts["mise_by_degree"][str(n)] for n in range(1, 9)]

@@ -25,8 +25,6 @@ from elicitkit.demos import (
     demo_german_tank,
     demo_poisson,
     demo_regression,
-    _QUAD_NODES,
-    _gauss_legendre,
 )
 
 
@@ -115,25 +113,40 @@ class TestDensity:
         pinned = [1.3345e-3, 9.4278e-6, 3.7171e-8, 9.3466e-11, 1.6291e-13, 2.0839e-16]
         assert mise[:6] == pytest.approx(pinned, rel=5e-3)
 
-    def test_gauss_legendre_rule(self):
-        nodes, weights = _gauss_legendre()
-        assert len(nodes) == len(weights) == _QUAD_NODES
-        assert math.fsum(weights) == pytest.approx(1.0, rel=1e-14)
-        assert all(0.0 < x < 1.0 for x in nodes)
-        assert list(nodes) == sorted(nodes)
-        assert weights == tuple(reversed(weights))
-        for x, y in zip(nodes, reversed(nodes)):
-            assert x + y == pytest.approx(1.0, rel=1e-15)
-        for k in range(2 * _QUAD_NODES):
-            integral = math.fsum(w * x**k for x, w in zip(nodes, weights))
-            assert integral == pytest.approx(1 / (k + 1), rel=1e-14)
-
     def test_quadratic_passes_past_degree_ten(self):
-        # the basis check evaluates each exact polynomial without cancellation
         report = demo_density("quadratic", 12)
         assert report.passed
-        gap = next(c for c in report.claims if "recurrence" in c.description)
-        assert float(gap.detail) <= 1e-15
+        mise = report.artifacts["mise_by_degree"]
+        assert all(mise[str(n)] == 0.0 for n in range(2, 13))
+
+    def test_exponential_passes_at_the_degree_cap(self):
+        report = demo_density("exponential", MAX_DENSITY_DEGREE)
+        assert [c.description for c in report.claims if not c.passed] == []
+        mise = [report.artifacts["mise_by_degree"][str(n)] for n in range(1, 15)]
+        assert len(mise) == 14
+        assert all(b < a for a, b in zip(mise, mise[1:]))
+
+    def test_reported_floats_are_correctly_rounded(self):
+        assert demo_density("quadratic", 1).artifacts["mise_by_degree"]["1"] == 0.2
+        # MISE(8) of e^(-x) / (1 - u) at u = 1/e, from the closed-form shifted
+        # Legendre polynomials and u's series to 60 terms (error far below an ulp)
+        u = sum(F((-1) ** i, math.factorial(i)) for i in range(60))
+        total = (1 - u * u) / 2  # the integral of e^(-2x) over [0, 1]
+        moment = [  # the integral of x^j e^(-x) over [0, 1]
+            math.factorial(j)
+            * (1 - u * sum(F(1, math.factorial(i)) for i in range(j + 1)))
+            for j in range(9)
+        ]
+        for k in range(9):
+            # sum_j (-1)^(k+j) C(k, j) C(k+j, j) x^j, of squared norm 1 / (2k + 1)
+            projection = sum(
+                (-1) ** (k + j) * math.comb(k, j) * math.comb(k + j, j) * moment[j]
+                for j in range(k + 1)
+            )
+            total -= (2 * k + 1) * projection**2
+        exact = total / (1 - u) ** 2
+        mise = demo_density("exponential", 8).artifacts["mise_by_degree"]["8"]
+        assert mise == float(exact)
 
     def test_degree_cap_is_named(self):
         with pytest.raises(ValueError, match=str(MAX_DENSITY_DEGREE)):
@@ -192,10 +205,9 @@ def test_registry_names():
     }
 
 
-# Every demo on a fixed corpus, canonical JSON, one hash. The density demo's
-# floats depend on the platform's libm, so only its claim descriptions and
-# pass flags are hashed. Regenerate with ``python tests/test_demos.py``.
-PINNED_CORPUS = "e0ca8eab00d83d89f17e83cd5296e72ad5a3a2cbbe48517bfc384bc94b9b3443"
+# Every demo on a fixed corpus, canonical JSON, one hash. Regenerate with
+# ``python tests/test_demos.py``.
+PINNED_CORPUS = "8e73f19a7cac3b1fb8a1d41f451b44dd493242cb1170a7cc92f3c6acf0424da8"
 
 
 def corpus_reports():
@@ -216,12 +228,7 @@ def corpus_reports():
 
 
 def corpus_digest() -> str:
-    docs = [
-        [[c.description, c.passed] for c in report.claims]
-        if report.name == "density"
-        else report.to_doc()
-        for report in corpus_reports()
-    ]
+    docs = [report.to_doc() for report in corpus_reports()]
     text = "\n".join(json.dumps(doc, sort_keys=True) for doc in docs)
     return hashlib.sha256(text.encode()).hexdigest()
 
