@@ -21,10 +21,13 @@ incentive properties are decided, not estimated:
 and asserts weak incentive compatibility everywhere, strict gaps exactly on
 target-distinguishable pairs, and indifference inside cells. A kind that is
 proper by construction (the quadratic panel, a mean score with unbiased
-weights) names the integer rows it scores (``_scored_rows``), and classes of
-scored means decide its grid in O(G). Other kinds give the grid's truthful
-payoffs as integer rows over one scale (``grid_payoffs``: closed forms for
-the two scoring kinds, a table's own rows), certified in packed integers.
+weights) names the integer rows it scores (``_scored_rows``). A target in
+the span of those rows and the constants is settled for the whole simplex by
+an integer rank test, with no grid built; otherwise classes of scored means
+decide its grid in O(G). Either way ``pairs_checked`` is G(G-1), the pairs
+the answer covers. Other kinds give the grid's truthful payoffs as integer
+rows over one scale (``grid_payoffs``: closed forms for the two scoring
+kinds, a table's own rows), certified in packed integers.
 """
 
 from __future__ import annotations
@@ -559,6 +562,24 @@ def _scaled_ints(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], i
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
+def _int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows by fraction-free elimination (Bareiss 1968)."""
+    rows = [list(row) for row in rows]
+    rank, previous = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        pivot = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            # exact: each entry is a minor of the input, so sizes stay polynomial
+            f = rows[i][c]
+            rows[i] = [(pivot[c] * x - f * y) // previous for x, y in zip(rows[i], pivot)]
+        rank, previous = rank + 1, pivot[c]
+    return rank
+
+
 def _scaled_means(
     counts: Sequence[Sequence[int]], functions: Sequence[Sequence[Fraction]]
 ) -> tuple[list[tuple[int, ...]], int]:
@@ -640,11 +661,15 @@ def ic_verify(
     always G(G-1). When G(G-1) exceeds ``max_pairs`` the call raises
     ``ValueError`` before enumerating anything. A kind whose
     ``_scored_rows`` is not None gains a squared distance between scored
-    means over any report, so weak IC and indifference hold, and one O(G)
-    pass over the beliefs' scored and target classes finds the first class
-    holding two targets, forming no payoff. For every other kind, with the
-    kernel scaled to integers once, belief k/d has mean outcome distribution
-    k @ K_int, which sums to S = d * (kernel scale). ``grid_payoffs`` gives
+    means over any report, so weak IC and indifference hold. If the target
+    rows add no integer rank to the scored rows and the all-ones row, every
+    target mean is a function of the scored means on the whole simplex, and
+    the answer is yes with no grid built (``pairs_checked`` still counts the
+    G(G-1) pairs it covers). Otherwise one O(G) pass over the beliefs'
+    scored and target classes finds the first class holding two targets,
+    forming no payoff. For every other kind, with the kernel scaled to
+    integers once, belief k/d has mean outcome distribution k @ K_int,
+    which sums to S = d * (kernel scale). ``grid_payoffs`` gives
     the truthful payoffs as integer rows over one scale; shifted by their
     least entry, each outcome's column is packed into one int of G
     byte-aligned slots. A belief's row of G expected payoffs is then m
@@ -671,9 +696,14 @@ def ic_verify(
             f"a denominator-{d} grid over {n} parameters has {size} beliefs and "
             f"{pairs} ordered pairs, above the cap of {max_pairs} (max_pairs)"
         )
+    scored = m._scored_rows()
+    if scored is not None:
+        # a spanned target is a function of the scored means: no pair splits
+        spanning = scored + [[1] * n]
+        if _int_rank(spanning + _scaled_ints(target.functions)[0]) == _int_rank(spanning):
+            return ICReport(True, True, None, grid_denominator, pairs)
     counts = list(grid_counts(n, d))
     target_ids = _class_ids(_scaled_means(counts, target.functions)[0])
-    scored = m._scored_rows()
     if scored is not None:
         # only strictness fails: first at the least i (a class's first member)
         # whose scored class holds another target, against the first such j

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from elicitkit import mechanisms, model
 from elicitkit.catalog import random_experiment
 from elicitkit.elicit import StatisticFamily, maximal_partition, statistic_mean
-from elicitkit.exactcore import Matrix
+from elicitkit.exactcore import Matrix, rank
 from elicitkit.mechanisms import (
     ICReport,
     ICViolation,
@@ -250,11 +250,18 @@ def test_strictness_violation_before_weak_ic_is_reported_first():
 def test_pair_budget_refuses_before_building_the_grid(monkeypatch):
     built = []
     monkeypatch.setattr(mechanisms, "grid_counts", lambda *args: built.append(args))
+    _counting(monkeypatch, mechanisms, "_int_rank", built)
     e = random_experiment(random.Random(1), 4, 3)
-    m = quadratic_mechanism(e)
-    # d = 6 on 4 parameters: 84 beliefs, 6,972 ordered pairs
-    with pytest.raises(ValueError, match="6972 ordered pairs, above the cap of 6971"):
-        ic_verify(m, maximal_partition(e), 6, max_pairs=6971)
+    weights = [F(1), F(-2), F(1, 2)]
+    statistic = e.kernel.mul_vec(weights)
+    # spanned targets, which the span certificate would settle: it never runs
+    for m, target in (
+        (quadratic_mechanism(e), maximal_partition(e)),
+        (mean_mechanism(e, statistic, weights), StatisticFamily(e.parameters, (statistic,))),
+    ):
+        # d = 6 on 4 parameters: 84 beliefs, 6,972 ordered pairs
+        with pytest.raises(ValueError, match="6972 ordered pairs, above the cap of 6971"):
+            ic_verify(m, target, 6, max_pairs=6971)
     assert built == []
 
 
@@ -539,3 +546,113 @@ def test_reports_survive_pickling_and_replace():
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.pairs_checked = 0
     assert not hasattr(report, "__dict__") and not hasattr(report.violation, "__dict__")
+
+
+def _grid_calls(monkeypatch) -> list:
+    calls = []
+    _counting(monkeypatch, mechanisms, "grid_counts", calls)
+    _counting(monkeypatch, mechanisms, "_scaled_means", calls)
+    return calls
+
+
+def test_spanned_targets_are_settled_without_the_grid(monkeypatch):
+    calls = _grid_calls(monkeypatch)
+    e = random_experiment(random.Random(25), 4, 3)
+    weights = [F(1), F(-2), F(1, 2)]
+    statistic = e.kernel.mul_vec(weights)
+    mean = mean_mechanism(e, statistic, weights)
+    for m, target in (
+        (quadratic_mechanism(e), maximal_partition(e)),
+        (mean, StatisticFamily(e.parameters, (statistic,))),
+        (quadratic_mechanism(e), StatisticFamily(e.parameters, ())),
+        (mean, StatisticFamily(e.parameters, ())),
+    ):
+        assert ic_verify(m, target, 6) == ICReport(True, True, None, 6, 84 * 83)
+    assert calls == []
+
+
+def test_unspanned_targets_take_the_class_pass(monkeypatch):
+    calls = _grid_calls(monkeypatch)
+    # mean (0,1,2) on the point masses: it cannot tell (1,0,1)/2 from (0,1,0)
+    e = Experiment(("a", "b", "c"), ("0", "1", "2"), Matrix.identity(3))
+    m = mean_mechanism(e, [0, 1, 2], [0, 1, 2])
+    target = maximal_partition(e)
+    # the denominator-1 grid holds only point masses, whose means differ
+    assert ic_verify(m, target, 1) == ICReport(True, True, None, 1, 6)
+    assert calls
+    calls.clear()
+    report = ic_verify(m, target, 2)
+    assert calls
+    assert report == reference_ic_verify(m, target, 2)
+    half, middle = Belief((F(1, 2), 0, F(1, 2))), Belief.point_mass(3, 1)
+    assert report.violation == ICViolation("strictness", middle, half, F(0))
+
+
+def _spanned_family(rng, m, extra: bool) -> StatisticFamily:
+    """Integer combinations of m's scored rows plus a constant, and with
+    ``extra`` one random row besides (which is mostly outside their span)."""
+    scored = m._scored_rows()
+    n = len(m.experiment.parameters)
+    functions = []
+    for _ in range(rng.randint(1, 2)):
+        coefficients = [rng.randint(-3, 3) for _ in scored]
+        constant = rng.randint(-3, 3)
+        scale = F(1, rng.randint(1, 4))
+        functions.append(tuple(
+            scale * (sum(a * row[i] for a, row in zip(coefficients, scored)) + constant)
+            for i in range(n)
+        ))
+    if extra:
+        functions.insert(rng.randrange(len(functions) + 1),
+                         tuple(F(rng.randint(-2, 2)) for _ in range(n)))
+    return StatisticFamily(m.experiment.parameters, tuple(functions))
+
+
+def test_span_certificate_matches_the_scan(monkeypatch):
+    calls = _grid_calls(monkeypatch)
+    rng = random.Random(27)
+    branches = {"span": 0, "class pass": 0}
+    for i in range(600):
+        n, d = rng.randint(1, 5), rng.randint(1, 7)
+        m, _ = _instance(rng, rng.choice(PROPER_KINDS), n, d)
+        target = _spanned_family(rng, m, extra=i % 2 == 1)
+        calls.clear()
+        report = ic_verify(m, target, d)
+        branches["class pass" if calls else "span"] += 1
+        if not calls:
+            assert report == ICReport(True, True, None, d, report.pairs_checked)
+        scanned = ic_verify(tabulate(m, belief_grid(n, d)), target, d)
+        assert report == scanned and report.to_doc() == scanned.to_doc()
+    assert all(count >= 100 for count in branches.values()), branches
+
+
+def test_zero_columns_and_constant_targets_span():
+    e = Experiment(
+        ("a", "b", "c"),
+        ("0", "1", "2"),
+        Matrix.from_rows([[F(1, 2), 0, F(1, 2)], [F(1, 4), 0, F(3, 4)], [1, 0, 0]]),
+    )
+    trivial = StatisticFamily(e.parameters, ((0, 0, 0), (F(2, 3),) * 3))
+    for target in (trivial, maximal_partition(e)):
+        report = _same_on_both_paths(quadratic_mechanism(e), target, 4)
+        assert report == ICReport(True, True, None, 4, 15 * 14)
+    # the zero and constant rows add nothing to a statistic the score misses
+    m = mean_mechanism(e, [1, 1, 1], [1, 1, 1])
+    assert not _same_on_both_paths(m, maximal_partition(e), 4).elicits_target
+    assert _same_on_both_paths(m, trivial, 4).elicits_target
+
+
+def test_integer_rank_matches_exactcore():
+    rng = random.Random(29)
+    for _ in range(400):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        size = 10 ** rng.randint(0, 6)
+        matrix = [[rng.randint(-size, size) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.5:  # combinations of a few rows make rank deficits
+            basis = matrix[: rng.randint(0, rows - 1)] or [[0] * cols]
+            matrix = [
+                [sum(rng.randint(-3, 3) * row[j] for row in basis) for j in range(cols)]
+                for _ in range(rows)
+            ]
+        assert mechanisms._int_rank(matrix) == rank(Matrix.from_rows(matrix)), matrix
+    assert mechanisms._int_rank([]) == 0
