@@ -8,7 +8,7 @@ inconsistent one. The LP is A @ x == b over nonnegative x and nothing else:
 a caller that needs x <= u adds the equality x + s == u with a slack
 s >= 0. Everything is exact; no floating point enters. All values are
 immutable and all functions are pure, so they are safe to share across
-threads.
+threads. A pivot updates other rows only on the pivot row's nonzero columns.
 
 Conventions that make outputs reproducible:
 
@@ -175,13 +175,17 @@ def kron(vectors: Sequence[Sequence[Fraction]]) -> list[Fraction]:
 
 
 def _pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
-    """In-place Gauss-Jordan step: column ``c`` becomes 1 in row ``r``, 0 elsewhere."""
+    """In-place Gauss-Jordan step: column ``c`` becomes 1 in row ``r``, 0 elsewhere.
+
+    Each touched row costs one multiply-subtract per nonzero of the pivot row
+    and changes in place, so every row must be its own private list."""
     inv = rows[r][c]
     pivot_row = rows[r] = [x / inv for x in rows[r]]
-    for i, row in enumerate(rows):
-        f = row[c]
-        if i != r and f != 0:
-            rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+    nonzero = [(j, b) for j, b in enumerate(pivot_row) if b]
+    for row in rows:
+        if row is not pivot_row and (f := row[c]):
+            for j, b in nonzero:
+                row[j] -= f * b
 
 
 def _row_reduce(rows: list[list[Fraction]], pivot_cols: int) -> list[int]:
@@ -222,7 +226,7 @@ def solve_linear(
     if any(len(b) != a.rows for b in rhs):
         raise ValueError("right-hand side length does not match row count")
     n = a.cols
-    rows = [list(a.row(i)) + [Fraction(b[i]) for b in rhs] for i in range(a.rows)]
+    rows = [list(a.row(i)) + [parse_rational(b[i]) for b in rhs] for i in range(a.rows)]
     pivots = _row_reduce(rows, n)
     solutions: list[Optional[tuple[Fraction, ...]]] = []
     for k in range(n, n + len(rhs)):
@@ -304,7 +308,7 @@ def lp_feasible(
     if len(rhs) != m:
         raise ValueError("right-hand side length does not match row count")
 
-    b = [Fraction(v) for v in rhs]
+    b = [parse_rational(v) for v in rhs]
     rows = [list(equalities.row(i)) + [b[i]] for i in range(m)]
     tableau = [[-x for x in row] if row[-1] < 0 else row for row in rows]
     # objective row: reduced costs of the artificial sum; last entry -objective

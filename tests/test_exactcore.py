@@ -8,12 +8,15 @@ substitution.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elicitkit import exactcore
+from elicitkit.catalog import random_experiment
 from elicitkit.exactcore import (
     Matrix,
     determinant,
@@ -24,6 +27,8 @@ from elicitkit.exactcore import (
     rank,
     solve_linear,
 )
+from elicitkit.model import garble
+from elicitkit.orders import blackwell_dominates
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -89,6 +94,18 @@ class TestSolveLinear:
         with pytest.raises(ValueError):
             solve_linear(Matrix.identity(2), [[F(1)]])
 
+    @pytest.mark.parametrize("bad", [0.1, True])
+    def test_rejects_float_and_bool_right_hand_sides(self, bad):
+        with pytest.raises(ValueError):
+            solve_linear(Matrix.from_rows([[1, 1]]), [[bad]])
+
+    def test_leaves_the_right_hand_sides_unchanged(self):
+        a = Matrix.from_rows([[1, 2, 0], [0, 1, 1], [1, 3, 1]])
+        rhs = [[F(1), F(2), F(3)], [F(0), F(1), F(2)]]
+        before = [list(b) for b in rhs]
+        solve_linear(a, rhs)
+        assert rhs == before
+
     @given(small_matrix(), st.data())
     def test_constructed_systems_solve_exactly(self, a, data):
         x_true = data.draw(
@@ -115,6 +132,13 @@ class TestSolveLinear:
 class TestNullSpace:
     def test_rank_one_kernel(self):
         assert null_space_basis(Matrix.from_rows([[1, 1]])) == [(F(1), F(-1))]
+
+    def test_leaves_the_callers_rows_unchanged(self):
+        rows = [[F(1), F(2), F(0)], [F(2), F(4), F(1)]]
+        before = [list(row) for row in rows]
+        a = Matrix.from_rows(rows)
+        assert null_space_basis(a) == [(F(2), F(-1), F(0))]
+        assert rows == before and a == Matrix.from_rows(before)
 
     def test_identity_has_trivial_kernel(self):
         assert null_space_basis(Matrix.identity(2)) == []
@@ -148,6 +172,69 @@ class TestDeterminant:
     def test_requires_square(self):
         with pytest.raises(ValueError):
             determinant(Matrix.from_rows([[1, 2]]))
+
+
+def dense_pivot(rows, r, c):
+    """Reference Gauss-Jordan step: every entry of every touched row, zeros too."""
+    pivot_row = [x / rows[r][c] for x in rows[r]]
+    return [
+        pivot_row if i == r else [a - row[c] * b for a, b in zip(row, pivot_row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+@st.composite
+def sparse_tableau(draw):
+    """A Fraction tableau, at least half zeros, with a nonzero pivot (r, c)."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(2, 8))
+    r, c = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))
+    size = nrows * ncols
+    entries = draw(st.lists(small_fractions, min_size=size, max_size=size))
+    others = [k for k in range(size) if k != r * ncols + c]
+    for k in draw(st.permutations(others))[: (size + 1) // 2]:
+        entries[k] = F(0)
+    entries[r * ncols + c] = draw(small_fractions.filter(bool))
+    rows = [entries[i * ncols : (i + 1) * ncols] for i in range(nrows)]
+    return rows, r, c
+
+
+class TestPivot:
+    @given(sparse_tableau())
+    @settings(max_examples=300)
+    def test_matches_the_dense_step(self, instance):
+        rows, r, c = instance
+        assert sum(x == 0 for row in rows for x in row) * 2 >= len(rows) * len(rows[0])
+        expected = dense_pivot(rows, r, c)
+        exactcore._pivot(rows, r, c)
+        assert rows == expected
+        assert all(type(x) is F for row in rows for x in row)
+
+    def test_blackwell_pivot_sequence_is_pinned(self, monkeypatch):
+        # recorded before the sparse update; Bland's rule must pick the same pivots
+        rng = random.Random(5)
+        ey = random_experiment(rng, 4, 4)
+        ez = garble(ey, random_experiment(rng, 4, 4).kernel)
+        seen = []
+        pivot = exactcore._pivot
+
+        def recording(rows, r, c):
+            seen.append((r, c))
+            pivot(rows, r, c)
+
+        monkeypatch.setattr(exactcore, "_pivot", recording)
+        result = blackwell_dominates(ey, ez)
+        assert seen == [
+            (8, 0), (16, 1), (1, 4), (8, 2), (10, 5), (1, 0), (13, 3), (17, 4),
+            (0, 8), (17, 9), (2, 10), (18, 11), (18, 12), (1, 4), (1, 6), (14, 13),
+            (18, 4), (5, 7), (16, 0), (18, 12), (16, 1), (8, 14), (15, 15), (11, 4),
+            (17, 11),
+        ]
+        assert result.holds and result.witness.to_doc() == [
+            ["0", "1/3", "0", "2/3"],
+            ["3/13", "6/13", "1/13", "3/13"],
+            ["4/9", "0", "4/9", "1/9"],
+            ["0", "5/9", "1/9", "1/3"],
+        ]
 
 
 def vertex_oracle(a, b, lower, upper):
@@ -263,6 +350,16 @@ class TestLpFeasible:
         # Bland's rule fixes the vertex; these values pin the pivot sequence
         got = boxed_lp(Matrix.from_rows(rows), [F(v) for v in rhs], upper)
         assert got == expected
+
+    @pytest.mark.parametrize("bad", [0.1, True])
+    def test_rejects_float_and_bool_right_hand_sides(self, bad):
+        with pytest.raises(ValueError):
+            lp_feasible(Matrix.from_rows([[1, 1]]), [bad])
+
+    def test_leaves_the_right_hand_side_unchanged(self):
+        rhs = [F(-1), F(2)]
+        assert lp_feasible(Matrix.from_rows([[-1, 0], [1, 1]]), rhs) == (F(1), F(1))
+        assert rhs == [F(-1), F(2)]
 
     def test_no_rows(self):
         assert lp_feasible(Matrix(0, 3, ()), []) == (F(0), F(0), F(0))
