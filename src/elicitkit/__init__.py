@@ -18,7 +18,7 @@ _EXPORTS = {
     "exactcore": "Matrix format_rational parse_rational",
     "model": """Belief CovariateMixture Experiment belief_grid garble is_complete
         is_identified load_experiment mean_outcome_distribution mixture
-        product_many power uniform_garble""",
+        product_many power replacement_garbling_channel_inverse uniform_garble""",
     "elicit": """ElicitabilityReport StatisticFamily complete_elicitation
         indistinguishable is_coarser maximal_partition mode_elicitable
         moment_weights unbiased_weights""",

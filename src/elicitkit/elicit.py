@@ -28,6 +28,8 @@ from typing import Mapping, Optional, Sequence
 
 from .exactcore import (
     Matrix,
+    _in_span,
+    _scaled_ints,
     determinant,
     format_rational,
     kron,
@@ -67,6 +69,11 @@ class StatisticFamily:
         for g in self.functions:
             if len(g) != len(self.parameters):
                 raise ValueError("statistic length does not match the parameter set")
+            for x in g:
+                if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                    raise ValueError(
+                        f"statistic entries must be ints or Fractions, got {x!r}"
+                    )
         if self.labels is not None and len(self.labels) != len(self.functions):
             raise ValueError("labels must align with functions")
 
@@ -174,9 +181,8 @@ def is_coarser(coarse: StatisticFamily, fine: StatisticFamily) -> bool:
     """
     if coarse.parameters != fine.parameters:
         raise ValueError("families must share the parameter set")
-    n = len(fine.parameters)
-    span_matrix = Matrix.from_cols(list(fine.functions) + [(_ONE,) * n])
-    return all(x is not None for x in solve_linear(span_matrix, coarse.functions))
+    rows = [[_scaled_ints([g])[0][0] for g in f.functions] for f in (fine, coarse)]
+    return _in_span(rows[0] + [[1] * len(fine.parameters)], rows[1])
 
 
 def _indistinguishable_witness(

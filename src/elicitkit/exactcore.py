@@ -1,12 +1,13 @@
 """Exact rational linear algebra.
 
 Dense matrices over :class:`fractions.Fraction`, the Kronecker product of
-vectors, linear solves, null-space bases, and linear-programming
-feasibility via a phase-I simplex with Bland's rule. Several right-hand
-sides of one linear system share one reduction, with None for each
-inconsistent one. The LP is A @ x == b over nonnegative x and nothing else:
-a caller that needs x <= u adds the equality x + s == u with a slack
-s >= 0. Everything is exact; no floating point enters. All values are
+vectors, linear solves, null-space bases, and linear-programming feasibility
+via a phase-I simplex with Bland's rule. Several right-hand sides of one
+linear system share one reduction, with None for each inconsistent one. One
+fraction-free elimination of integer rows (Bareiss 1968) gives the
+determinant and the span test. The LP is A @ x == b over nonnegative x and
+nothing else: a caller that needs x <= u adds the equality x + s == u with a
+slack s >= 0. Everything is exact; no floating point enters. All values are
 immutable and all functions are pure, so they are safe to share across
 threads. A pivot updates other rows only on the pivot row's nonzero columns.
 
@@ -25,6 +26,7 @@ Conventions that make outputs reproducible:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -269,25 +271,47 @@ def rank(a: Matrix) -> int:
     return len(_row_reduce(a.to_lists(), a.cols))
 
 
+def _scaled_ints(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Rational rows as integers over their least common denominator."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+
+
+def _bareiss(rows: list[list[int]], pivot_rows: int) -> tuple[int, int]:
+    """In-place fraction-free elimination of integer rows (Bareiss 1968).
+
+    Pivots come from the first ``pivot_rows`` rows, columns left to right;
+    later rows ride along. Entries stay minors of the input, so dividing by
+    the previous pivot is exact. Returns the rank and the signed last pivot."""
+    rank, sign, previous = 0, 1, 1
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(rank, pivot_rows) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != rank:
+            rows[rank], rows[p], sign = rows[p], rows[rank], -sign
+        pivot, a = rows[rank], rows[rank][c]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(a * x - f * y) // previous for x, y in zip(rows[i], pivot)]
+        rank, previous = rank + 1, a
+    return rank, sign * previous
+
+
+def _in_span(basis: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]) -> bool:
+    """True when every integer row lies in the span of the basis rows."""
+    reduced = [list(row) for row in (*basis, *rows)]
+    _bareiss(reduced, len(basis))
+    return not any(any(row) for row in reduced[len(basis) :])
+
+
 def determinant(a: Matrix) -> Fraction:
+    """Bareiss's signed last pivot over scale**n; zero below full rank."""
     if a.rows != a.cols:
         raise ValueError("determinant requires a square matrix")
-    mat = a.to_lists()
-    n = a.rows
-    det = _ONE
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            return _ZERO
-        if pivot_row != c:
-            mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
-            det = -det
-        det *= mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] / mat[c][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
-    return det
+    rows, scale = _scaled_ints(a.to_lists())
+    rank, last = _bareiss(rows, a.rows)
+    return Fraction(last, scale**a.rows) if rank == a.rows else _ZERO
 
 
 def lp_feasible(

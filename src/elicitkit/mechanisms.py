@@ -23,7 +23,7 @@ target-distinguishable pairs, and indifference inside cells. A kind that is
 proper by construction (the quadratic panel, a mean score with unbiased
 weights) names the integer rows it scores (``_scored_rows``). A target in
 the span of those rows and the constants is settled for the whole simplex by
-an integer rank test, with no grid built; otherwise classes of scored means
+one integer span test, with no grid built; otherwise classes of scored means
 decide its grid in O(G). Either way ``pairs_checked`` is G(G-1), the pairs
 the answer covers. Other kinds give the grid's truthful payoffs as integer
 rows over one scale (``grid_payoffs``: closed forms for the two scoring
@@ -38,7 +38,7 @@ from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
-from .exactcore import Matrix, format_rational, parse_rational
+from .exactcore import Matrix, _in_span, _scaled_ints, format_rational, parse_rational
 from .elicit import StatisticFamily, statistic_mean
 from .model import (
     Belief,
@@ -556,30 +556,6 @@ class ICReport:
         return doc
 
 
-def _scaled_ints(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Rational rows as integers over their least common denominator."""
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
-
-
-def _int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of integer rows by fraction-free elimination (Bareiss 1968)."""
-    rows = [list(row) for row in rows]
-    rank, previous = 0, 1
-    for c in range(len(rows[0]) if rows else 0):
-        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[rank], rows[p] = rows[p], rows[rank]
-        pivot = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            # exact: each entry is a minor of the input, so sizes stay polynomial
-            f = rows[i][c]
-            rows[i] = [(pivot[c] * x - f * y) // previous for x, y in zip(rows[i], pivot)]
-        rank, previous = rank + 1, pivot[c]
-    return rank
-
-
 def _scaled_means(
     counts: Sequence[Sequence[int]], functions: Sequence[Sequence[Fraction]]
 ) -> tuple[list[tuple[int, ...]], int]:
@@ -661,8 +637,8 @@ def ic_verify(
     always G(G-1). When G(G-1) exceeds ``max_pairs`` the call raises
     ``ValueError`` before enumerating anything. A kind whose
     ``_scored_rows`` is not None gains a squared distance between scored
-    means over any report, so weak IC and indifference hold. If the target
-    rows add no integer rank to the scored rows and the all-ones row, every
+    means over any report, so weak IC and indifference hold. If one span
+    test finds the target rows in span([scored rows; 1]), every
     target mean is a function of the scored means on the whole simplex, and
     the answer is yes with no grid built (``pairs_checked`` still counts the
     G(G-1) pairs it covers). Otherwise one O(G) pass over the beliefs'
@@ -699,8 +675,7 @@ def ic_verify(
     scored = m._scored_rows()
     if scored is not None:
         # a spanned target is a function of the scored means: no pair splits
-        spanning = scored + [[1] * n]
-        if _int_rank(spanning + _scaled_ints(target.functions)[0]) == _int_rank(spanning):
+        if _in_span(scored + [[1] * n], _scaled_ints(target.functions)[0]):
             return ICReport(True, True, None, grid_denominator, pairs)
     counts = list(grid_counts(n, d))
     target_ids = _class_ids(_scaled_means(counts, target.functions)[0])

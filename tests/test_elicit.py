@@ -15,9 +15,10 @@ from elicitkit.catalog import (
     german_tank_experiment,
     noisy_bernoulli_experiment,
     random_experiment,
+    random_experiment_pairs,
     truncated_poisson_experiment,
 )
-from elicitkit.exactcore import Matrix, rank
+from elicitkit.exactcore import Matrix, rank, solve_linear
 from elicitkit.model import (
     Belief,
     Experiment,
@@ -127,6 +128,36 @@ class TestIsCoarser:
             a, b, c = fams
             if is_coarser(a, b) and is_coarser(b, c):
                 assert is_coarser(a, c)
+
+
+    def test_matches_the_fraction_solve(self):
+        rng = random.Random(11)
+        coarser = 0
+        for ey, ez in random_experiment_pairs(17, 40, max_parameters=5, max_outcomes=5):
+            n = len(ey.parameters)
+            weights = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in ey.outcomes]
+            single = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+            families = [
+                maximal_partition(ey),
+                maximal_partition(ez),
+                family(ey),
+                family(ey, single),
+                family(ey, ez.kernel.col(0)),
+                family(ey, ey.kernel.mul_vec(weights)),
+            ]
+            for coarse in families:
+                for fine in families:
+                    expected = solve_linear_is_coarser(coarse, fine)
+                    assert is_coarser(coarse, fine) == expected
+                    coarser += expected
+        assert 400 < coarser < 1200
+
+
+def solve_linear_is_coarser(coarse, fine):
+    """Reference: solve for each coarse statistic over the fine ones and a constant."""
+    ones = (F(1),) * len(fine.parameters)
+    span_matrix = Matrix.from_cols(list(fine.functions) + [ones])
+    return all(x is not None for x in solve_linear(span_matrix, coarse.functions))
 
 
 class TestUnbiasedWeights:
@@ -362,6 +393,16 @@ class TestReportInvariants:
                 weights=(F(1),),
                 witness=(Belief.uniform(1), Belief.uniform(1)),
             )
+
+    @pytest.mark.parametrize("bad", [True, False, 0.5, 1.0, "1/2", "1", None])
+    def test_family_entries_must_be_exact(self, bad):
+        e = random_experiment(random.Random(0), 3, 3)
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            StatisticFamily(e.parameters, ((F(1), 0, F(1, 2)), (F(1), bad, 0)))
+
+    def test_family_doc_parses_strings(self):
+        doc = {"parameters": ["a", "b"], "functions": {"g": ["1/2", "3"]}}
+        assert load_statistic_family(doc).functions == ((F(1, 2), F(3)),)
 
     def test_family_doc_roundtrip(self):
         fam = StatisticFamily(

@@ -173,6 +173,96 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             determinant(Matrix.from_rows([[1, 2]]))
 
+    def test_matches_the_fraction_elimination(self):
+        rng = random.Random(31)
+        singular = 0
+        for _ in range(300):
+            n = rng.randint(0, 8)
+            rows = [
+                [
+                    F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7)))
+                    if rng.random() < 0.7
+                    else F(0)
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+            if n > 1 and rng.random() < 0.3:  # one row a combination of two others
+                i, j, k = (rng.randrange(n) for _ in range(3))
+                a, b = F(rng.randint(-3, 3), rng.randint(1, 3)), F(rng.randint(-3, 3))
+                rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+            expected = dense_determinant(Matrix.from_rows(rows))
+            assert determinant(Matrix.from_rows(rows)) == expected, rows
+            singular += expected == 0
+        assert 30 < singular < 200
+
+
+def dense_determinant(a):
+    """Reference: dense Gaussian elimination over Fractions, the sign flipped per swap."""
+    mat, n, det = a.to_lists(), a.rows, F(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            return F(0)
+        if pivot_row != c:
+            mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, n):
+            if mat[i][c] != 0:
+                f = mat[i][c] / mat[c][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
+    return det
+
+
+def integer_rows(rng, count, cols, pool):
+    """Random, zero, repeated and combined rows of ints; each joins ``pool``."""
+    size = 10 ** rng.randint(0, 6)
+    rows = []
+    for _ in range(count):
+        kind = rng.randrange(4) if pool else 0
+        if kind == 0:
+            row = [rng.randint(-size, size) for _ in range(cols)]
+        elif kind == 1:
+            row = [0] * cols
+        elif kind == 2:
+            row = list(rng.choice(pool))
+        else:  # combinations of a few rows make rank deficits
+            picks = rng.sample(pool, min(len(pool), 3))
+            row = [sum(rng.randint(-3, 3) * r[j] for r in picks) for j in range(cols)]
+        pool.append(row)
+        rows.append(row)
+    return rows
+
+
+def rank_of(rows):
+    return rank(Matrix.from_rows(rows))
+
+
+class TestSpan:
+    def test_edge_cases(self):
+        assert exactcore._in_span([], [])
+        assert exactcore._in_span([], [[0, 0]])
+        assert not exactcore._in_span([], [[0, 1]])
+        assert exactcore._in_span([[1, 2]], [])
+        assert exactcore._in_span([[0, 0], [2, 4]], [[1, 2], [1, 2], [0, 0]])
+        assert not exactcore._in_span([[1, 2], [2, 4]], [[1, 2], [0, 1]])
+        assert not exactcore._in_span([[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]])
+
+    def test_matches_rank(self):
+        rng = random.Random(29)
+        spanned = 0
+        for _ in range(400):
+            cols, pool = rng.randint(1, 8), []
+            basis = integer_rows(rng, rng.randint(0, 6), cols, pool)
+            rows = integer_rows(rng, rng.randint(0, 4), cols, pool)
+            expected = rank_of(basis + rows) == rank_of(basis)
+            assert exactcore._in_span(basis, rows) == expected, (basis, rows)
+            echelon = [list(row) for row in basis]
+            assert exactcore._bareiss(echelon, len(basis))[0] == rank_of(basis)
+            spanned += expected
+        assert 100 < spanned < 300
+
 
 def dense_pivot(rows, r, c):
     """Reference Gauss-Jordan step: every entry of every touched row, zeros too."""

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from elicitkit import mechanisms, model
 from elicitkit.catalog import random_experiment
 from elicitkit.elicit import StatisticFamily, maximal_partition, statistic_mean
-from elicitkit.exactcore import Matrix, rank
+from elicitkit.exactcore import Matrix
 from elicitkit.mechanisms import (
     ICReport,
     ICViolation,
@@ -250,7 +250,7 @@ def test_strictness_violation_before_weak_ic_is_reported_first():
 def test_pair_budget_refuses_before_building_the_grid(monkeypatch):
     built = []
     monkeypatch.setattr(mechanisms, "grid_counts", lambda *args: built.append(args))
-    _counting(monkeypatch, mechanisms, "_int_rank", built)
+    _counting(monkeypatch, mechanisms, "_in_span", built)
     e = random_experiment(random.Random(1), 4, 3)
     weights = [F(1), F(-2), F(1, 2)]
     statistic = e.kernel.mul_vec(weights)
@@ -640,19 +640,3 @@ def test_zero_columns_and_constant_targets_span():
     m = mean_mechanism(e, [1, 1, 1], [1, 1, 1])
     assert not _same_on_both_paths(m, maximal_partition(e), 4).elicits_target
     assert _same_on_both_paths(m, trivial, 4).elicits_target
-
-
-def test_integer_rank_matches_exactcore():
-    rng = random.Random(29)
-    for _ in range(400):
-        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-        size = 10 ** rng.randint(0, 6)
-        matrix = [[rng.randint(-size, size) for _ in range(cols)] for _ in range(rows)]
-        if rng.random() < 0.5:  # combinations of a few rows make rank deficits
-            basis = matrix[: rng.randint(0, rows - 1)] or [[0] * cols]
-            matrix = [
-                [sum(rng.randint(-3, 3) * row[j] for row in basis) for j in range(cols)]
-                for _ in range(rows)
-            ]
-        assert mechanisms._int_rank(matrix) == rank(Matrix.from_rows(matrix)), matrix
-    assert mechanisms._int_rank([]) == 0

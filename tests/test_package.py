@@ -24,6 +24,7 @@ PUBLIC = {
         "mixture",
         "power",
         "product_many",
+        "replacement_garbling_channel_inverse",
         "uniform_garble",
     ],
     "elicit": [
@@ -64,7 +65,7 @@ NAMES = sorted(name for names in PUBLIC.values() for name in names)
 
 
 def test_all_lists_every_public_name():
-    assert len(NAMES) == 43
+    assert len(NAMES) == 44
     assert sorted(elicitkit.__all__) == NAMES
     assert elicitkit.__version__ == "0.1.0"
 
