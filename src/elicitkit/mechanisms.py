@@ -24,10 +24,10 @@ proper by construction (the quadratic panel, a mean score with unbiased
 weights) names the integer rows it scores (``_scored_rows``). A target in
 the span of those rows and the constants is settled for the whole simplex by
 one integer span test, with no grid built; otherwise classes of scored means
-decide its grid in O(G). Either way ``pairs_checked`` is G(G-1), the pairs
-the answer covers. Other kinds give the grid's truthful payoffs as integer
-rows over one scale (``grid_payoffs``: closed forms for the two scoring
-kinds, a table's own rows), certified in packed integers.
+decide its grid in O(G). Other kinds give the grid's truthful payoffs as
+integer rows (``grid_payoffs``), certified in packed integers. Every class
+of equal means comes from the grid's count columns, packed once per call
+into G-slot integers; ``pairs_checked`` is always G(G-1).
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .model import (
     mean_outcome_distribution,
     mixture,
     mixture_to_doc,
+    require_ints,
     require_keys,
     require_list,
 )
@@ -304,6 +305,8 @@ class TableMechanism(Mechanism):
             raise ValueError("payoff table shape must be reports x outcomes")
         if report_beliefs is not None and len(report_beliefs) != len(reports):
             raise ValueError("one belief per report label is required")
+        if any(len(p.weights) != len(experiment.parameters) for p in report_beliefs or ()):
+            raise ValueError("report belief length does not match the parameter set")
         self.experiment = experiment
         self.reports = tuple(reports)
         self.payoffs = payoffs
@@ -314,7 +317,8 @@ class TableMechanism(Mechanism):
             self._report_rows.setdefault(tuple(_scaled_ints([p.weights])[0][0]), r)
 
     def report_for_belief(self, p: Belief) -> str:
-        return self.reports[self._report_row(_scaled_ints([p.weights])[0][0])]
+        (weights,), d = _scaled_ints([p.weights])
+        return self.reports[self._report_row(weights, d)]
 
     def grid_payoffs(
         self, counts: Sequence[Sequence[int]], d: int
@@ -322,17 +326,20 @@ class TableMechanism(Mechanism):
         """Each grid belief's payoff row, with the whole table scaled once."""
         (flat,), scale = _scaled_ints([self.payoffs.entries])
         m = self.payoffs.cols
-        return [flat[r * m : (r + 1) * m] for r in map(self._report_row, counts)], scale
+        return [flat[r * m : (r + 1) * m] for r in (self._report_row(k, d) for k in counts)], scale
 
-    def _report_row(self, weights: Sequence[int]) -> int:
-        """Index of the first report whose belief is proportional to ``weights``."""
+    def _report_row(self, weights: Sequence[int], d: int) -> int:
+        """Index of the first report whose belief is the counts ``weights`` over d."""
         if self.report_beliefs is None:
             raise ValueError("table mechanism has no belief-to-report rule")
         g = math.gcd(*weights)
         try:
-            return self._report_rows[tuple(x // g for x in weights)]
+            return self._report_rows[tuple(weights) if g == 1 else tuple(x // g for x in weights)]
         except KeyError:
-            raise ValueError("belief is not on the tabulated report menu") from None
+            belief = ",".join(format_rational(Fraction(k, d)) for k in weights)
+            raise ValueError(
+                f"belief ({belief}) is not on the tabulated report menu (grid denominator {d})"
+            ) from None
 
     def report_index(self, report: Report) -> int:
         if isinstance(report, str):
@@ -499,18 +506,10 @@ def level_set_transform(
     rows: list[list[Fraction]] = []
     for r in range(len(base.reports)):
         decomposition = _upper_level_decomposition(base.payoffs.row(r))
-        row = []
-        for y in range(ny):
-            row.append(
-                sum(
-                    (
-                        weight * event_weights.entries.at(y, mask)
-                        for mask, weight in decomposition
-                    ),
-                    _ZERO,
-                )
-            )
-        rows.append(row)
+        rows.append([
+            sum((w * event_weights.entries.at(y, mask) for mask, w in decomposition), _ZERO)
+            for y in range(ny)
+        ])
     return TableMechanism(experiment, base.reports, Matrix.from_rows(rows))
 
 
@@ -556,22 +555,39 @@ class ICReport:
         return doc
 
 
-def _scaled_means(
-    counts: Sequence[Sequence[int]], functions: Sequence[Sequence[Fraction]]
-) -> tuple[list[tuple[int, ...]], int]:
-    """Each count vector's weighted sums of the functions, as integers.
+def _pack_counts(counts: Sequence[Sequence[int]], d: int, width: int) -> list[int]:
+    """Each parameter's counts as one int of width-byte slots, the first lowest."""
+    columns = []
+    for column in zip(*counts):
+        data = bytearray(len(counts) * width)
+        for lane in range((d.bit_length() + 7) // 8):  # counts are at most d
+            data[lane::width] = bytes(column if d < 256 else (k >> 8 * lane & 255 for k in column))
+        columns.append(int.from_bytes(data, "little"))
+    return columns
 
-    For belief k/d the sums are its means of the functions times
-    d * scale, the same positive factor for every belief.
-    """
-    scaled, scale = _scaled_ints(functions)
-    return [tuple(sum(map(mul, k, g)) for g in scaled) for k in counts], scale
 
+def _grid_classes(
+    counts: Sequence[Sequence[int]], d: int, families: Sequence[Sequence[Sequence[int]]]
+) -> list[list[int]]:
+    """Each belief's class of equal means under each family of integer rows.
 
-def _class_ids(keys: Sequence[tuple[int, ...]]) -> list[int]:
-    """One small integer per distinct key, so equality tests compare ints."""
-    ids: dict[tuple[int, ...], int] = {}
-    return [ids.setdefault(key, len(ids)) for key in keys]
+    The count columns are packed once, in slots wide enough for every
+    family. Row r of a family, less its least entry, fills sub-slot r:
+    belief k gets k @ row - d * min(row), so equal slot bytes are equal
+    means, and a family costs n multiply-adds and one ``to_bytes``."""
+    shifted = [[[x - low for x in row] for row, low in zip(f, map(min, f))] for f in families]
+    # a sub-slot holds d times a shifted row's largest entry; a count needs d
+    steps = [((d * max(map(max, f), default=0)).bit_length() + 7) // 8 for f in shifted]
+    width = max([(d.bit_length() + 7) // 8] + [len(f) * s for f, s in zip(shifted, steps)])
+    columns = _pack_counts(counts, d, width)
+    slots = range(0, len(counts) * width, width)
+    classes = []
+    for rows, step in zip(shifted, steps):
+        weights = [sum(x << 8 * r * step for r, x in enumerate(xs)) for xs in zip(*rows)]
+        data = sum(map(mul, weights, columns)).to_bytes(slots.stop, "little")
+        ids: dict[bytes, int] = {}
+        classes.append([ids.setdefault(data[j : j + width], len(ids)) for j in slots])
+    return classes
 
 
 def _pack(values: Sequence[int], width: int) -> int:
@@ -632,33 +648,31 @@ def ic_verify(
     lexicographically first violating pair (beliefs ordered by their weight
     tuples, truth before deviation).
 
-    Cost: the grid has G = C(d+n-1, n-1) beliefs for n parameters, each
-    held as its integer count vector k (belief k/d); ``pairs_checked`` is
-    always G(G-1). When G(G-1) exceeds ``max_pairs`` the call raises
-    ``ValueError`` before enumerating anything. A kind whose
-    ``_scored_rows`` is not None gains a squared distance between scored
-    means over any report, so weak IC and indifference hold. If one span
-    test finds the target rows in span([scored rows; 1]), every
-    target mean is a function of the scored means on the whole simplex, and
-    the answer is yes with no grid built (``pairs_checked`` still counts the
-    G(G-1) pairs it covers). Otherwise one O(G) pass over the beliefs'
-    scored and target classes finds the first class holding two targets,
-    forming no payoff. For every other kind, with the kernel scaled to
-    integers once, belief k/d has mean outcome distribution k @ K_int,
-    which sums to S = d * (kernel scale). ``grid_payoffs`` gives
-    the truthful payoffs as integer rows over one scale; shifted by their
-    least entry, each outcome's column is packed into one int of G
-    byte-aligned slots. A belief's row of G expected payoffs is then m
-    multiply-adds of those ints, and a few whole-row int operations certify
-    its G pairs at once (the shift moves a row by one constant, so no gap
-    changes). Only the first failing row is scanned pair by pair, to find
-    the reported violation. Memory is O(G*m) plus a G-slot mask per class
-    of two or more beliefs, whatever the number of violations, and the pass
-    stops at the first weak-IC or indifference failure.
+    Cost: the grid has G = C(d+n-1, n-1) beliefs for n parameters, each an
+    integer count vector k (belief k/d); ``pairs_checked`` is always
+    G(G-1), and above ``max_pairs`` the call raises ``ValueError`` before
+    enumerating anything. A kind whose ``_scored_rows`` is not None gains a
+    squared distance between scored means over any report, so weak IC and
+    indifference hold; if one span test finds the target rows in
+    span([scored rows; 1]), every target mean is a function of the scored
+    means and the answer is yes with no grid built. Otherwise the n count
+    columns are packed once into G-slot ints, so any family's means over
+    the whole grid are n multiply-adds, and its classes are the distinct
+    slot bytes (``_grid_classes``). A proper kind then needs one O(G) pass
+    for the first scored class holding two targets, forming no payoff.
+    Every other kind gives its truthful payoffs as integer rows over one
+    scale (``grid_payoffs``); shifted by their least entry, each outcome's
+    column is packed into one int of G slots. With the kernel scaled to
+    integers once, belief k's mean outcome distribution k @ K_int sums to
+    S = d * (kernel scale), and its row of G expected payoffs is m
+    multiply-adds of those ints weighted by it; a few whole-row int
+    operations certify its G pairs at once (the shift moves a row by one
+    constant, so no gap changes). Only the first failing row is scanned
+    pair by pair, and the pass stops at the first weak-IC or indifference
+    failure. Memory is O(G*m) plus a G-slot mask per class of two or more
+    beliefs, whatever the number of violations.
     """
-    for name, value in (("grid_denominator", grid_denominator), ("max_pairs", max_pairs)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+    require_ints(grid_denominator=grid_denominator, max_pairs=max_pairs)
     if grid_denominator < 1:
         raise ValueError("grid denominator must be at least 1")
     e = m.experiment
@@ -673,33 +687,30 @@ def ic_verify(
             f"{pairs} ordered pairs, above the cap of {max_pairs} (max_pairs)"
         )
     scored = m._scored_rows()
+    targets = _scaled_ints(target.functions)[0]
     if scored is not None:
         # a spanned target is a function of the scored means: no pair splits
-        if _in_span(scored + [[1] * n], _scaled_ints(target.functions)[0]):
+        if _in_span(scored + [[1] * n], targets):
             return ICReport(True, True, None, grid_denominator, pairs)
     counts = list(grid_counts(n, d))
-    target_ids = _class_ids(_scaled_means(counts, target.functions)[0])
     if scored is not None:
         # only strictness fails: first at the least i (a class's first member)
         # whose scored class holds another target, against the first such j
+        target_ids, scored_ids = _grid_classes(counts, d, (targets, scored))
         firsts: dict[int, int] = {}
-        splits: dict[int, int] = {}
-        for j, c in enumerate(_class_ids(_scaled_means(counts, scored)[0])):
+        split: Optional[tuple[int, int]] = None
+        for j, c in enumerate(scored_ids):
             i = firsts.setdefault(c, j)
-            if target_ids[j] != target_ids[i]:
-                splits.setdefault(i, j)
-        first = None
-        if splits:
-            i = min(splits)
-            beliefs = grid_belief(counts[i], d), grid_belief(counts[splits[i]], d)
-            first = ICViolation("strictness", *beliefs, _ZERO)
-        return ICReport(True, first is None, first, grid_denominator, pairs)
+            if target_ids[j] != target_ids[i] and (split is None or i < split[0]):
+                split = i, j
+        if split is None:
+            return ICReport(True, True, None, grid_denominator, pairs)
+        first = ICViolation("strictness", *(grid_belief(counts[x], d) for x in split), _ZERO)
+        return ICReport(True, False, first, grid_denominator, pairs)
     # a belief's mean outcome distribution is its means of the kernel columns
-    lambdas, kernel_scale = _scaled_means(
-        counts, [e.kernel.col(y) for y in range(len(e.outcomes))]
-    )
+    kernel, kernel_scale = _scaled_ints([e.kernel.col(y) for y in range(len(e.outcomes))])
+    target_ids, lambda_ids = _grid_classes(counts, d, (targets, kernel))
     vectors, payoff_scale = m.grid_payoffs(counts, d)
-    lambda_ids = _class_ids(lambdas)
     scale = d * kernel_scale * payoff_scale
     # shifted rows lie in [0, S * spread]; a slot keeps its top two bits spare
     low = min(map(min, vectors))
@@ -707,14 +718,14 @@ def ic_verify(
     width = ((d * kernel_scale * spread).bit_length() + 9) // 8
     bits = 8 * width
     packed = [_pack([x - low for x in col], width) for col in zip(*vectors)]
-    ones = _pack([1] * size, width)
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * size, "little")
     half, highs = 1 << (bits - 1), ones << (bits - 1)
     lambda_masks, target_masks = _class_masks(lambda_ids, bits), _class_masks(target_ids, bits)
 
     first: Optional[ICViolation] = None
     weak_ok = strict_ok = True
-    for i, lam in enumerate(lambdas):
-        row = sum(map(mul, lam, packed))
+    for i, k in enumerate(counts):
+        row = sum(sum(map(mul, k, col)) * p for col, p in zip(kernel, packed))
         # slot j holds half + truth - row[j]: its top bit is set iff truth
         # wins weakly, and then it is half exactly iff the two tie. A class
         # with no mask is belief i alone, and its own slot always ties.

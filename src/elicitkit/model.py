@@ -356,6 +356,7 @@ def grid_counts(n_parameters: int, denominator: int) -> Iterator[tuple[int, ...]
     the 1/denominator belief grid; ``belief_grid`` builds its beliefs from
     them, so both share one order.
     """
+    require_ints(n_parameters=n_parameters, denominator=denominator)
     if n_parameters < 1:
         raise ValueError(f"need at least one parameter, got {n_parameters}")
     if denominator < 1:
@@ -364,12 +365,13 @@ def grid_counts(n_parameters: int, denominator: int) -> Iterator[tuple[int, ...]
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    # a vector's running sums are nondecreasing cuts, listed in its own order
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        counts, last = [], 0
+        for cut in cuts:
+            counts.append(cut - last)
+            last = cut
+        yield (*counts, total - last)
 
 
 def belief_grid(n_parameters: int, denominator: int) -> tuple[Belief, ...]:
@@ -396,6 +398,13 @@ def require_keys(doc: object, keys: Iterable[str], what: str) -> None:
     missing = set(keys) - set(doc)
     if missing:
         raise ValueError(f"{what} missing keys: {sorted(missing)}")
+
+
+def require_ints(**values: object) -> None:
+    """Raise ValueError naming the first value that is a bool or not an int."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def require_list(value: object, what: str) -> Sequence:

@@ -518,11 +518,13 @@ def test_table_rows_follow_the_first_report_of_each_belief():
     # (1,1)/2 and (3,3)/6 are the same belief: both get the first report's row
     assert table.grid_payoffs([[1, 1], [2, 0]], 2) == ([[0, 1], [3, 0]], 3)
     assert table.grid_payoffs([[3, 3]], 6) == ([[0, 1]], 3)
-    for call in (
-        lambda: table.report_for_belief(Belief.point_mass(2, 1)),
-        lambda: table.grid_payoffs([[2, 0], [0, 2]], 2),
+    for call, d in (
+        (lambda: table.report_for_belief(Belief.point_mass(2, 1)), 1),
+        (lambda: table.grid_payoffs([[2, 0], [0, 2]], 2), 2),
     ):
-        with pytest.raises(ValueError, match="^belief is not on the tabulated report menu$"):
+        # the error names the missing belief and the grid it was asked on
+        message = rf"^belief \(0,1\) is not on the tabulated report menu \(grid denominator {d}\)$"
+        with pytest.raises(ValueError, match=message):
             call()
     bare = TableMechanism(e, ("x", "y"), Matrix.from_rows(rows[:2]))
     for call in (lambda: bare.report_for_belief(half), lambda: bare.grid_payoffs([[1, 1]], 2)):
@@ -551,8 +553,21 @@ def test_reports_survive_pickling_and_replace():
 def _grid_calls(monkeypatch) -> list:
     calls = []
     _counting(monkeypatch, mechanisms, "grid_counts", calls)
-    _counting(monkeypatch, mechanisms, "_scaled_means", calls)
+    _counting(monkeypatch, mechanisms, "_grid_classes", calls)
     return calls
+
+
+def test_one_call_enumerates_the_grid_and_packs_its_counts_once(monkeypatch):
+    calls = []
+    for name in ("grid_counts", "_pack_counts", "_grid_classes"):
+        _counting(monkeypatch, mechanisms, name, calls)
+    rng = random.Random(29)
+    e = Experiment(("a", "b", "c"), ("0", "1", "2"), Matrix.identity(3))
+    unspanned = (mean_mechanism(e, [0, 1, 2], [0, 1, 2]), maximal_partition(e), 4)
+    for m, target, d in (*(_instance(rng, kind, 3, 4) + (4,) for kind in KINDS[4:]), unspanned):
+        calls.clear()
+        ic_verify(m, target, d)
+        assert sorted(calls) == ["_grid_classes", "_pack_counts", "grid_counts"], m.kind
 
 
 def test_spanned_targets_are_settled_without_the_grid(monkeypatch):
@@ -640,3 +655,101 @@ def test_zero_columns_and_constant_targets_span():
     m = mean_mechanism(e, [1, 1, 1], [1, 1, 1])
     assert not _same_on_both_paths(m, maximal_partition(e), 4).elicits_target
     assert _same_on_both_paths(m, trivial, 4).elicits_target
+
+
+def _first_seen_ids(keys) -> list[int]:
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+@pytest.mark.parametrize("n, d", [(1, 10**6), (2, 300), (3, 7), (4, 5), (5, 3)])
+def test_grid_classes_match_the_per_belief_means(n, d):
+    # the packed classes against each belief's exact integer sums; d = 300
+    # needs two bytes per count, and 10^6 entries need wide sub-slots
+    rng = random.Random(31 * n + d)
+    counts = list(grid_counts(n, d))
+    entries = (-(10**6), -3, -1, 0, 0, 2, 7, 10**6)
+    families = [
+        [],
+        [[0] * n, [5] * n, [-2] * n],
+        [[rng.choice(entries) for _ in range(n)] for _ in range(3)],
+        [[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)],
+        [[t % 2 for t in range(n)], [0] * n],
+    ]
+    expected = [
+        _first_seen_ids(tuple(sum(a * b for a, b in zip(k, row)) for row in rows) for k in counts)
+        for rows in families
+    ]
+    assert mechanisms._grid_classes(counts, d, families) == expected
+    if n > 2:  # ties occur, so the classes are not all singletons
+        assert len(set(expected[4])) < len(counts)
+
+
+def test_counts_wider_than_a_byte_keep_their_reports():
+    # reports pinned from per-belief sums; each violation lies past count
+    # 255, where a count takes two bytes
+    e = Experiment(
+        ("a", "b"),
+        ("0", "1", "2"),
+        Matrix.from_rows([[F(1, 2), F(1, 3), F(1, 6)], [F(1, 4), 0, F(3, 4)]]),
+    )
+    beliefs = belief_grid(2, 300)
+    rows = [list(quadratic_mechanism(e).payoff_vector(p)) for p in beliefs]
+    rows[290] = [x + F(1, 10**5) for x in rows[290]]  # report (29/30, 1/30) tempts its neighbours
+    report = ic_verify(_table(e, rows, 300), maximal_partition(e), 300)
+    near, tempting = Belief((F(24, 25), F(1, 25))), Belief((F(29, 30), F(1, 30)))
+    violation = ICViolation("weak_ic", near, tempting, F(-29, 12150000))
+    assert report == ICReport(False, False, violation, 300, 301 * 300)
+    # the class pass: mean k1 + 300 k2 ties (0, 300, 0) with (299, 0, 1)
+    e3 = Experiment(("a", "b", "c"), ("0", "1", "2"), Matrix.identity(3))
+    m = mean_mechanism(e3, [0, 1, 300], [0, 1, 300])
+    report = ic_verify(m, maximal_partition(e3), 300, max_pairs=3 * 10**9)
+    pair = Belief.point_mass(3, 1), Belief((F(299, 300), 0, F(1, 300)))
+    assert report == ICReport(True, False, ICViolation("strictness", *pair, F(0)), 300, 2065747950)
+
+
+def test_one_parameter_at_a_million():
+    e = random_experiment(random.Random(33), 1, 3)
+    negative = StatisticFamily(e.parameters, ((F(-5, 2),), (0,)))
+    biased = mean_mechanism(e, [F(1, 3)], [0, 1, 2], check_unbiased=False)
+    table = tabulate(quadratic_mechanism(e), belief_grid(1, 10**6))
+    for m in (biased, table, quadratic_mechanism(e)):
+        for target in (negative, maximal_partition(e)):
+            assert _verified(m, target, 10**6)[0] == ICReport(True, True, None, 10**6, 0)
+
+
+def test_odd_targets_and_a_zero_column_match_the_reference():
+    # outcome "1" never occurs, and the targets hold negative, zero and
+    # constant rows; quadratic panels reach the class pass, since the kernel's
+    # columns span only two directions
+    e = Experiment(
+        ("a", "b", "c"),
+        ("0", "1", "2"),
+        Matrix.from_rows([[F(1, 2), 0, F(1, 2)], [F(1, 4), 0, F(3, 4)], [1, 0, 0]]),
+    )
+    targets = (
+        StatisticFamily(e.parameters, ((-3, 0, F(5, 2)), (0, 0, 0), (F(-7, 3),) * 3)),
+        StatisticFamily(e.parameters, ((-1, -1, F(-1, 2)),)),
+        maximal_partition(e),
+    )
+    rng = random.Random(35)
+    other = random_experiment(rng, 3, 2, 4, e.parameters)
+    mix = CovariateMixture(("x", "y"), (F(1, 3), F(2, 3)), (e, other))
+    compound = compound_mechanism(mix, (quadratic_mechanism(e), quadratic_mechanism(other)))
+    proper = quadratic_mechanism(e)
+    garbled = garble(e, Matrix.from_rows([[F(2, 3), F(1, 3)], [0, 1], [F(1, 2), F(1, 2)]]))
+    witness = elicitation_dominates(e, garbled).witness
+    biased = mean_mechanism(e, [1, F(1, 2), -2], [0, 5, 1], check_unbiased=False)
+    seen = set()
+    for d in (1, 2, 3, 4):
+        beliefs = belief_grid(3, d)
+        anti = _table(e, [[1 - x for x in proper.payoff_vector(p)] for p in beliefs], d)
+        pushed = pushforward(tabulate(quadratic_mechanism(garbled), beliefs), witness, e)
+        for m in (proper, tabulate(proper, beliefs), anti, pushed, biased):
+            for target in targets:
+                report, _ = _verified(m, target, d)
+                seen.add(None if report.violation is None else report.violation.check)
+        for target in targets:
+            family = StatisticFamily(compound.experiment.parameters, target.functions)
+            _verified(compound, family, d)
+    assert seen == {None, "weak_ic", "strictness"}, seen

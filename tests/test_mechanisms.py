@@ -412,6 +412,12 @@ class TestIcVerify:
         with pytest.raises(ValueError, match="not on the tabulated report menu"):
             table.report_for_belief(Belief.point_mass(3, 2))
 
+    def test_report_beliefs_must_match_the_parameters(self):
+        e = bernoulli_experiment()
+        short = (Belief.uniform(2), Belief.point_mass(2, 0))
+        with pytest.raises(ValueError, match="^report belief length does not match"):
+            TableMechanism(e, ("a", "b"), Matrix.from_rows([[0, 1], [1, 0]]), short)
+
     def test_quadratic_panel_elicits_maximal_partition(self):
         e = bernoulli_experiment()
         report = ic_verify(quadratic_mechanism(e), maximal_partition(e), 4)

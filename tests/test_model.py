@@ -133,6 +133,25 @@ class TestBelief:
         with pytest.raises(ValueError, match="at least one parameter"):
             build()
 
+    @pytest.mark.parametrize("grid", [grid_counts, belief_grid])
+    @pytest.mark.parametrize(
+        "n, d, name",
+        [(True, 2, "n_parameters"), (2.0, 2, "n_parameters"), ("2", 2, "n_parameters"),
+         (2, 2.0, "denominator"), (2, True, "denominator"), (2, F(2), "denominator")],
+    )
+    def test_sizes_must_be_ints(self, grid, n, d, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+            grid(n, d)
+
+    def test_grid_counts_run_in_lexicographic_order(self):
+        for n in range(1, 5):
+            for d in range(1, 6):
+                counts = list(grid_counts(n, d))
+                assert counts == sorted(counts) and len(set(counts)) == len(counts)
+                assert all(min(k) >= 0 and sum(k) == d and len(k) == n for k in counts)
+                assert len(counts) == len(belief_grid(n, d))
+        assert list(grid_counts(1, 10**6)) == [(10**6,)]
+
 
 
 _BERNOULLI = bernoulli_experiment()
