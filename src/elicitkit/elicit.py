@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .exactcore import (
@@ -76,6 +77,11 @@ class StatisticFamily:
                     )
         if self.labels is not None and len(self.labels) != len(self.functions):
             raise ValueError("labels must align with functions")
+
+    @cached_property
+    def _ints(self) -> list[list[int]]:
+        """The functions as integer rows over one scale, built on first use."""
+        return _scaled_ints(self.functions)[0]
 
 
 @dataclass(frozen=True)
@@ -181,8 +187,7 @@ def is_coarser(coarse: StatisticFamily, fine: StatisticFamily) -> bool:
     """
     if coarse.parameters != fine.parameters:
         raise ValueError("families must share the parameter set")
-    rows = [[_scaled_ints([g])[0][0] for g in f.functions] for f in (fine, coarse)]
-    return _in_span(rows[0] + [[1] * len(fine.parameters)], rows[1])
+    return _in_span([*fine._ints, [1] * len(fine.parameters)], coarse._ints)
 
 
 def _indistinguishable_witness(

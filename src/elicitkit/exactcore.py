@@ -277,32 +277,44 @@ def _scaled_ints(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], i
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
-def _bareiss(rows: list[list[int]], pivot_rows: int) -> tuple[int, int]:
+def _bareiss(rows: list[list[int]], pivot_rows: int) -> tuple[int, int, list]:
     """In-place fraction-free elimination of integer rows (Bareiss 1968).
 
     Pivots come from the first ``pivot_rows`` rows, columns left to right;
     later rows ride along. Entries stay minors of the input, so dividing by
-    the previous pivot is exact. Returns the rank and the signed last pivot."""
-    rank, sign, previous = 0, 1, 1
+    the previous pivot is exact. Returns the rank, the signed last pivot and
+    the steps (column, pivot row, previous pivot) that ``_spanned`` replays."""
+    rank, sign, previous, steps = 0, 1, 1, []
     for c in range(len(rows[0]) if rows else 0):
         p = next((i for i in range(rank, pivot_rows) if rows[i][c]), None)
         if p is None:
             continue
         if p != rank:
             rows[rank], rows[p], sign = rows[p], rows[rank], -sign
-        pivot, a = rows[rank], rows[rank][c]
-        for i in range(rank + 1, len(rows)):
+        steps.append((c, rows[rank], previous))
+        _eliminate(rows, rank + 1, steps[-1:])
+        rank, previous = rank + 1, rows[rank][c]
+    return rank, sign * previous, steps
+
+
+def _eliminate(rows: list, start: int, steps: Sequence[tuple[int, Sequence[int], int]]) -> None:
+    """Apply recorded ``_bareiss`` steps, in order, to ``rows[start:]`` in place."""
+    for c, pivot, previous in steps:
+        a = pivot[c]
+        for i in range(start, len(rows)):
             f = rows[i][c]
             rows[i] = [(a * x - f * y) // previous for x, y in zip(rows[i], pivot)]
-        rank, previous = rank + 1, a
-    return rank, sign * previous
 
 
 def _in_span(basis: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]) -> bool:
     """True when every integer row lies in the span of the basis rows."""
-    reduced = [list(row) for row in (*basis, *rows)]
-    _bareiss(reduced, len(basis))
-    return not any(any(row) for row in reduced[len(basis) :])
+    return _spanned(_bareiss(list(basis), len(basis))[2], rows)
+
+
+def _spanned(steps: Sequence[tuple], rows: Sequence[Sequence[int]]) -> bool:
+    """``_in_span`` by the basis's ``_bareiss`` steps, replayed on the rows alone."""
+    _eliminate(reduced := list(rows), 0, steps)
+    return not any(map(any, reduced))
 
 
 def determinant(a: Matrix) -> Fraction:
@@ -310,7 +322,7 @@ def determinant(a: Matrix) -> Fraction:
     if a.rows != a.cols:
         raise ValueError("determinant requires a square matrix")
     rows, scale = _scaled_ints(a.to_lists())
-    rank, last = _bareiss(rows, a.rows)
+    rank, last, _ = _bareiss(rows, a.rows)
     return Fraction(last, scale**a.rows) if rank == a.rows else _ZERO
 
 

@@ -23,11 +23,12 @@ target-distinguishable pairs, and indifference inside cells. A kind that is
 proper by construction (the quadratic panel, a mean score with unbiased
 weights) names the integer rows it scores (``_scored_rows``). A target in
 the span of those rows and the constants is settled for the whole simplex by
-one integer span test, with no grid built; otherwise classes of scored means
-decide its grid in O(G). Other kinds give the grid's truthful payoffs as
-integer rows (``grid_payoffs``), certified in packed integers. Every class
-of equal means comes from the grid's count columns, packed once per call
-into G-slot integers; ``pairs_checked`` is always G(G-1).
+replaying their Bareiss steps, kept on the mechanism, on the target's rows,
+with no grid built; otherwise classes of scored means decide its grid in
+O(G). Other kinds give the grid's truthful payoffs as integer rows
+(``grid_payoffs``), certified in packed integers. Every class of equal means
+comes from the grid's count columns, packed once per call into G-slot
+integers; ``pairs_checked`` is always G(G-1).
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
-from .exactcore import Matrix, _in_span, _scaled_ints, format_rational, parse_rational
+from .exactcore import Matrix, _bareiss, _scaled_ints, _spanned, format_rational, parse_rational
 from .elicit import StatisticFamily, statistic_mean
 from .model import (
     Belief,
@@ -109,6 +111,13 @@ class Mechanism:
         """Rows whose means alone set a proper kind's gains; None if not proper."""
         return None
 
+    @cached_property
+    def _scored_steps(self) -> Optional[list]:
+        """The ``_bareiss`` steps of [scored rows; 1], kept for every span test."""
+        if (scored := self._scored_rows()) is None:
+            return None
+        return _bareiss([*scored, [1] * len(self.experiment.parameters)], len(scored) + 1)[2]
+
     def _outcome_index(self, outcome: Union[int, str]) -> int:
         if isinstance(outcome, str):
             return self.experiment.outcome_index(outcome)
@@ -155,9 +164,7 @@ class QuadraticPanelMechanism(Mechanism):
             raise ValueError("event weights must be positive and sum to 1")
         self.experiment = experiment
         self.event_weights = weights
-        self._columns, self._kernel_scale = _scaled_ints(
-            [experiment.kernel.col(y) for y in range(m)]
-        )
+        self._columns, self._kernel_scale = experiment._kernel_ints
         (self._weights,), self._weight_scale = _scaled_ints([weights])
 
     def report_for_belief(self, p: Belief) -> Belief:
@@ -307,6 +314,10 @@ class TableMechanism(Mechanism):
             raise ValueError("one belief per report label is required")
         if any(len(p.weights) != len(experiment.parameters) for p in report_beliefs or ()):
             raise ValueError("report belief length does not match the parameter set")
+        if not {*map(type, payoffs.entries)} <= {int, Fraction}:  # so bools fail too
+            i, x = next((i, x) for i, x in enumerate(payoffs.entries) if type(x) not in (int, Fraction))
+            raise ValueError(f"payoff entries must be ints or Fractions, got {x!r} "
+                             f"for report {reports[i // payoffs.cols]!r}")
         self.experiment = experiment
         self.reports = tuple(reports)
         self.payoffs = payoffs
@@ -320,13 +331,19 @@ class TableMechanism(Mechanism):
         (weights,), d = _scaled_ints([p.weights])
         return self.reports[self._report_row(weights, d)]
 
+    @cached_property
+    def _int_rows(self) -> tuple[list[list[int]], int]:
+        """The payoff table as integer rows over one scale, built on first use."""
+        (flat,), scale = _scaled_ints([self.payoffs.entries])
+        m = self.payoffs.cols
+        return [flat[r * m : (r + 1) * m] for r in range(self.payoffs.rows)], scale
+
     def grid_payoffs(
         self, counts: Sequence[Sequence[int]], d: int
     ) -> tuple[list[list[int]], int]:
-        """Each grid belief's payoff row, with the whole table scaled once."""
-        (flat,), scale = _scaled_ints([self.payoffs.entries])
-        m = self.payoffs.cols
-        return [flat[r * m : (r + 1) * m] for r in (self._report_row(k, d) for k in counts)], scale
+        """Each grid belief's row of the table, scaled once per mechanism."""
+        rows, scale = self._int_rows
+        return [rows[self._report_row(k, d)] for k in counts], scale
 
     def _report_row(self, weights: Sequence[int], d: int) -> int:
         """Index of the first report whose belief is the counts ``weights`` over d."""
@@ -600,14 +617,19 @@ def _unpack(packed: int, size: int, width: int) -> list[int]:
     return [int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)]
 
 
-def _class_masks(ids: Sequence[int], bits: int) -> dict[int, int]:
-    """The top bit of every member's slot, for each class of two or more."""
-    members: dict[int, list[int]] = {}
-    for j, c in enumerate(ids):
-        members.setdefault(c, []).append(j)
-    return {
-        c: sum(1 << ((j + 1) * bits - 1) for j in js) for c, js in members.items() if len(js) > 1
-    }
+class _ClassMasks(dict):
+    """Per class, its members' slot top bits (0 for a class of one), built on first ask."""
+
+    def __init__(self, ids: Sequence[int], bits: int) -> None:
+        self.ids, self.bits, self.members = ids, bits, None
+
+    def __missing__(self, c: int) -> int:
+        if self.members is None:  # the first ask lists every class's members
+            self.members = {}
+            for j, x in enumerate(self.ids):
+                self.members.setdefault(x, []).append(j)
+            self.update((x, 0) for x, js in self.members.items() if len(js) == 1)
+        return self.setdefault(c, sum(1 << ((j + 1) * self.bits - 1) for j in self.members[c]))
 
 
 def _first_violation(
@@ -651,26 +673,25 @@ def ic_verify(
     Cost: the grid has G = C(d+n-1, n-1) beliefs for n parameters, each an
     integer count vector k (belief k/d); ``pairs_checked`` is always
     G(G-1), and above ``max_pairs`` the call raises ``ValueError`` before
-    enumerating anything. A kind whose ``_scored_rows`` is not None gains a
-    squared distance between scored means over any report, so weak IC and
-    indifference hold; if one span test finds the target rows in
-    span([scored rows; 1]), every target mean is a function of the scored
-    means and the answer is yes with no grid built. Otherwise the n count
-    columns are packed once into G-slot ints, so any family's means over
-    the whole grid are n multiply-adds, and its classes are the distinct
-    slot bytes (``_grid_classes``). A proper kind then needs one O(G) pass
-    for the first scored class holding two targets, forming no payoff.
-    Every other kind gives its truthful payoffs as integer rows over one
-    scale (``grid_payoffs``); shifted by their least entry, each outcome's
-    column is packed into one int of G slots. With the kernel scaled to
-    integers once, belief k's mean outcome distribution k @ K_int sums to
-    S = d * (kernel scale), and its row of G expected payoffs is m
-    multiply-adds of those ints weighted by it; a few whole-row int
-    operations certify its G pairs at once (the shift moves a row by one
-    constant, so no gap changes). Only the first failing row is scanned
-    pair by pair, and the pass stops at the first weak-IC or indifference
-    failure. Memory is O(G*m) plus a G-slot mask per class of two or more
-    beliefs, whatever the number of violations.
+    enumerating anything. What depends on one input alone is built at its
+    first use and kept on it (the integer kernel columns, target rows and
+    table payoffs; a proper kind's Bareiss steps of [scored rows; 1]), so a
+    call does only the grid's work. A kind whose ``_scored_rows`` is not
+    None gains a squared distance between scored means, so weak IC and
+    indifference hold; if its steps, replayed on the target rows, leave
+    only zeros, every target mean is a function of the scored means and the
+    answer is yes with no grid built. Otherwise the n count columns are
+    packed once into G-slot ints, so a family's means over the grid are n
+    multiply-adds and its classes are the distinct slot bytes
+    (``_grid_classes``). A proper kind then needs one O(G) pass for the
+    first scored class holding two targets. Any other kind gives its
+    truthful payoffs as integer rows (``grid_payoffs``), each outcome's
+    column shifted by the least entry (no gap changes) and packed into one
+    int of G slots; belief k's row of G expected payoffs is m multiply-adds
+    weighted by k @ K_int, and a few whole-row int operations certify its G
+    pairs. Only the first failing row is scanned pair by pair, and the pass
+    stops at the first weak-IC or indifference failure. Memory is O(G*m)
+    plus a G-slot mask per class a row asks for, whatever the violations.
     """
     require_ints(grid_denominator=grid_denominator, max_pairs=max_pairs)
     if grid_denominator < 1:
@@ -686,17 +707,15 @@ def ic_verify(
             f"a denominator-{d} grid over {n} parameters has {size} beliefs and "
             f"{pairs} ordered pairs, above the cap of {max_pairs} (max_pairs)"
         )
-    scored = m._scored_rows()
-    targets = _scaled_ints(target.functions)[0]
-    if scored is not None:
-        # a spanned target is a function of the scored means: no pair splits
-        if _in_span(scored + [[1] * n], targets):
-            return ICReport(True, True, None, grid_denominator, pairs)
+    steps, targets = m._scored_steps, target._ints
+    # a spanned target is a function of the scored means: no pair splits
+    if steps is not None and _spanned(steps, targets):
+        return ICReport(True, True, None, grid_denominator, pairs)
     counts = list(grid_counts(n, d))
-    if scored is not None:
+    if steps is not None:
         # only strictness fails: first at the least i (a class's first member)
         # whose scored class holds another target, against the first such j
-        target_ids, scored_ids = _grid_classes(counts, d, (targets, scored))
+        target_ids, scored_ids = _grid_classes(counts, d, (targets, m._scored_rows()))
         firsts: dict[int, int] = {}
         split: Optional[tuple[int, int]] = None
         for j, c in enumerate(scored_ids):
@@ -708,19 +727,17 @@ def ic_verify(
         first = ICViolation("strictness", *(grid_belief(counts[x], d) for x in split), _ZERO)
         return ICReport(True, False, first, grid_denominator, pairs)
     # a belief's mean outcome distribution is its means of the kernel columns
-    kernel, kernel_scale = _scaled_ints([e.kernel.col(y) for y in range(len(e.outcomes))])
+    kernel, kernel_scale = e._kernel_ints
     target_ids, lambda_ids = _grid_classes(counts, d, (targets, kernel))
     vectors, payoff_scale = m.grid_payoffs(counts, d)
-    scale = d * kernel_scale * payoff_scale
-    # shifted rows lie in [0, S * spread]; a slot keeps its top two bits spare
+    # shifted rows lie in [0, d * kernel_scale * spread]; a slot keeps its top two bits spare
     low = min(map(min, vectors))
-    spread = max(map(max, vectors)) - low
-    width = ((d * kernel_scale * spread).bit_length() + 9) // 8
+    width = ((d * kernel_scale * (max(map(max, vectors)) - low)).bit_length() + 9) // 8
     bits = 8 * width
     packed = [_pack([x - low for x in col], width) for col in zip(*vectors)]
     ones = int.from_bytes((b"\x01" + bytes(width - 1)) * size, "little")
     half, highs = 1 << (bits - 1), ones << (bits - 1)
-    lambda_masks, target_masks = _class_masks(lambda_ids, bits), _class_masks(target_ids, bits)
+    lambda_masks, target_masks = _ClassMasks(lambda_ids, bits), _ClassMasks(target_ids, bits)
 
     first: Optional[ICViolation] = None
     weak_ok = strict_ok = True
@@ -728,16 +745,16 @@ def ic_verify(
         row = sum(sum(map(mul, k, col)) * p for col, p in zip(kernel, packed))
         # slot j holds half + truth - row[j]: its top bit is set iff truth
         # wins weakly, and then it is half exactly iff the two tie. A class
-        # with no mask is belief i alone, and its own slot always ties.
+        # with mask 0 is belief i alone, and its own slot always ties.
         slack = (((row >> i * bits) & (2 * half - 1)) + half) * ones - row
         ties = ~(slack - ones) & highs
-        row_weak = slack & highs == highs and not lambda_masks.get(lambda_ids[i], 0) & ~ties
-        if row_weak and not ties & ~target_masks.get(target_ids[i], half << i * bits):
+        row_weak = slack & highs == highs and not lambda_masks[lambda_ids[i]] & ~ties
+        if row_weak and not ties & ~(target_masks[target_ids[i]] or half << i * bits):
             continue
         if first is None:
             values = _unpack(row, size, width)
             check, j = _first_violation(values, i, lambda_ids, target_ids)
-            gap = Fraction(values[i] - values[j], scale)
+            gap = Fraction(values[i] - values[j], d * kernel_scale * payoff_scale)
             first = ICViolation(check, grid_belief(counts[i], d), grid_belief(counts[j], d), gap)
         if not row_weak:
             weak_ok = False

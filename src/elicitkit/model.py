@@ -16,9 +16,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .exactcore import Matrix, format_rational, kron, parse_rational
+from .exactcore import Matrix, _scaled_ints, format_rational, kron, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -76,6 +77,11 @@ class Experiment:
             return self.outcomes.index(label)
         except ValueError:
             raise ValueError(f"unknown outcome {label!r}") from None
+
+    @cached_property
+    def _kernel_ints(self) -> tuple[list[list[int]], int]:
+        """The kernel's columns as integer rows over one scale, built on first use."""
+        return _scaled_ints([self.kernel.col(y) for y in range(self.kernel.cols)])
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,28 @@ def rank_of(rows):
     return rank(Matrix.from_rows(rows))
 
 
+@st.composite
+def span_problems(draw):
+    """A basis and query rows: random entries up to 10**6 in size, zero,
+    repeated and combined rows, so ranks fall short as often as not."""
+    cols = draw(st.integers(1, 6))
+    pool: list[list[int]] = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(("random", "zero", "repeat", "combine"))) if pool else "random"
+        if kind == "random":
+            row = draw(st.lists(st.integers(-10**6, 10**6), min_size=cols, max_size=cols))
+        elif kind == "zero":
+            row = [0] * cols
+        elif kind == "repeat":
+            row = list(draw(st.sampled_from(pool)))
+        else:
+            factors = draw(st.lists(st.integers(-3, 3), min_size=len(pool), max_size=len(pool)))
+            row = [sum(f * r[j] for f, r in zip(factors, pool)) for j in range(cols)]
+        pool.append(row)
+    split = draw(st.integers(0, len(pool)))
+    return pool[:split], pool[split:]
+
+
 class TestSpan:
     def test_edge_cases(self):
         assert exactcore._in_span([], [])
@@ -262,6 +284,27 @@ class TestSpan:
             assert exactcore._bareiss(echelon, len(basis))[0] == rank_of(basis)
             spanned += expected
         assert 100 < spanned < 300
+
+    @settings(max_examples=300)
+    @given(span_problems())
+    def test_replayed_steps_match_the_one_pass_test(self, problem):
+        basis, rows = problem
+        originals = [list(row) for row in (*basis, *rows)]
+        rank_, _, steps = exactcore._bareiss(list(basis), len(basis))
+        # one pass: the query rows ride along with the basis
+        riding = [list(row) for row in (*basis, *rows)]
+        exactcore._bareiss(riding, len(basis))
+        replayed = list(rows)
+        exactcore._eliminate(replayed, 0, steps)
+        # the same arithmetic, so the same integers, not only the same verdict
+        assert replayed == riding[len(basis) :]
+        expected = rank_of(basis + rows) == rank_of(basis)
+        assert (not any(map(any, riding[len(basis) :]))) == expected
+        assert exactcore._spanned(steps, rows) == expected
+        assert exactcore._in_span(basis, rows) == expected
+        assert rank_ == len(steps) == rank_of(basis)
+        # recording and replaying leave the inputs as they were
+        assert [*basis, *rows] == originals
 
 
 def dense_pivot(rows, r, c):

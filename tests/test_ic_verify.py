@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elicitkit import mechanisms, model
+from elicitkit import elicit, exactcore, mechanisms, model
 from elicitkit.catalog import random_experiment
 from elicitkit.elicit import StatisticFamily, maximal_partition, statistic_mean
 from elicitkit.exactcore import Matrix
@@ -250,19 +250,24 @@ def test_strictness_violation_before_weak_ic_is_reported_first():
 def test_pair_budget_refuses_before_building_the_grid(monkeypatch):
     built = []
     monkeypatch.setattr(mechanisms, "grid_counts", lambda *args: built.append(args))
-    _counting(monkeypatch, mechanisms, "_in_span", built)
+    _counting(monkeypatch, mechanisms, "_spanned", built)
     e = random_experiment(random.Random(1), 4, 3)
     weights = [F(1), F(-2), F(1, 2)]
     statistic = e.kernel.mul_vec(weights)
     # spanned targets, which the span certificate would settle: it never runs
-    for m, target in (
+    cases = (
         (quadratic_mechanism(e), maximal_partition(e)),
         (mean_mechanism(e, statistic, weights), StatisticFamily(e.parameters, (statistic,))),
-    ):
+    )
+    for m, target in cases:
         # d = 6 on 4 parameters: 84 beliefs, 6,972 ordered pairs
         with pytest.raises(ValueError, match="6972 ordered pairs, above the cap of 6971"):
             ic_verify(m, target, 6, max_pairs=6971)
     assert built == []
+    # within the cap the certificate runs and settles both with no grid
+    for m, target in cases:
+        assert ic_verify(m, target, 6).elicits_target
+    assert built == ["_spanned", "_spanned"]
 
 
 def _peak_bytes(m, target, d) -> int:
@@ -753,3 +758,91 @@ def test_odd_targets_and_a_zero_column_match_the_reference():
             family = StatisticFamily(compound.experiment.parameters, target.functions)
             _verified(compound, family, d)
     assert seen == {None, "weak_ic", "strictness"}, seen
+
+
+def _shared_inputs(seed, n):
+    """Mechanisms of every kind on one experiment, and targets they all take;
+    each call builds them anew, so they share no kept form with another."""
+    rng = random.Random(seed)
+    params = tuple(f"t{i}" for i in range(n))
+    e = random_experiment(rng, n, 3, 4, params)
+    weights = [F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in e.outcomes]
+    statistic = list(e.kernel.mul_vec(weights))
+    biased = statistic[:-1] + [statistic[-1] + F(1, 2)]
+    proper, menu = quadratic_mechanism(e), belief_grid(n, 6)
+    other = random_experiment(rng, n, 2, 4, params)
+    mix = CovariateMixture(("a", "b"), (F(1, 3), F(2, 3)), (e, other))
+    garbled = garble(e, random_experiment(rng, 3, 2, 3).kernel)
+    witness = elicitation_dominates(e, garbled).witness
+    built = (
+        proper,
+        mean_mechanism(e, statistic, weights, rng.choice(("brier", "linear"))),
+        mean_mechanism(e, biased, weights, check_unbiased=False),
+        tabulate(proper, menu),
+        _table(e, [[1 - x for x in proper.payoff_vector(p)] for p in menu], 6),
+        pushforward(tabulate(quadratic_mechanism(garbled), menu), witness, e),
+        compound_mechanism(mix, (proper, quadratic_mechanism(other))),
+    )
+    targets = (
+        maximal_partition(e),
+        StatisticFamily(params, (tuple(statistic),)),
+        _random_family(rng, e),
+        _random_family(rng, e),
+        StatisticFamily(params, ()),
+    )
+    return built, targets
+
+
+def test_kept_forms_answer_like_fresh_objects():
+    # every mechanism of one experiment verified against targets they share,
+    # at varied denominators, in random order: each report is what fresh
+    # objects and the reference give, so nothing kept on an input leaks
+    # from one call into the next
+    rng = random.Random(41)
+    seen = set()
+    for n in (2, 3):
+        seed = rng.randrange(10**6)
+        kept, targets = _shared_inputs(seed, n)
+        # the tables answer on the grids their denominator-6 menu covers
+        calls = [(i, j, d) for i in range(len(kept)) for j in range(len(targets))
+                 for d in (1, 2, 3, 6)]
+        rng.shuffle(calls)
+        for i, j, d in calls:
+            report = ic_verify(kept[i], targets[j], d)
+            fresh, fresh_targets = _shared_inputs(seed, n)
+            assert report == ic_verify(fresh[i], fresh_targets[j], d), (i, j, d)
+            assert report == reference_ic_verify(kept[i], targets[j], d), (i, j, d)
+            seen.add(None if report.violation is None else report.violation.check)
+    assert seen == {None, "weak_ic", "strictness"}, seen
+
+
+def test_repeated_calls_scale_nothing_again(monkeypatch):
+    e = random_experiment(random.Random(43), 4, 3)
+    weights = [F(1), F(-2), F(1, 2)]
+    statistic = tuple(e.kernel.mul_vec(weights))
+    proper = quadratic_mechanism(e)
+    anti = _table(e, [[1 - x for x in proper.payoff_vector(p)] for p in belief_grid(4, 3)], 3)
+    mean = mean_mechanism(e, statistic, weights)
+    cases = (
+        (proper, maximal_partition(e)),  # the span certificate
+        (proper, StatisticFamily(e.parameters, ((1, 0, 0, 0),))),  # the class pass
+        (anti, maximal_partition(e)),  # the packed-row scan
+        (mean, StatisticFamily(e.parameters, (statistic,))),
+        (mean, maximal_partition(e)),
+    )
+    first = [ic_verify(m, target, 3) for m, target in cases]
+    assert {r.elicits_target for r in first} == {True, False}
+    calls = []
+    for holder in (exactcore, model, elicit, mechanisms):
+        _counting(monkeypatch, holder, "_scaled_ints", calls)
+    for _ in range(3):
+        assert [ic_verify(m, target, 3) for m, target in cases] == first
+    assert calls == []
+    # fresh inputs scale theirs on their first call, and only then
+    fresh = Experiment(e.parameters, e.outcomes, e.kernel)
+    target = StatisticFamily(e.parameters, maximal_partition(e).functions)
+    ic_verify(quadratic_mechanism(fresh), target, 3)
+    assert calls
+    calls.clear()
+    ic_verify(quadratic_mechanism(fresh), target, 3)
+    assert calls == ["_scaled_ints"]  # the new panel's event weights

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -417,6 +418,23 @@ class TestIcVerify:
         short = (Belief.uniform(2), Belief.point_mass(2, 0))
         with pytest.raises(ValueError, match="^report belief length does not match"):
             TableMechanism(e, ("a", "b"), Matrix.from_rows([[0, 1], [1, 0]]), short)
+
+    def test_payoff_entries_must_be_exact(self):
+        e = Experiment(("a", "b"), ("0", "1"), Matrix.identity(2))
+        beliefs = (Belief.point_mass(2, 0), Belief.point_mass(2, 1))
+        for entry in (0.5, True, "1/2"):
+            payoffs = Matrix(2, 2, (entry, 0, 0, 1))
+            got = re.escape(repr(entry))
+            message = rf"^payoff entries must be ints or Fractions, got {got} for report 'x'$"
+            with pytest.raises(ValueError, match=message):
+                TableMechanism(e, ("x", "y"), payoffs, beliefs)
+        # a bare int is exact: the table works as its Fraction twin does
+        bare = TableMechanism(e, ("x", "y"), Matrix(2, 2, (1, 0, 0, 1)), beliefs)
+        twin = TableMechanism(e, ("x", "y"), Matrix.identity(2), beliefs)
+        assert bare.payoff_range() == (0, 1)
+        target = maximal_partition(e)
+        assert ic_verify(bare, target, 1) == ic_verify(twin, target, 1)
+        assert ic_verify(bare, target, 1).elicits_target
 
     def test_quadratic_panel_elicits_maximal_partition(self):
         e = bernoulli_experiment()
