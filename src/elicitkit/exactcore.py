@@ -4,12 +4,14 @@ Dense matrices over :class:`fractions.Fraction`, the Kronecker product of
 vectors, linear solves, null-space bases, and linear-programming feasibility
 via a phase-I simplex with Bland's rule. Several right-hand sides of one
 linear system share one reduction, with None for each inconsistent one. One
-fraction-free elimination of integer rows (Bareiss 1968) gives the
-determinant and the span test. The LP is A @ x == b over nonnegative x and
-nothing else: a caller that needs x <= u adds the equality x + s == u with a
-slack s >= 0. Everything is exact; no floating point enters. All values are
-immutable and all functions are pure, so they are safe to share across
-threads. A pivot updates other rows only on the pivot row's nonzero columns.
+forward fraction-free elimination of integer rows (Bareiss 1968) gives the
+determinant and, back-substituted, the span test: a row is in a basis's span
+exactly when it is orthogonal to the basis's integer annihilator. The LP is
+A @ x == b over nonnegative x and nothing else: a caller that needs x <= u
+adds the equality x + s == u with a slack s >= 0. Everything is exact; no
+floating point enters. All values are immutable and all functions are pure,
+so they are safe to share across threads. A pivot updates other rows only on
+the pivot row's nonzero columns.
 
 Conventions that make outputs reproducible:
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 _ZERO = Fraction(0)
@@ -277,44 +280,56 @@ def _scaled_ints(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], i
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
-def _bareiss(rows: list[list[int]], pivot_rows: int) -> tuple[int, int, list]:
-    """In-place fraction-free elimination of integer rows (Bareiss 1968).
+def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """In-place forward fraction-free elimination of integer rows (Bareiss 1968).
 
-    Pivots come from the first ``pivot_rows`` rows, columns left to right;
-    later rows ride along. Entries stay minors of the input, so dividing by
-    the previous pivot is exact. Returns the rank, the signed last pivot and
-    the steps (column, pivot row, previous pivot) that ``_spanned`` replays."""
-    rank, sign, previous, steps = 0, 1, 1, []
+    Pivot columns run left to right; the first ``rank`` rows end in echelon
+    form and the rest all zero. Entries stay minors of the input, so dividing
+    by the previous pivot is exact. Returns the rank and the signed last pivot."""
+    rank, sign, previous = 0, 1, 1
     for c in range(len(rows[0]) if rows else 0):
-        p = next((i for i in range(rank, pivot_rows) if rows[i][c]), None)
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if p is None:
             continue
         if p != rank:
             rows[rank], rows[p], sign = rows[p], rows[rank], -sign
-        steps.append((c, rows[rank], previous))
-        _eliminate(rows, rank + 1, steps[-1:])
-        rank, previous = rank + 1, rows[rank][c]
-    return rank, sign * previous, steps
-
-
-def _eliminate(rows: list, start: int, steps: Sequence[tuple[int, Sequence[int], int]]) -> None:
-    """Apply recorded ``_bareiss`` steps, in order, to ``rows[start:]`` in place."""
-    for c, pivot, previous in steps:
-        a = pivot[c]
-        for i in range(start, len(rows)):
+        pivot, a = rows[rank], rows[rank][c]
+        for i in range(rank + 1, len(rows)):
             f = rows[i][c]
             rows[i] = [(a * x - f * y) // previous for x, y in zip(rows[i], pivot)]
+        rank, previous = rank + 1, a
+    return rank, sign * previous
+
+
+def _annihilator(basis: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """Integer basis of ``{v : row @ v == 0 for every basis row}``, each v primitive.
+
+    One v per free column of the ``_bareiss`` echelon form, back-substituted:
+    before a pivot entry is set, v is scaled just enough for it to be an
+    integer, and that entry is coprime to the scale, so gcd(v) stays 1."""
+    rows = list(basis)
+    echelon = rows[: _bareiss(rows)[0]]
+    pivots = [next(c for c, x in enumerate(row) if x) for row in echelon]
+    vectors = []
+    for free in [j for j in range(n) if j not in pivots]:
+        v = [int(j == free) for j in range(n)]
+        for row, c in zip(reversed(echelon), reversed(pivots)):
+            if s := sum(map(mul, row, v)):
+                g = math.gcd(row[c], s)
+                v = [x * (row[c] // g) for x in v]
+                v[c] = -s // g
+        vectors.append(v)
+    return vectors
+
+
+def _orthogonal(vectors: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]) -> bool:
+    """True when every row's dot product with every vector is zero."""
+    return not any(sum(map(mul, row, v)) for v in vectors for row in rows)
 
 
 def _in_span(basis: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]) -> bool:
     """True when every integer row lies in the span of the basis rows."""
-    return _spanned(_bareiss(list(basis), len(basis))[2], rows)
-
-
-def _spanned(steps: Sequence[tuple], rows: Sequence[Sequence[int]]) -> bool:
-    """``_in_span`` by the basis's ``_bareiss`` steps, replayed on the rows alone."""
-    _eliminate(reduced := list(rows), 0, steps)
-    return not any(map(any, reduced))
+    return not rows or _orthogonal(_annihilator(basis, len(rows[0])), rows)
 
 
 def determinant(a: Matrix) -> Fraction:
@@ -322,7 +337,7 @@ def determinant(a: Matrix) -> Fraction:
     if a.rows != a.cols:
         raise ValueError("determinant requires a square matrix")
     rows, scale = _scaled_ints(a.to_lists())
-    rank, last, _ = _bareiss(rows, a.rows)
+    rank, last = _bareiss(rows)
     return Fraction(last, scale**a.rows) if rank == a.rows else _ZERO
 
 

@@ -22,10 +22,10 @@ and asserts weak incentive compatibility everywhere, strict gaps exactly on
 target-distinguishable pairs, and indifference inside cells. A kind that is
 proper by construction (the quadratic panel, a mean score with unbiased
 weights) names the integer rows it scores (``_scored_rows``). A target in
-the span of those rows and the constants is settled for the whole simplex by
-replaying their Bareiss steps, kept on the mechanism, on the target's rows,
-with no grid built; otherwise classes of scored means decide its grid in
-O(G). Other kinds give the grid's truthful payoffs as integer rows
+the span of those rows and the constants is settled for the whole simplex,
+with no grid built, when its rows are orthogonal to that span's integer
+annihilator, kept on the mechanism; otherwise classes of scored means decide
+its grid in O(G). Other kinds give the grid's truthful payoffs as integer rows
 (``grid_payoffs``), certified in packed integers. Every class of equal means
 comes from the grid's count columns, packed once per call into G-slot
 integers; ``pairs_checked`` is always G(G-1).
@@ -40,7 +40,7 @@ from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
-from .exactcore import Matrix, _bareiss, _scaled_ints, _spanned, format_rational, parse_rational
+from .exactcore import Matrix, _annihilator, _orthogonal, _scaled_ints, format_rational, parse_rational
 from .elicit import StatisticFamily, statistic_mean
 from .model import (
     Belief,
@@ -112,11 +112,12 @@ class Mechanism:
         return None
 
     @cached_property
-    def _scored_steps(self) -> Optional[list]:
-        """The ``_bareiss`` steps of [scored rows; 1], kept for every span test."""
+    def _scored_annihilator(self) -> Optional[list[list[int]]]:
+        """Integer annihilator of [scored rows; 1] (empty at full rank), kept for span tests."""
         if (scored := self._scored_rows()) is None:
             return None
-        return _bareiss([*scored, [1] * len(self.experiment.parameters)], len(scored) + 1)[2]
+        n = len(self.experiment.parameters)
+        return _annihilator([*scored, [1] * n], n)
 
     def _outcome_index(self, outcome: Union[int, str]) -> int:
         if isinstance(outcome, str):
@@ -322,10 +323,11 @@ class TableMechanism(Mechanism):
         self.reports = tuple(reports)
         self.payoffs = payoffs
         self.report_beliefs = None if report_beliefs is None else tuple(report_beliefs)
-        # a belief's weights over their lcm are coprime ints; the first report wins
+        # a belief's key is its weights as coprime ints; the first report wins
         self._report_rows: dict[tuple[int, ...], int] = {}
-        for r, p in enumerate(self.report_beliefs or ()):
-            self._report_rows.setdefault(tuple(_scaled_ints([p.weights])[0][0]), r)
+        for r, row in enumerate(_scaled_ints([p.weights for p in self.report_beliefs or ()])[0]):
+            g = math.gcd(*row)
+            self._report_rows.setdefault(tuple(row) if g == 1 else tuple(x // g for x in row), r)
 
     def report_for_belief(self, p: Belief) -> str:
         (weights,), d = _scaled_ints([p.weights])
@@ -675,23 +677,24 @@ def ic_verify(
     G(G-1), and above ``max_pairs`` the call raises ``ValueError`` before
     enumerating anything. What depends on one input alone is built at its
     first use and kept on it (the integer kernel columns, target rows and
-    table payoffs; a proper kind's Bareiss steps of [scored rows; 1]), so a
-    call does only the grid's work. A kind whose ``_scored_rows`` is not
+    table payoffs; a proper kind's integer annihilator of [scored rows; 1]),
+    so a call does only the grid's work. A kind whose ``_scored_rows`` is not
     None gains a squared distance between scored means, so weak IC and
-    indifference hold; if its steps, replayed on the target rows, leave
-    only zeros, every target mean is a function of the scored means and the
-    answer is yes with no grid built. Otherwise the n count columns are
-    packed once into G-slot ints, so a family's means over the grid are n
-    multiply-adds and its classes are the distinct slot bytes
-    (``_grid_classes``). A proper kind then needs one O(G) pass for the
-    first scored class holding two targets. Any other kind gives its
-    truthful payoffs as integer rows (``grid_payoffs``), each outcome's
-    column shifted by the least entry (no gap changes) and packed into one
-    int of G slots; belief k's row of G expected payoffs is m multiply-adds
-    weighted by k @ K_int, and a few whole-row int operations certify its G
-    pairs. Only the first failing row is scanned pair by pair, and the pass
-    stops at the first weak-IC or indifference failure. Memory is O(G*m)
-    plus a G-slot mask per class a row asks for, whatever the violations.
+    indifference hold; if every target row is orthogonal to every annihilator
+    vector (a few dot products, none at full rank), every target mean is a
+    function of the scored means and the answer is yes with no grid built.
+    Otherwise the n count columns are packed once into G-slot ints, so a
+    family's means over the grid are n multiply-adds and its classes are the
+    distinct slot bytes (``_grid_classes``). A proper kind then needs one
+    O(G) pass for the first scored class holding two targets. Any other kind
+    gives its truthful payoffs as integer rows (``grid_payoffs``), each
+    outcome's column shifted by the least entry (no gap changes) and packed
+    into one int of G slots; belief k's row of G expected payoffs is m
+    multiply-adds weighted by k @ K_int, and a few whole-row int operations
+    certify its G pairs. Only the first failing row is scanned pair by pair,
+    and the pass stops at the first weak-IC or indifference failure. Memory
+    is O(G*m) plus a G-slot mask per class a row asks for, whatever the
+    violations.
     """
     require_ints(grid_denominator=grid_denominator, max_pairs=max_pairs)
     if grid_denominator < 1:
@@ -707,12 +710,12 @@ def ic_verify(
             f"a denominator-{d} grid over {n} parameters has {size} beliefs and "
             f"{pairs} ordered pairs, above the cap of {max_pairs} (max_pairs)"
         )
-    steps, targets = m._scored_steps, target._ints
+    annihilator, targets = m._scored_annihilator, target._ints
     # a spanned target is a function of the scored means: no pair splits
-    if steps is not None and _spanned(steps, targets):
+    if annihilator is not None and _orthogonal(annihilator, targets):
         return ICReport(True, True, None, grid_denominator, pairs)
     counts = list(grid_counts(n, d))
-    if steps is not None:
+    if annihilator is not None:
         # only strictness fails: first at the least i (a class's first member)
         # whose scored class holds another target, against the first such j
         target_ids, scored_ids = _grid_classes(counts, d, (targets, m._scored_rows()))
@@ -823,44 +826,23 @@ def envelope_check(
 
 def mechanism_to_doc(m: Mechanism) -> dict:
     """Kind-tagged JSON document for a mechanism."""
-    if isinstance(m, QuadraticPanelMechanism):
-        return {
-            "kind": m.kind,
-            "experiment": experiment_to_doc(m.experiment),
-            "event_weights": [format_rational(w) for w in m.event_weights],
-        }
-    if isinstance(m, MeanScoreMechanism):
-        return {
-            "kind": m.kind,
-            "experiment": experiment_to_doc(m.experiment),
-            "statistic": [format_rational(x) for x in m.statistic],
-            "weights": [format_rational(x) for x in m.weights],
-            "variant": m.variant,
-        }
-    if isinstance(m, PushforwardMechanism):
-        return {
-            "kind": m.kind,
-            "experiment": experiment_to_doc(m.experiment),
-            "base": mechanism_to_doc(m.base),
-            "matrix": m.matrix.to_doc(),
-        }
-    if isinstance(m, TableMechanism):
-        return {
-            "kind": m.kind,
-            "experiment": experiment_to_doc(m.experiment),
-            "reports": list(m.reports),
-            "payoffs": m.payoffs.to_doc(),
-        }
     if isinstance(m, CompoundMechanism):
-        return {
-            "kind": m.kind,
-            "mixture": mixture_to_doc(m.mixture),
-            "subs": {
-                x: mechanism_to_doc(sub)
-                for x, sub in zip(m.mixture.covariates, m.subs)
-            },
-        }
-    raise ValueError(f"cannot serialize mechanism of kind {m.kind!r}")
+        subs = {x: mechanism_to_doc(sub) for x, sub in zip(m.mixture.covariates, m.subs)}
+        return {"kind": m.kind, "mixture": mixture_to_doc(m.mixture), "subs": subs}
+    if not isinstance(m, (QuadraticPanelMechanism, MeanScoreMechanism, TableMechanism)):
+        raise ValueError(f"cannot serialize mechanism of kind {m.kind!r}")
+    doc = {"kind": m.kind, "experiment": experiment_to_doc(m.experiment)}
+    if isinstance(m, QuadraticPanelMechanism):
+        doc["event_weights"] = [format_rational(w) for w in m.event_weights]
+    elif isinstance(m, MeanScoreMechanism):
+        doc["statistic"] = [format_rational(x) for x in m.statistic]
+        doc["weights"] = [format_rational(x) for x in m.weights]
+        doc["variant"] = m.variant
+    elif isinstance(m, PushforwardMechanism):
+        doc.update(base=mechanism_to_doc(m.base), matrix=m.matrix.to_doc())
+    else:
+        doc.update(reports=list(m.reports), payoffs=m.payoffs.to_doc())
+    return doc
 
 
 _MECHANISM_KEYS = {

@@ -8,6 +8,7 @@ substitution.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -173,6 +174,18 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             determinant(Matrix.from_rows([[1, 2]]))
 
+    def test_empty_matrix_is_one(self):
+        assert determinant(Matrix(0, 0, ())) == 1
+
+    def test_matches_the_cofactor_expansion(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            rows = [[F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+            assert determinant(Matrix.from_rows(rows)) == cofactor_determinant(rows), rows
+
     def test_matches_the_fraction_elimination(self):
         rng = random.Random(31)
         singular = 0
@@ -195,6 +208,16 @@ class TestDeterminant:
             assert determinant(Matrix.from_rows(rows)) == expected, rows
             singular += expected == 0
         assert 30 < singular < 200
+
+
+def cofactor_determinant(rows):
+    """Reference: Laplace expansion along the first row, in Fractions."""
+    if not rows:
+        return F(1)
+    return sum(
+        (-1) ** j * x * cofactor_determinant([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
 
 
 def dense_determinant(a):
@@ -281,29 +304,24 @@ class TestSpan:
             expected = rank_of(basis + rows) == rank_of(basis)
             assert exactcore._in_span(basis, rows) == expected, (basis, rows)
             echelon = [list(row) for row in basis]
-            assert exactcore._bareiss(echelon, len(basis))[0] == rank_of(basis)
+            assert exactcore._bareiss(echelon)[0] == rank_of(basis)
             spanned += expected
         assert 100 < spanned < 300
 
     @settings(max_examples=300)
     @given(span_problems())
-    def test_replayed_steps_match_the_one_pass_test(self, problem):
+    def test_annihilator_is_a_basis_of_the_orthogonal_complement(self, problem):
         basis, rows = problem
         originals = [list(row) for row in (*basis, *rows)]
-        rank_, _, steps = exactcore._bareiss(list(basis), len(basis))
-        # one pass: the query rows ride along with the basis
-        riding = [list(row) for row in (*basis, *rows)]
-        exactcore._bareiss(riding, len(basis))
-        replayed = list(rows)
-        exactcore._eliminate(replayed, 0, steps)
-        # the same arithmetic, so the same integers, not only the same verdict
-        assert replayed == riding[len(basis) :]
+        n = len((*basis, *rows)[0]) if basis or rows else 3
+        null = exactcore._annihilator(basis, n)
+        assert all(len(v) == n and math.gcd(*v) == 1 for v in null)
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in basis for v in null)
+        # one vector per free column, and independent: the whole complement
+        assert len(null) == n - rank_of(basis)
+        assert rank_of(null) == len(null)
         expected = rank_of(basis + rows) == rank_of(basis)
-        assert (not any(map(any, riding[len(basis) :]))) == expected
-        assert exactcore._spanned(steps, rows) == expected
         assert exactcore._in_span(basis, rows) == expected
-        assert rank_ == len(steps) == rank_of(basis)
-        # recording and replaying leave the inputs as they were
         assert [*basis, *rows] == originals
 
 

@@ -250,7 +250,7 @@ def test_strictness_violation_before_weak_ic_is_reported_first():
 def test_pair_budget_refuses_before_building_the_grid(monkeypatch):
     built = []
     monkeypatch.setattr(mechanisms, "grid_counts", lambda *args: built.append(args))
-    _counting(monkeypatch, mechanisms, "_spanned", built)
+    _counting(monkeypatch, mechanisms, "_orthogonal", built)
     e = random_experiment(random.Random(1), 4, 3)
     weights = [F(1), F(-2), F(1, 2)]
     statistic = e.kernel.mul_vec(weights)
@@ -267,7 +267,7 @@ def test_pair_budget_refuses_before_building_the_grid(monkeypatch):
     # within the cap the certificate runs and settles both with no grid
     for m, target in cases:
         assert ic_verify(m, target, 6).elicits_target
-    assert built == ["_spanned", "_spanned"]
+    assert built == ["_orthogonal", "_orthogonal"]
 
 
 def _peak_bytes(m, target, d) -> int:
@@ -644,6 +644,44 @@ def test_span_certificate_matches_the_scan(monkeypatch):
         scanned = ic_verify(tabulate(m, belief_grid(n, d)), target, d)
         assert report == scanned and report.to_doc() == scanned.to_doc()
     assert all(count >= 100 for count in branches.values()), branches
+
+
+def test_the_kept_annihilator_is_built_once(monkeypatch):
+    calls = []
+    _counting(monkeypatch, mechanisms, "_annihilator", calls)
+    rng = random.Random(31)
+    # mean (0,1,2) on the point masses: (1,0,1)/2 and (0,1,0) share it
+    e = Experiment(("a", "b", "c"), ("0", "1", "2"), Matrix.identity(3))
+    proper = mean_mechanism(e, [0, 1, 2], [0, 1, 2])
+    anti = _table(e, [[1 - x for x in quadratic_mechanism(e).payoff_vector(p)]
+                      for p in belief_grid(3, 2)], 2)
+    spanned = StatisticFamily(e.parameters, ((0, 1, 2), (5, 3, 1)))
+    targets = (maximal_partition(e), spanned, *(_random_family(rng, e) for _ in range(4)))
+    first = [ic_verify(proper, target, d) for d in (1, 2, 3) for target in targets]
+    assert {r.elicits_target for r in first} == {True, False}
+    assert calls == ["_annihilator"] and proper._scored_annihilator == [[1, -2, 1]]
+    assert [ic_verify(proper, target, d) for d in (1, 2, 3) for target in targets] == first
+    ic_verify(anti, maximal_partition(e), 2)
+    assert calls == ["_annihilator"] and anti._scored_annihilator is None
+
+
+def test_a_full_rank_scored_basis_elicits_any_target_with_no_grid(monkeypatch):
+    calls = _grid_calls(monkeypatch)
+    rng = random.Random(33)
+    # point masses: the panel scores every parameter's weight
+    e = Experiment(("a", "b", "c"), ("0", "1", "2"), Matrix.identity(3))
+    # two parameters: [statistic; 1] has full rank for any nonconstant statistic
+    e2 = random_experiment(rng, 2, 3)
+    weights = [F(1), F(-2), F(1, 2)]
+    mean = mean_mechanism(e2, e2.kernel.mul_vec(weights), weights)
+    for m, ex in ((quadratic_mechanism(e), e), (mean, e2)):
+        assert m._scored_annihilator == []
+        for target in (maximal_partition(ex), *(_random_family(rng, ex) for _ in range(10))):
+            for d in (1, 2, 4):
+                report = ic_verify(m, target, d)
+                assert report.elicits_target and report.violation is None
+                assert report == reference_ic_verify(m, target, d)
+    assert calls == []
 
 
 def test_zero_columns_and_constant_targets_span():

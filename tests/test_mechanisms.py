@@ -17,7 +17,7 @@ from elicitkit.catalog import (
     noisy_bernoulli_experiment,
     random_experiment,
 )
-from elicitkit.exactcore import Matrix
+from elicitkit.exactcore import Matrix, _scaled_ints
 from elicitkit.model import (
     Belief,
     CovariateMixture,
@@ -412,6 +412,28 @@ class TestIcVerify:
         assert table.report_for_belief(q) == "b"
         with pytest.raises(ValueError, match="not on the tabulated report menu"):
             table.report_for_belief(Belief.point_mass(3, 2))
+
+    def test_menu_keys_match_the_per_belief_rows(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            menu = list(belief_grid(n, rng.randint(1, 5)))
+            for _ in range(rng.randint(0, 6)):  # off the grid: mixed denominators
+                raw = [rng.randint(0, 9) for _ in range(n - 1)] + [rng.randint(1, 9)]
+                menu.append(Belief(tuple(F(x, sum(raw)) for x in raw)))
+            menu += rng.choices(menu, k=rng.randint(0, 4))  # duplicates
+            rng.shuffle(menu)
+            e = random_experiment(rng, n, 2)
+            labels = [str(i) for i in range(len(menu))]
+            table = TableMechanism(e, labels, Matrix(len(menu), 2, (F(0),) * 2 * len(menu)), menu)
+            # the keys one _scaled_ints call per belief gives, in the same order
+            keys = [tuple(_scaled_ints([p.weights])[0][0]) for p in menu]
+            expected: dict = {}
+            for r, key in enumerate(keys):
+                expected.setdefault(key, r)
+            assert list(table._report_rows.items()) == list(expected.items())
+            for p, key in zip(menu, keys):
+                assert table.report_for_belief(p) == labels[expected[key]]
 
     def test_report_beliefs_must_match_the_parameters(self):
         e = bernoulli_experiment()
