@@ -17,6 +17,10 @@ elicitability questions reduce to exact linear algebra over the kernel:
 
 Failures come with machine-checkable witnesses: a pair of beliefs that no
 outcome-contingent payment can separate but whose target values differ.
+Every such pair steps from uniform along one of the integer null directions
+of the kernel transpose that the experiment keeps (one elimination each,
+``Experiment._null_directions``); they answer every "no" with no ``Fraction``
+null space or rank of the kernel.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .exactcore import (
@@ -34,7 +39,6 @@ from .exactcore import (
     determinant,
     format_rational,
     kron,
-    null_space_basis,
     parse_rational,
     rank,
     solve_linear,
@@ -44,6 +48,7 @@ from .model import (
     Experiment,
     is_identified,
     power,
+    require_ints,
     require_keys,
     require_list,
     require_product_size,
@@ -190,20 +195,17 @@ def is_coarser(coarse: StatisticFamily, fine: StatisticFamily) -> bool:
     return _in_span([*fine._ints, [1] * len(fine.parameters)], coarse._ints)
 
 
-def _indistinguishable_witness(
-    e: Experiment, direction: Sequence[Fraction]
-) -> tuple[Belief, Belief]:
+def _indistinguishable_witness(direction: Sequence[int]) -> tuple[Belief, Belief]:
     """Belief pair uniform +/- a*direction, strictly inside the simplex.
 
     ``direction`` must annihilate the kernel columns (then it sums to zero,
     since the columns sum to the constant 1), so both beliefs induce the same
     mean outcome distribution. ``a`` is half the largest feasible step, which
-    keeps the pair off the boundary and deterministic.
+    keeps the pair off the boundary and deterministic; a*direction is the
+    same for every positive multiple of the direction.
     """
-    n = len(e.parameters)
-    u = Fraction(1, n)
-    step = min(u / abs(v) for v in direction if v != 0)
-    alpha = step / 2
+    u = Fraction(1, len(direction))
+    alpha = min(u / abs(v) for v in direction if v) / 2
     plus = Belief(tuple(u + alpha * v for v in direction))
     minus = Belief(tuple(u - alpha * v for v in direction))
     return plus, minus
@@ -212,30 +214,24 @@ def _indistinguishable_witness(
 def unbiased_weights(e: Experiment, statistic: Sequence[Fraction]) -> ElicitabilityReport:
     """Outcome weights whose kernel average reproduces the statistic exactly.
 
-    Solves ``kernel @ w == statistic``. When no solution exists the
-    statistic's mean is not elicitable, and the report carries a witness
-    belief pair built from a kernel-transpose null direction.
+    The statistic's mean is elicitable iff the statistic is orthogonal to
+    every kept null direction of the kernel transpose. The first direction
+    it is not orthogonal to builds the report's witness belief pair, with no
+    elimination at all; otherwise one solve of ``kernel @ w == statistic``
+    gives the weights.
     """
     g = [parse_rational(x) for x in statistic]
     if len(g) != len(e.parameters):
         raise ValueError("statistic length does not match the parameter set")
+    for v in e._null_directions:
+        if sum(map(mul, g, v)):
+            return ElicitabilityReport(
+                elicitable=False, witness=_indistinguishable_witness(v)
+            )
     solution = solve_linear(e.kernel, [g])[0]
-    if solution is not None:
-        return ElicitabilityReport(elicitable=True, weights=solution)
-    basis = null_space_basis(e.kernel.transpose())
-    direction = next(
-        (
-            v
-            for v in basis
-            if sum((gi * vi for gi, vi in zip(g, v)), _ZERO) != 0
-        ),
-        None,
-    )
-    if direction is None:  # solve failed, so some null direction must separate g
+    if solution is None:  # g is orthogonal to every null direction, so spanned
         raise RuntimeError("inconsistent solve/null-space answers; invariant broken")
-    return ElicitabilityReport(
-        elicitable=False, witness=_indistinguishable_witness(e, direction)
-    )
+    return ElicitabilityReport(elicitable=True, weights=solution)
 
 
 def moment_weights(
@@ -252,6 +248,7 @@ def moment_weights(
     and all. A product past ``model.MAX_PRODUCT_OUTCOMES`` outcomes raises
     ValueError before any work.
     """
+    require_ints(copies=copies, exponent=exponent)
     if copies < 0 or not 0 <= exponent <= copies:
         raise ValueError("need 0 <= exponent <= copies")
     require_product_size(itertools.repeat(len(e.outcomes), copies))
@@ -269,11 +266,11 @@ def mode_elicitable(
     """Whether correct mode reports can be strictly rewarded.
 
     The mode is elicitable iff the whole belief already is, that is, iff the
-    kernel transpose has a trivial null space (rank K = n). Otherwise any of
-    its null directions yields two beliefs around uniform that no mechanism
-    separates. Their modal index sets (where the direction peaks and where
-    it bottoms out) are disjoint, so their modes provably differ under any
-    distinct real parameter values. The median has the same answer: the
+    experiment keeps no null direction of the kernel transpose (rank K = n).
+    Otherwise its first kept direction yields two beliefs around uniform
+    that no mechanism separates. Their modal index sets (where the direction
+    peaks and where it bottoms out) are disjoint, so their modes provably
+    differ under any distinct real parameter values. The median has the same answer: the
     criterion and the witness pair are the same.
     """
     values = [parse_rational(v) for v in parameter_values]
@@ -281,11 +278,9 @@ def mode_elicitable(
         raise ValueError("parameter values must align with the parameter set")
     if len(set(values)) != len(values):
         raise ValueError("parameter values must be distinct")
-    null_directions = null_space_basis(e.kernel.transpose())
-    if not null_directions:  # rank K = n: the full belief is elicitable
+    if not e._null_directions:  # rank K = n: the full belief is elicitable
         return ModeReport(elicitable=True)
-    direction = null_directions[0]
-    plus, minus = _indistinguishable_witness(e, direction)
+    plus, minus = _indistinguishable_witness(e._null_directions[0])
     return ModeReport(
         elicitable=False,
         witness=(plus, minus),
@@ -315,11 +310,13 @@ def complete_elicitation(e: Experiment) -> CompleteElicitationReport:
     """Can the full belief be elicited, and with how many observations?
 
     One observation suffices iff the kernel has rank n, the number of
-    parameters; with fewer outcomes than parameters that is impossible by
-    dimension count. For an identified experiment, a certificate is built: an
-    injective statistic from the kernel-column span whose first n-1 powers,
-    estimated on the (n-1)-fold product, determine the belief through an
-    invertible Vandermonde matrix. n-1 observations are thus always enough.
+    parameters, that is, iff the experiment keeps no null direction of the
+    kernel transpose; with fewer outcomes than parameters that is impossible
+    by dimension count. For an identified experiment, a certificate is built:
+    an injective statistic from the kernel-column span whose first n-1
+    powers, estimated on the (n-1)-fold product, determine the belief through
+    an invertible Vandermonde matrix. n-1 observations are thus always
+    enough.
 
     The (n-1)-fold power is materialised and rank-checked only for a
     rank-deficient kernel at desk scale. Otherwise the Vandermonde
@@ -328,10 +325,7 @@ def complete_elicitation(e: Experiment) -> CompleteElicitationReport:
     """
     n = len(e.parameters)
     m = len(e.outcomes)
-    # Kernel-transpose null directions automatically sum to zero (the columns
-    # sum to the constant 1), so triviality of the kernel row space's
-    # annihilator is a plain rank condition.
-    single = rank(e.kernel) == n
+    single = not e._null_directions
     impossible = m < n
     if not is_identified(e):
         return CompleteElicitationReport(single, n - 1, impossible, None)

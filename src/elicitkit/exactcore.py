@@ -3,10 +3,12 @@
 Dense matrices over :class:`fractions.Fraction`, the Kronecker product of
 vectors, linear solves, null-space bases, and linear-programming feasibility
 via a phase-I simplex with Bland's rule. Several right-hand sides of one
-linear system share one reduction, with None for each inconsistent one. One
-forward fraction-free elimination of integer rows (Bareiss 1968) gives the
-determinant and, back-substituted, the span test: a row is in a basis's span
-exactly when it is orthogonal to the basis's integer annihilator. The LP is
+linear system share one reduction, with None for each inconsistent one; that
+``Fraction`` reduction serves only solves and ``rank``. One forward
+fraction-free elimination of integer rows (Bareiss 1968) gives the
+determinant and, back-substituted, the integer annihilator of a basis: a
+null-space basis is a ``Fraction`` view of it, and a row is in a basis's span
+exactly when it is orthogonal to it. The LP is
 A @ x == b over nonnegative x and nothing else: a caller that needs x <= u
 adds the equality x + s == u with a slack s >= 0. Everything is exact; no
 floating point enters. All values are immutable and all functions are pure,
@@ -246,27 +248,18 @@ def solve_linear(
 
 
 def null_space_basis(a: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of ``{v : A @ v == 0}``.
+    """Basis of ``{v : A @ v == 0}``: the integer annihilator of A's rows.
 
-    One vector per free column of the reduced form; each is scaled so its
-    first nonzero entry is positive. The basis is linearly independent and
-    spans the whole kernel (dimension ``cols - rank``).
+    One vector per free column, over that column and the pivot columns left
+    of it, so the free column's entry is the last nonzero one; each vector is
+    divided by that entry's magnitude and keeps its first nonzero entry
+    positive. The basis is linearly independent and spans the whole kernel
+    (dimension ``cols - rank``).
     """
-    red = a.to_lists()
-    pivots = _row_reduce(red, a.cols)
-    pivot_set = set(pivots)
-    basis: list[tuple[Fraction, ...]] = []
-    for free in range(a.cols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * a.cols
-        v[free] = _ONE
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][free]
-        first = next(x for x in v if x != 0)
-        if first < 0:
-            v = [-x for x in v]
-        basis.append(tuple(v))
+    basis = []
+    for v in _annihilator(_scaled_ints(a.to_lists())[0], a.cols):
+        free = abs(next(x for x in reversed(v) if x))
+        basis.append(tuple(Fraction(x, free) for x in v))
     return basis
 
 
@@ -306,7 +299,8 @@ def _annihilator(basis: Sequence[Sequence[int]], n: int) -> list[list[int]]:
 
     One v per free column of the ``_bareiss`` echelon form, back-substituted:
     before a pivot entry is set, v is scaled just enough for it to be an
-    integer, and that entry is coprime to the scale, so gcd(v) stays 1."""
+    integer, and that entry is coprime to the scale, so gcd(v) stays 1. Each
+    v is then signed so its first nonzero entry is positive."""
     rows = list(basis)
     echelon = rows[: _bareiss(rows)[0]]
     pivots = [next(c for c, x in enumerate(row) if x) for row in echelon]
@@ -318,7 +312,7 @@ def _annihilator(basis: Sequence[Sequence[int]], n: int) -> list[list[int]]:
                 g = math.gcd(row[c], s)
                 v = [x * (row[c] // g) for x in v]
                 v[c] = -s // g
-        vectors.append(v)
+        vectors.append(v if next(x for x in v if x) > 0 else [-x for x in v])
     return vectors
 
 

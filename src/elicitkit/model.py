@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .exactcore import Matrix, _scaled_ints, format_rational, kron, parse_rational
+from .exactcore import Matrix, _annihilator, _scaled_ints, format_rational, kron, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -83,6 +83,12 @@ class Experiment:
         """The kernel's columns as integer rows over one scale, built on first use."""
         return _scaled_ints([self.kernel.col(y) for y in range(self.kernel.cols)])
 
+    @cached_property
+    def _null_directions(self) -> list[list[int]]:
+        """An integer basis of the kernel transpose's null space, built on first
+        use: no payment separates beliefs differing by one. Empty iff rank K = n."""
+        return _annihilator(self._kernel_ints[0], len(self.parameters))
+
 
 @dataclass(frozen=True)
 class Belief:
@@ -144,6 +150,8 @@ class CovariateMixture:
         ):
             raise ValueError("covariates, weights, and components must align")
         for w in self.weights:
+            if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+                raise ValueError(f"covariate weights must be ints or Fractions, got {w!r}")
             if w < 0:
                 raise ValueError("covariate weights must be nonnegative")
         if sum(self.weights, _ZERO) != 1:
@@ -183,6 +191,7 @@ def power(e: Experiment, copies: int) -> Experiment:
     Capped at ``MAX_PRODUCT_OUTCOMES`` outcomes, as ``product_many`` is; the
     cap is checked before the ``copies`` factors are listed.
     """
+    require_ints(copies=copies)
     if copies < 0:
         raise ValueError("copies must be nonnegative")
     require_product_size(itertools.repeat(len(e.outcomes), copies))

@@ -130,6 +130,27 @@ class TestSolveLinear:
         assert solve_linear(a, rhs) == [solve_linear(a, [b])[0] for b in rhs]
 
 
+def fraction_null_space_basis(a):
+    """The Fraction Gauss-Jordan null-space basis, kept as an oracle."""
+    _ZERO, _ONE, _row_reduce = F(0), F(1), exactcore._row_reduce
+    red = a.to_lists()
+    pivots = _row_reduce(red, a.cols)
+    pivot_set = set(pivots)
+    basis: list[tuple[F, ...]] = []
+    for free in range(a.cols):
+        if free in pivot_set:
+            continue
+        v = [_ZERO] * a.cols
+        v[free] = _ONE
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][free]
+        first = next(x for x in v if x != 0)
+        if first < 0:
+            v = [-x for x in v]
+        basis.append(tuple(v))
+    return basis
+
+
 class TestNullSpace:
     def test_rank_one_kernel(self):
         assert null_space_basis(Matrix.from_rows([[1, 1]])) == [(F(1), F(-1))]
@@ -150,6 +171,16 @@ class TestNullSpace:
         basis = null_space_basis(a)
         assert basis == [(F(1), F(-2), F(1))]
         assert a.mul_vec(basis[0]) == (F(0), F(0))
+
+    @given(st.one_of(small_matrix(), small_matrix(5, 6)))
+    def test_matches_the_fraction_reduction(self, a):
+        assert null_space_basis(a) == fraction_null_space_basis(a)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_shapes_match_the_fraction_reduction(self, shape):
+        a = Matrix(*shape, ())
+        assert null_space_basis(a) == fraction_null_space_basis(a)
+        assert len(null_space_basis(a)) == shape[1]
 
     @given(small_matrix())
     def test_kernel_properties(self, a):
@@ -316,6 +347,7 @@ class TestSpan:
         n = len((*basis, *rows)[0]) if basis or rows else 3
         null = exactcore._annihilator(basis, n)
         assert all(len(v) == n and math.gcd(*v) == 1 for v in null)
+        assert all(next(x for x in v if x) > 0 for v in null)
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in basis for v in null)
         # one vector per free column, and independent: the whole complement
         assert len(null) == n - rank_of(basis)

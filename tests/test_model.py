@@ -245,6 +245,23 @@ class TestProduct:
         assert trivial.outcomes == ("()",)
         assert all(x == 1 for x in trivial.kernel.entries)
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda e: power(e, True), "copies"),
+            (lambda e: power(e, 2.0), "copies"),
+            (lambda e: moment_weights(e, True, [F(1)] * 3, 1), "copies"),
+            (lambda e: moment_weights(e, 2.0, [F(1)] * 3, 1), "copies"),
+            (lambda e: moment_weights(e, 2, [F(1)] * 3, True), "exponent"),
+            (lambda e: moment_weights(e, 2, [F(1)] * 3, 2.0), "exponent"),
+        ],
+        ids=["power-bool", "power-float", "moment-copies-bool", "moment-copies-float",
+             "moment-exponent-bool", "moment-exponent-float"],
+    )
+    def test_counts_must_be_ints(self, build, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+            build(bernoulli_experiment())
+
 
 class TestMixture:
     def test_single_covariate_is_component(self):
@@ -280,6 +297,20 @@ class TestMixture:
         other = bernoulli_experiment([F(0), F(1)])
         with pytest.raises(ValueError, match="share the parameter set"):
             CovariateMixture(("a", "b"), (F(1, 2), F(1, 2)), (e, other))
+
+    @pytest.mark.parametrize(
+        "weights", [(True,), (0.5, 0.5), (0.25, F(3, 4))], ids=["bool", "floats", "mixed"]
+    )
+    def test_weights_must_be_exact(self, weights):
+        e = bernoulli_experiment()
+        covariates = tuple("ab"[: len(weights)])
+        with pytest.raises(ValueError, match="covariate weights must be ints or Fractions"):
+            CovariateMixture(covariates, weights, (e,) * len(weights))
+
+    def test_int_weights_accepted(self):
+        e = bernoulli_experiment()
+        mixed = mixture(CovariateMixture(("a", "b"), (1, 0), (e, e)))
+        assert mixed == mixture(CovariateMixture(("a", "b"), (F(1), F(0)), (e, e)))
 
 
 class TestGarbling:

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-from elicitkit import elicit, exactcore, orders
-from elicitkit.catalog import random_experiment_pairs
+from elicitkit import elicit, exactcore, model, orders
+from elicitkit.catalog import (
+    bernoulli_experiment,
+    german_tank_experiment,
+    random_experiment_pairs,
+)
 from elicitkit.elicit import StatisticFamily, maximal_partition
 
 
@@ -54,3 +58,30 @@ def test_mode_elicitable_needs_no_rank(monkeypatch):
         for e in (ey, ez):
             elicit.mode_elicitable(e, range(len(e.parameters)))
     assert ranks == []
+
+
+def test_the_kept_null_directions_answer_every_no(monkeypatch):
+    """One integer elimination per experiment serves all four queries; a
+    "no" is read off its directions with no Fraction reduction at all."""
+    seen = []
+    for e in (bernoulli_experiment(), german_tank_experiment(4)):
+        n, m = len(e.parameters), len(e.outcomes)
+        spanned = e.kernel.mul_vec([F(j + 1) for j in range(m)])
+        with monkeypatch.context() as patch:
+            kept = _counting(patch, model, "_annihilator")
+            ranks = _counting(patch, elicit, "rank")
+            reductions = _counting(patch, exactcore, "_row_reduce")
+            assert elicit.unbiased_weights(e, spanned).elicitable
+            assert len(reductions) == 1  # the one solve for the weights
+            squares = elicit.unbiased_weights(e, [F(i * i) for i in range(n)])
+            mode = elicit.mode_elicitable(e, range(n))
+            if not mode.elicitable:
+                assert not squares.elicitable and len(reductions) == 1
+            report = elicit.complete_elicitation(e)
+        assert len(kept) == 1
+        assert report.full_belief_elicitable == mode.elicitable
+        assert all(args[0] is not e.kernel for args in ranks)
+        if mode.elicitable:
+            assert ranks == []
+        seen.append(mode.elicitable)
+    assert seen == [False, True]
