@@ -7,21 +7,19 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .exactcore import Matrix, parse_rational
+from .exactcore import Matrix, require_ints, require_tuple, require_vector
 from .model import Experiment, uniform_garble
 
 _DEFAULT_GRID = (Fraction(0), Fraction(1, 2), Fraction(1))
 
 
-def bernoulli_experiment(
-    success_rates: Sequence[Fraction] = _DEFAULT_GRID,
-) -> Experiment:
+def bernoulli_experiment(success_rates: Sequence[Fraction] = _DEFAULT_GRID) -> Experiment:
     """One binary trial; each parameter value is its own success probability.
 
     Outcomes are labeled "0" and "1" in that order, so the kernel row for a
     success rate t is (1-t, t).
     """
-    rates = [parse_rational(t) for t in success_rates]
+    rates = require_vector(success_rates, "success rates")
     labels = tuple(str(t) for t in rates)
     rows = [[1 - t, t] for t in rates]
     return Experiment(labels, ("0", "1"), Matrix.from_rows(rows))
@@ -41,6 +39,7 @@ def german_tank_experiment(n_max: int) -> Experiment:
     The parameter is the population size; observing serial k has probability
     1/size when k <= size and zero otherwise.
     """
+    require_ints(n_max=n_max)
     if n_max < 1:
         raise ValueError("population bound must be at least 1")
     labels = tuple(str(k) for k in range(1, n_max + 1))
@@ -51,18 +50,17 @@ def german_tank_experiment(n_max: int) -> Experiment:
     return Experiment(labels, labels, Matrix.from_rows(rows))
 
 
-def truncated_poisson_experiment(
-    k_max: int, rates: Sequence[Fraction]
-) -> Experiment:
+def truncated_poisson_experiment(k_max: int, rates: Sequence[Fraction]) -> Experiment:
     """Count experiment with renormalized Poisson-shaped rows.
 
     Row entries are proportional to rate^k / k! for k = 0..k_max and are
     renormalized to sum to 1, which keeps them exact rationals (the usual
     exponential factor cancels).
     """
+    require_ints(k_max=k_max)
     if k_max < 0:
         raise ValueError("count truncation must be nonnegative")
-    rates = [parse_rational(t) for t in rates]
+    rates = require_vector(rates, "rates")
     labels = tuple(str(k) for k in range(k_max + 1))
     rows = []
     for t in rates:
@@ -103,8 +101,12 @@ def random_experiment(
     parameters: Sequence[str] | None = None,
 ) -> Experiment:
     """Random kernel with entries on the 1/denominator grid, rows summing to 1."""
+    require_ints(n_parameters=n_parameters, n_outcomes=n_outcomes, denominator=denominator)
+    if min(n_outcomes, denominator) < 1:  # a row of zeros would be redrawn forever
+        raise ValueError("need at least one outcome and a denominator of at least 1")
     if parameters is None:
         parameters = tuple(f"t{i}" for i in range(n_parameters))
+    parameters = require_tuple(parameters, "parameters", str, (list, tuple))
     outcomes = tuple(f"o{j}" for j in range(n_outcomes))
     rows = []
     for _ in range(n_parameters):
@@ -114,7 +116,7 @@ def random_experiment(
             if total > 0:
                 break
         rows.append([Fraction(x, total) for x in raw])
-    return Experiment(tuple(parameters), outcomes, Matrix.from_rows(rows))
+    return Experiment(parameters, outcomes, Matrix.from_rows(rows))
 
 
 def random_experiment_pairs(
@@ -125,6 +127,7 @@ def random_experiment_pairs(
     denominator: int = 6,
 ) -> list[tuple[Experiment, Experiment]]:
     """Seeded corpus of experiment pairs sharing parameter sets, for audits."""
+    require_ints(seed=seed, count=count, max_parameters=max_parameters, max_outcomes=max_outcomes)
     rng = random.Random(seed)
     pairs = []
     for _ in range(count):

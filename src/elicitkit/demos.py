@@ -22,7 +22,9 @@ from .catalog import (
     noisy_bernoulli_experiment,
     truncated_poisson_experiment,
 )
-from .exactcore import Matrix, format_rational, parse_rational, rank, solve_linear
+from .exactcore import (
+    Matrix, format_rational, parse_rational, rank, require_ints, require_vector, solve_linear
+)
 from .model import (
     Belief,
     Experiment,
@@ -100,6 +102,7 @@ def demo_german_tank(n_max: int = 5) -> DemoReport:
     serials up to m, -m on serial m+1, 0 above), so every c.d.f. level of the
     population size, and hence the whole belief, can be elicited at once.
     """
+    require_ints(n_max=n_max)
     if not 2 <= n_max <= MAX_TANK_POPULATION:
         raise ValueError(
             f"need a population bound from 2 to {MAX_TANK_POPULATION}, got {n_max}"
@@ -159,13 +162,14 @@ def demo_poisson(
     shortfall is computed exactly and reported. Complex-exponential target
     functions are not used; polynomial moments carry the same point here.
     """
+    require_ints(k_max=k_max, max_power=max_power)
     if not 0 <= k_max <= MAX_POISSON_COUNT:
         raise ValueError(f"need k_max from 0 to {MAX_POISSON_COUNT}, got {k_max}")
     if not 0 <= max_power <= MAX_POISSON_POWER:
         raise ValueError(
             f"need max_power from 0 to {MAX_POISSON_POWER}, got {max_power}"
         )
-    rates = [parse_rational(t) for t in rates]
+    rates, tail_bound = require_vector(rates, "rates"), parse_rational(tail_bound)
     claims = _Claims()
     partial_sums = []
     for t in rates:
@@ -251,6 +255,7 @@ def demo_expertise(
         raise ValueError("the expertise demo needs an Experiment")
     if not is_identified(e):
         raise ValueError("experiment must be identified (distinct kernel rows)")
+    require_ints(grid_denominator=grid_denominator)
     n = len(e.parameters)
     d = grid_denominator
     if d < 1 or math.comb(d + n - 1, n - 1) > MAX_GRID_BELIEFS:
@@ -429,6 +434,7 @@ def demo_density(density: str = "quadratic", max_degree: int = 8) -> DemoReport:
     """
     if density not in _DENSITIES:
         raise ValueError(f"unknown density {density!r}; options: {sorted(_DENSITIES)}")
+    require_ints(max_degree=max_degree)
     if not 1 <= max_degree <= MAX_DENSITY_DEGREE:
         raise ValueError(
             f"need max_degree from 1 to {MAX_DENSITY_DEGREE}, got {max_degree}"

@@ -41,18 +41,15 @@ from .exactcore import (
     kron,
     parse_rational,
     rank,
-    solve_linear,
-)
-from .model import (
-    Belief,
-    Experiment,
-    is_identified,
-    power,
+    require_exact,
     require_ints,
     require_keys,
     require_list,
-    require_product_size,
+    require_tuple,
+    require_vector,
+    solve_linear,
 )
+from .model import Belief, Experiment, is_identified, power, require_product_size
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -72,16 +69,14 @@ class StatisticFamily:
     labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        for g in self.functions:
+        require_tuple(self.parameters, "parameter labels", str)
+        for g in require_tuple(self.functions, "statistic functions", tuple):
             if len(g) != len(self.parameters):
                 raise ValueError("statistic length does not match the parameter set")
-            for x in g:
-                if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-                    raise ValueError(
-                        f"statistic entries must be ints or Fractions, got {x!r}"
-                    )
-        if self.labels is not None and len(self.labels) != len(self.functions):
-            raise ValueError("labels must align with functions")
+            require_exact(g, "statistic entries")
+        if self.labels is not None:
+            if len(require_tuple(self.labels, "labels", str)) != len(self.functions):
+                raise ValueError("labels must align with functions")
 
     @cached_property
     def _ints(self) -> list[list[int]]:
@@ -104,6 +99,7 @@ class ElicitabilityReport:
     witness: Optional[tuple[Belief, Belief]] = None
 
     def __post_init__(self) -> None:
+        require_exact(() if self.weights is None else self.weights, "weights")
         if self.elicitable and (self.weights is None or self.witness is not None):
             raise ValueError("a positive report carries weights only")
         if not self.elicitable and (self.witness is None or self.weights is not None):
@@ -220,14 +216,12 @@ def unbiased_weights(e: Experiment, statistic: Sequence[Fraction]) -> Elicitabil
     elimination at all; otherwise one solve of ``kernel @ w == statistic``
     gives the weights.
     """
-    g = [parse_rational(x) for x in statistic]
+    g = require_vector(statistic, "statistic")
     if len(g) != len(e.parameters):
         raise ValueError("statistic length does not match the parameter set")
     for v in e._null_directions:
         if sum(map(mul, g, v)):
-            return ElicitabilityReport(
-                elicitable=False, witness=_indistinguishable_witness(v)
-            )
+            return ElicitabilityReport(elicitable=False, witness=_indistinguishable_witness(v))
     solution = solve_linear(e.kernel, [g])[0]
     if solution is None:  # g is orthogonal to every null direction, so spanned
         raise RuntimeError("inconsistent solve/null-space answers; invariant broken")
@@ -260,9 +254,7 @@ def moment_weights(
     return ElicitabilityReport(elicitable=True, weights=tuple(weights))
 
 
-def mode_elicitable(
-    e: Experiment, parameter_values: Sequence[Fraction]
-) -> ModeReport:
+def mode_elicitable(e: Experiment, parameter_values: Sequence[Fraction]) -> ModeReport:
     """Whether correct mode reports can be strictly rewarded.
 
     The mode is elicitable iff the whole belief already is, that is, iff the
@@ -273,7 +265,7 @@ def mode_elicitable(
     differ under any distinct real parameter values. The median has the same answer: the
     criterion and the witness pair are the same.
     """
-    values = [parse_rational(v) for v in parameter_values]
+    values = require_vector(parameter_values, "parameter values")
     if len(values) != len(e.parameters):
         raise ValueError("parameter values must align with the parameter set")
     if len(set(values)) != len(values):
@@ -281,11 +273,7 @@ def mode_elicitable(
     if not e._null_directions:  # rank K = n: the full belief is elicitable
         return ModeReport(elicitable=True)
     plus, minus = _indistinguishable_witness(e._null_directions[0])
-    return ModeReport(
-        elicitable=False,
-        witness=(plus, minus),
-        witness_modes=(plus.modes(), minus.modes()),
-    )
+    return ModeReport(False, (plus, minus), (plus.modes(), minus.modes()))
 
 
 def _injective_statistic(e: Experiment) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:

@@ -1,4 +1,9 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra, and the one boundary every public entry
+takes its values through: a rational is an int, a ``Fraction`` or a rational
+string (``parse_rational``), a vector a list, tuple or range of them
+(``require_vector``), a count an int (``require_ints``), never a bool; a
+record's fields are tuples (``require_tuple``) whose stored numbers are ints
+or Fractions (``require_exact``); all else raises ValueError.
 
 Dense matrices over :class:`fractions.Fraction`, the Kronecker product of
 vectors, linear solves, null-space bases, and linear-programming feasibility
@@ -34,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -61,9 +66,56 @@ def parse_rational(value: object) -> Fraction:
     raise ValueError(f"cannot parse rational from {value!r}")
 
 
+def require_exact(values: object, what: str, where: Callable[[int], str] = lambda i: "") -> None:
+    """Raise ValueError unless ``values`` is a tuple of ints and Fractions (a
+    bool is neither); ``where(i)`` places entry i in the message."""
+    require_tuple(values, what)
+    if not {*map(type, values)} <= {int, Fraction}:
+        i, x = next((i, x) for i, x in enumerate(values) if type(x) not in (int, Fraction))
+        raise ValueError(f"{what} must be ints or Fractions, got {x!r}{where(i)}")
+
+
+def require_vector(values: object, what: str) -> list[Fraction]:
+    """The entries of a list, tuple or range, each through ``parse_rational``;
+    anything else (a str, bytes, a mapping, a scalar) raises ValueError."""
+    return [parse_rational(x) for x in require_tuple(values, what, object, (list, tuple, range))]
+
+
+def require_tuple(values: object, what: str, kind: type = object, types: tuple = (tuple,)) -> tuple:
+    """``values`` as a tuple if it is one of ``types`` (a dataclass field takes a
+    tuple alone) holding only ``kind`` instances, else raise ValueError."""
+    if isinstance(values, types) and (kind is object or all(isinstance(x, kind) for x in values)):
+        return tuple(values)
+    of = f" of {kind.__name__} values" * (kind is not object)
+    raise ValueError(f"{what} must be a {'/'.join(t.__name__ for t in types)}{of}, got {values!r}")
+
+
+def require_ints(**values: object) -> None:
+    """Raise ValueError naming the first value that is a bool or not an int."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def require_list(value: object, what: str) -> Sequence:
+    """Return ``value`` unless it is not a JSON list, else raise ValueError."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON list")
+    return value
+
+
+def require_keys(doc: object, keys: Iterable[str], what: str) -> None:
+    """Raise ValueError unless ``doc`` is a JSON object holding every key."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = set(keys) - set(doc)
+    if missing:
+        raise ValueError(f"{what} missing keys: {sorted(missing)}")
+
+
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``"p/q"``, or ``"k"`` when it is an integer."""
-    return str(Fraction(value))
+    """Render a rational as ``"p/q"``, or ``"k"`` when it is an integer."""
+    return str(parse_rational(value))
 
 
 @dataclass(frozen=True)
@@ -75,6 +127,8 @@ class Matrix:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        require_ints(rows=self.rows, cols=self.cols)
+        require_tuple(self.entries, "matrix entries")
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
@@ -108,6 +162,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
+        require_ints(n=n)
         return Matrix(
             n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n))
         )

@@ -40,7 +40,10 @@ from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
-from .exactcore import Matrix, _annihilator, _orthogonal, _scaled_ints, format_rational, parse_rational
+from .exactcore import (
+    Matrix, _annihilator, _orthogonal, _scaled_ints, format_rational, parse_rational,
+    require_exact, require_ints, require_keys, require_list, require_tuple, require_vector,
+)
 from .elicit import StatisticFamily, statistic_mean
 from .model import (
     Belief,
@@ -54,9 +57,6 @@ from .model import (
     mean_outcome_distribution,
     mixture,
     mixture_to_doc,
-    require_ints,
-    require_keys,
-    require_list,
 )
 if TYPE_CHECKING:  # only an annotation here; verify need not load orders
     from .orders import EventWeightMatrix
@@ -122,6 +122,7 @@ class Mechanism:
     def _outcome_index(self, outcome: Union[int, str]) -> int:
         if isinstance(outcome, str):
             return self.experiment.outcome_index(outcome)
+        require_ints(outcome=outcome)
         if not 0 <= outcome < len(self.experiment.outcomes):
             raise ValueError(f"outcome index {outcome} out of range")
         return outcome
@@ -158,7 +159,7 @@ class QuadraticPanelMechanism(Mechanism):
         m = len(experiment.outcomes)
         if event_weights is None:
             event_weights = [Fraction(1, m)] * m
-        weights = tuple(parse_rational(w) for w in event_weights)
+        weights = tuple(require_vector(event_weights, "event weights"))
         if len(weights) != m:
             raise ValueError("one event weight per outcome is required")
         if any(w <= 0 for w in weights) or sum(weights, _ZERO) != 1:
@@ -207,6 +208,11 @@ class QuadraticPanelMechanism(Mechanism):
     def _scored_rows(self) -> list[list[int]]:
         return self._columns  # the gain is sum W_y (lambda_p - lambda_q)_y^2
 
+    @property
+    def _scored_annihilator(self) -> list[list[int]]:
+        """The experiment's kept null directions: its columns sum to the constant row."""
+        return self.experiment._null_directions
+
 
 class MeanScoreMechanism(Mechanism):
     """Strictly proper quadratic score for the mean of one statistic.
@@ -233,8 +239,8 @@ class MeanScoreMechanism(Mechanism):
     ) -> None:
         if variant not in ("brier", "linear"):
             raise ValueError("variant must be 'brier' or 'linear'")
-        statistic = tuple(parse_rational(x) for x in statistic)
-        weights = tuple(parse_rational(x) for x in weights)
+        statistic = tuple(require_vector(statistic, "statistic"))
+        weights = tuple(require_vector(weights, "weights"))
         if len(statistic) != len(experiment.parameters):
             raise ValueError("statistic length does not match the parameter set")
         if len(weights) != len(experiment.outcomes):
@@ -257,12 +263,12 @@ class MeanScoreMechanism(Mechanism):
         return [self._statistic] if self._unbiased else None
 
     def payoff_vector(self, report: Report) -> tuple[Fraction, ...]:
-        # floats and bools are not exact mean estimates
-        if isinstance(report, bool) or not isinstance(report, (int, Fraction, str)):
+        try:  # floats and bools are not exact mean estimates
+            mu = parse_rational(report)
+        except ValueError:
             raise ValueError(
                 "a mean-score mechanism takes a scalar mean estimate as the report"
-            )
-        mu = parse_rational(report)
+            ) from None
         (row,), scale = self._payoffs([mu.numerator], mu.denominator)
         return tuple(Fraction(x, scale) for x in row)
 
@@ -307,22 +313,23 @@ class TableMechanism(Mechanism):
         payoffs: Matrix,
         report_beliefs: Optional[Sequence[Belief]] = None,
     ) -> None:
+        reports = require_tuple(reports, "reports", str, (list, tuple))
         if len(set(reports)) != len(reports):
             raise ValueError("duplicate report labels")
         if payoffs.rows != len(reports) or payoffs.cols != len(experiment.outcomes):
             raise ValueError("payoff table shape must be reports x outcomes")
-        if report_beliefs is not None and len(report_beliefs) != len(reports):
-            raise ValueError("one belief per report label is required")
+        if report_beliefs is not None:
+            report_beliefs = require_tuple(report_beliefs, "report beliefs", Belief, (list, tuple))
+            if len(report_beliefs) != len(reports):
+                raise ValueError("one belief per report label is required")
         if any(len(p.weights) != len(experiment.parameters) for p in report_beliefs or ()):
             raise ValueError("report belief length does not match the parameter set")
-        if not {*map(type, payoffs.entries)} <= {int, Fraction}:  # so bools fail too
-            i, x = next((i, x) for i, x in enumerate(payoffs.entries) if type(x) not in (int, Fraction))
-            raise ValueError(f"payoff entries must be ints or Fractions, got {x!r} "
-                             f"for report {reports[i // payoffs.cols]!r}")
+        require_exact(payoffs.entries, "payoff entries",
+                      lambda i: f" for report {reports[i // payoffs.cols]!r}")
         self.experiment = experiment
-        self.reports = tuple(reports)
+        self.reports = reports
         self.payoffs = payoffs
-        self.report_beliefs = None if report_beliefs is None else tuple(report_beliefs)
+        self.report_beliefs = report_beliefs
         # a belief's key is its weights as coprime ints; the first report wins
         self._report_rows: dict[tuple[int, ...], int] = {}
         for r, row in enumerate(_scaled_ints([p.weights for p in self.report_beliefs or ()])[0]):
@@ -366,7 +373,8 @@ class TableMechanism(Mechanism):
                 return self.reports.index(report)
             except ValueError:
                 raise ValueError(f"unknown report {report!r}") from None
-        if isinstance(report, int) and 0 <= report < len(self.reports):
+        require_ints(report=report)
+        if 0 <= report < len(self.reports):
             return report
         raise ValueError(f"unknown report {report!r}")
 
@@ -405,21 +413,18 @@ class CompoundMechanism(Mechanism):
 
     kind = "compound"
 
-    def __init__(
-        self, mixture_spec: CovariateMixture, subs: Sequence[Mechanism]
-    ) -> None:
+    def __init__(self, mixture_spec: CovariateMixture, subs: Sequence[Mechanism]) -> None:
+        subs = require_tuple(subs, "sub-mechanisms", Mechanism, (list, tuple))
         if len(subs) != len(mixture_spec.covariates):
             raise ValueError("one sub-mechanism per covariate is required")
         for sub, comp in zip(subs, mixture_spec.components):
             if sub.experiment != comp:
-                raise ValueError(
-                    "sub-mechanism experiment must match its mixture component"
-                )
+                raise ValueError("sub-mechanism experiment must match its mixture component")
             bounds = sub.payoff_range()
             if bounds is None or bounds[0] < 0 or bounds[1] > 1:
                 raise ValueError("sub-mechanism payoffs must be certified in [0, 1]")
         self.mixture = mixture_spec
-        self.subs = tuple(subs)
+        self.subs = subs
         self.experiment = mixture(mixture_spec)
 
     def report_for_belief(self, p: Belief) -> Belief:
@@ -770,7 +775,7 @@ def value_function(
     m: Mechanism, belief: Belief, report_grid: Sequence[Report]
 ) -> Fraction:
     """Best expected payoff over a finite report menu."""
-    if not report_grid:
+    if not require_tuple(report_grid, "report grid", object, (list, tuple)):
         raise ValueError("report grid must be nonempty")
     return max(expected_payoff(m, belief, r) for r in report_grid)
 
@@ -789,38 +794,20 @@ class EnvelopeReport:
     detail: str = ""
 
 
-def envelope_check(
-    m1: Mechanism, m2: Mechanism, beliefs: Sequence[Belief]
-) -> EnvelopeReport:
-    reports1 = [m1.report_for_belief(p) for p in beliefs]
-    reports2 = [m2.report_for_belief(p) for p in beliefs]
-    vecs1 = [m1.payoff_vector(r) for r in reports1]
-    vecs2 = [m2.payoff_vector(r) for r in reports2]
-    lams = []
-    for p in beliefs:
-        lam1 = mean_outcome_distribution(m1.experiment, p)
-        lam2 = mean_outcome_distribution(m2.experiment, p)
-        lams.append((lam1, lam2))
+def envelope_check(m1: Mechanism, m2: Mechanism, beliefs: Sequence[Belief]) -> EnvelopeReport:
+    vecs1 = [m1.payoff_vector(m1.report_for_belief(p)) for p in beliefs]
+    vecs2 = [m2.payoff_vector(m2.report_for_belief(p)) for p in beliefs]
+    lams = [[mean_outcome_distribution(m.experiment, p) for m in (m1, m2)] for p in beliefs]
+    for p, (lam1, lam2) in zip(beliefs, lams):
         v1 = max(_dot(lam1, v) for v in vecs1)
         v2 = max(_dot(lam2, v) for v in vecs2)
         if v1 != v2:
-            return EnvelopeReport(
-                values_agree=False,
-                cross_payoffs_agree=None,
-                detail=(
-                    "value functions differ at belief "
-                    f"({','.join(format_rational(w) for w in p.weights)}): "
-                    f"{format_rational(v1)} vs {format_rational(v2)}"
-                ),
-            )
+            belief = ",".join(format_rational(w) for w in p.weights)
+            detail = f"({belief}): {format_rational(v1)} vs {format_rational(v2)}"
+            return EnvelopeReport(False, None, "value functions differ at belief " + detail)
     for lam1, lam2 in lams:
-        for vec1, vec2 in zip(vecs1, vecs2):
-            if _dot(lam1, vec1) != _dot(lam2, vec2):
-                return EnvelopeReport(
-                    values_agree=True,
-                    cross_payoffs_agree=False,
-                    detail="cross payoffs differ despite equal value functions",
-                )
+        if any(_dot(lam1, v1) != _dot(lam2, v2) for v1, v2 in zip(vecs1, vecs2)):
+            return EnvelopeReport(True, False, "cross payoffs differ despite equal value functions")
     return EnvelopeReport(values_agree=True, cross_payoffs_agree=True)
 
 

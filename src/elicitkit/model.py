@@ -19,7 +19,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .exactcore import Matrix, _annihilator, _scaled_ints, format_rational, kron, parse_rational
+from .exactcore import (
+    Matrix, _annihilator, _scaled_ints, format_rational, kron, parse_rational, require_exact,
+    require_ints, require_keys, require_list, require_tuple, require_vector,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -40,6 +43,8 @@ class Experiment:
     kernel: Matrix
 
     def __post_init__(self) -> None:
+        require_tuple(self.parameters, "parameter labels", str)
+        require_tuple(self.outcomes, "outcome labels", str)
         if not self.parameters:
             raise ValueError("experiment needs at least one parameter")
         if not self.outcomes:
@@ -48,18 +53,14 @@ class Experiment:
             raise ValueError("duplicate parameter labels")
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ValueError("duplicate outcome labels")
-        if self.kernel.rows != len(self.parameters) or self.kernel.cols != len(
-            self.outcomes
-        ):
+        if self.kernel.rows != len(self.parameters) or self.kernel.cols != len(self.outcomes):
             raise ValueError("kernel shape does not match label counts")
+        m = self.kernel.cols
+        require_exact(self.kernel.entries, "kernel entries",
+                      lambda i: f" for parameter {self.parameters[i // m]!r}")
         for i, label in enumerate(self.parameters):
             row = self.kernel.row(i)
             for x in row:
-                if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-                    raise ValueError(
-                        f"kernel entries must be ints or Fractions, got {x!r} "
-                        f"for parameter {label!r}"
-                    )
                 if x < 0 or x > 1:
                     raise ValueError(
                         f"kernel entry {format_rational(x)} for parameter "
@@ -97,24 +98,24 @@ class Belief:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        require_exact(self.weights, "belief weights")
         if not self.weights:
             raise ValueError("belief needs at least one weight")
-        for w in self.weights:
-            if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
-                raise ValueError(f"belief weights must be ints or Fractions, got {w!r}")
-            if w < 0:
-                raise ValueError("belief weights must be nonnegative")
+        if any(w < 0 for w in self.weights):
+            raise ValueError("belief weights must be nonnegative")
         if sum(self.weights, _ZERO) != 1:
             raise ValueError("belief weights must sum to exactly 1")
 
     @staticmethod
     def uniform(n: int) -> "Belief":
+        require_ints(n=n)
         if n < 1:
             raise ValueError(f"a uniform belief needs at least one parameter, got {n}")
         return Belief((Fraction(1, n),) * n)
 
     @staticmethod
     def point_mass(n: int, index: int) -> "Belief":
+        require_ints(n=n, index=index)
         if not 0 <= index < n:
             raise ValueError("point-mass index out of range")
         return Belief(tuple(_ONE if i == index else _ZERO for i in range(n)))
@@ -141,6 +142,9 @@ class CovariateMixture:
     components: tuple[Experiment, ...]
 
     def __post_init__(self) -> None:
+        require_tuple(self.covariates, "covariate labels", str)
+        require_exact(self.weights, "covariate weights")
+        require_tuple(self.components, "mixture components", Experiment)
         if not self.covariates:
             raise ValueError("mixture needs at least one covariate")
         if len(set(self.covariates)) != len(self.covariates):
@@ -149,11 +153,8 @@ class CovariateMixture:
             self.covariates
         ):
             raise ValueError("covariates, weights, and components must align")
-        for w in self.weights:
-            if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
-                raise ValueError(f"covariate weights must be ints or Fractions, got {w!r}")
-            if w < 0:
-                raise ValueError("covariate weights must be nonnegative")
+        if any(w < 0 for w in self.weights):
+            raise ValueError("covariate weights must be nonnegative")
         if sum(self.weights, _ZERO) != 1:
             raise ValueError("covariate weights must sum to exactly 1")
         params = self.components[0].parameters
@@ -175,7 +176,7 @@ def product_many(experiments: Sequence[Experiment]) -> Experiment:
     ``power(e, 0)`` for the single dummy outcome of probability 1. More than
     ``MAX_PRODUCT_OUTCOMES`` outcomes raise ValueError before any product.
     """
-    if not experiments:
+    if not require_tuple(experiments, "experiments", Experiment, (list, tuple)):
         raise ValueError("product of zero experiments needs a parameter set")
     params = experiments[0].parameters
     for e in experiments[1:]:
@@ -229,16 +230,13 @@ def mixture(m: CovariateMixture) -> Experiment:
     The kernel entry for pair (x, y) given a parameter is the covariate
     weight of x times the component probability of y.
     """
-    labels: list[str] = []
-    for x, comp in zip(m.covariates, m.components):
-        labels.extend(f"({x},{y})" for y in comp.outcomes)
-    rows: list[list[Fraction]] = []
-    for t in range(len(m.parameters)):
-        row: list[Fraction] = []
-        for w, comp in zip(m.weights, m.components):
-            row.extend(w * p for p in comp.kernel.row(t))
-        rows.append(row)
-    return Experiment(m.parameters, tuple(labels), Matrix.from_rows(rows))
+    pairs = list(zip(m.weights, m.covariates, m.components))
+    labels = tuple(f"({x},{y})" for _, x, comp in pairs for y in comp.outcomes)
+    rows = [
+        [w * p for w, _, comp in pairs for p in comp.kernel.row(t)]
+        for t in range(len(m.parameters))
+    ]
+    return Experiment(m.parameters, labels, Matrix.from_rows(rows))
 
 
 def _check_markov(channel: Matrix) -> None:
@@ -269,7 +267,8 @@ def garble(
             outcome_labels = e.outcomes
         else:
             outcome_labels = tuple(f"g{j}" for j in range(channel.cols))
-    return Experiment(e.parameters, tuple(outcome_labels), e.kernel @ channel)
+    labels = require_tuple(outcome_labels, "outcome labels", str, (list, tuple))
+    return Experiment(e.parameters, labels, e.kernel @ channel)
 
 
 def _replacement_matrix(
@@ -283,7 +282,7 @@ def _replacement_matrix(
     noise = parse_rational(noise)
     if not 0 <= noise < 1:
         raise ValueError("noise probability must lie in [0, 1)")
-    probs = [parse_rational(p) for p in replacement]
+    probs = require_vector(replacement, "replacement distribution")
     if any(p < 0 for p in probs) or sum(probs, _ZERO) != 1:
         raise ValueError("replacement distribution must be a probability vector")
     a = -noise / (1 - noise) if inverse else noise
@@ -404,29 +403,6 @@ def belief_grid(n_parameters: int, denominator: int) -> tuple[Belief, ...]:
 def grid_belief(counts: Sequence[int], denominator: int) -> Belief:
     """The belief counts/denominator of one ``grid_counts`` vector."""
     return Belief(tuple(Fraction(k, denominator) for k in counts))
-
-
-def require_keys(doc: object, keys: Iterable[str], what: str) -> None:
-    """Raise ValueError unless ``doc`` is a JSON object holding every key."""
-    if not isinstance(doc, Mapping):
-        raise ValueError(f"{what} must be a JSON object")
-    missing = set(keys) - set(doc)
-    if missing:
-        raise ValueError(f"{what} missing keys: {sorted(missing)}")
-
-
-def require_ints(**values: object) -> None:
-    """Raise ValueError naming the first value that is a bool or not an int."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-
-
-def require_list(value: object, what: str) -> Sequence:
-    """Return ``value`` unless it is not a JSON list, else raise ValueError."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{what} must be a JSON list")
-    return value
 
 
 def load_experiment(doc: Mapping) -> Experiment:

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .exactcore import Matrix, format_rational, lp_feasible, solve_linear
+from .exactcore import (
+    Matrix, format_rational, lp_feasible, require_ints, require_tuple, solve_linear,
+)
 from .model import Experiment, is_complete, replacement_garbling_channel
 
 _ZERO = Fraction(0)
@@ -77,7 +79,8 @@ class EventWeightMatrix:
     entries: Matrix
 
     def __post_init__(self) -> None:
-        expected_cols = 1 << len(self.target_outcomes)
+        require_tuple(self.source_outcomes, "source outcomes", str)
+        expected_cols = 1 << len(require_tuple(self.target_outcomes, "target outcomes", str))
         if self.entries.rows != len(self.source_outcomes):
             raise ValueError("event-weight rows must match the source outcomes")
         if self.entries.cols != expected_cols:
@@ -187,13 +190,8 @@ def elicitation_dominates(ey: Experiment, ez: Experiment) -> DominanceResult:
         note = f"outcome {outcome!r} is outside the reachable span"
         return DominanceResult("elicitation", False, note=note)
     raw = Matrix.from_cols(cols)
-    rows = []
-    shares = []
-    for y in range(ny):
-        row = raw.row(y)
-        share = (_ONE - sum(row, _ZERO)) / nz
-        shares.append(share)
-        rows.append([x + share for x in row])
+    shares = [(_ONE - sum(raw.row(y), _ZERO)) / nz for y in range(ny)]
+    rows = [[x + share for x in raw.row(y)] for y, share in enumerate(shares)]
     # the solve already gives kernel_Y @ raw == kernel_Z, so the renormalized
     # witness factorizes exactly when kernel_Y annihilates the shares
     if any(ey.kernel.mul_vec(shares)):
@@ -205,24 +203,12 @@ def blackwell_dominates(ey: Experiment, ez: Experiment) -> DominanceResult:
     """Feasibility of a Markov witness: one joint program over all entries."""
     _require_shared_parameters(ey, ez)
     ny, nz = len(ey.outcomes), len(ez.outcomes)
-    nt = len(ey.parameters)
-    nvars = ny * nz
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for t in range(nt):
-        for z in range(nz):
-            row = [_ZERO] * nvars
-            for y in range(ny):
-                row[y * nz + z] = ey.kernel.at(t, y)
-            rows.append(row)
-            rhs.append(ez.kernel.at(t, z))
-    for y in range(ny):
-        row = [_ZERO] * nvars
-        for z in range(nz):
-            row[y * nz + z] = _ONE
-        rows.append(row)
-        rhs.append(_ONE)
-    point = lp_feasible(Matrix.from_rows(rows), rhs)
+    # variable y * nz + z is M[y][z]: one row per kernel_Z entry, then per row sum of M
+    rows = [
+        [ey.kernel.at(t, y) if j == z else _ZERO for y in range(ny) for j in range(nz)]
+        for t in range(len(ey.parameters)) for z in range(nz)
+    ] + [[_ONE if x == y else _ZERO for x in range(ny) for _ in range(nz)] for y in range(ny)]
+    point = lp_feasible(Matrix.from_rows(rows), ez.kernel.entries + (_ONE,) * ny)
     if point is None:
         return DominanceResult(
             "blackwell", False, note="no Markov matrix carries the kernel over"
@@ -262,11 +248,10 @@ def bounded_dominates(
     by nature, hence the hard cap.
     """
     _require_shared_parameters(ey, ez)
+    require_ints(max_outcomes=max_outcomes)
     nz = len(ez.outcomes)
     if nz > max_outcomes:
-        raise ValueError(
-            f"dominated outcome set of size {nz} exceeds the cap {max_outcomes}"
-        )
+        raise ValueError(f"dominated outcome set of size {nz} exceeds the cap {max_outcomes}")
     ny = len(ey.outcomes)
     system = Matrix.from_rows(
         [row + [_ZERO] * ny for row in ey.kernel.to_lists()]
@@ -284,9 +269,7 @@ def bounded_dominates(
                 note=f"event {{{subset}}} has no [0,1] representation",
             )
         cols.append(point[:ny])
-    witness = EventWeightMatrix(
-        ey.outcomes, ez.outcomes, Matrix.from_cols(cols)
-    )
+    witness = EventWeightMatrix(ey.outcomes, ez.outcomes, Matrix.from_cols(cols))
     return DominanceResult("bounded", True, event_weights=witness)
 
 
@@ -354,12 +337,11 @@ class AuditReport:
         return any(r.nonneg and not r.blackwell for r in self.results)
 
 
-def order_consistency_audit(
-    pairs: Iterable[tuple[Experiment, Experiment]],
-) -> AuditReport:
+def order_consistency_audit(pairs: Sequence[tuple[Experiment, Experiment]]) -> AuditReport:
     results: list[PairAudit] = []
     violations: list[str] = []
-    for index, (ey, ez) in enumerate(pairs):
+    for index, pair in enumerate(require_tuple(pairs, "pairs", object, (list, tuple))):
+        ey, ez = require_tuple(pair, f"pair {index}", Experiment, (list, tuple))
         elicit_res = elicitation_dominates(ey, ez)
         blackwell_res = blackwell_dominates(ey, ez)
         nonneg_res = nonneg_dominates(ey, ez)
@@ -402,12 +384,6 @@ def order_consistency_audit(
                 "blackwell disagree"
             )
 
-        results.append(
-            PairAudit(
-                elicitation=elicit_res.holds,
-                blackwell=blackwell_res.holds,
-                nonneg=nonneg_res.holds,
-                bounded=None if bounded_res is None else bounded_res.holds,
-            )
-        )
+        bounded = None if bounded_res is None else bounded_res.holds
+        results.append(PairAudit(elicit_res.holds, blackwell_res.holds, nonneg_res.holds, bounded))
     return AuditReport(tuple(results), tuple(violations))

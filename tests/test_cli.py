@@ -215,6 +215,21 @@ class TestDemo:
         assert main(["demo", name, "--param", param]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "name, param, message",
+        [
+            ("german_tank", "n_max=5/2", "n_max must be an int, got Fraction(5, 2)"),
+            ("expertise", "grid_denominator=x", "grid_denominator must be an int, got 'x'"),
+            ("poisson", "k_max=1.5", "k_max must be an int, got Fraction(3, 2)"),
+            ("poisson", "max_power=x", "max_power must be an int, got 'x'"),
+            ("density", "max_degree=x", "max_degree must be an int, got 'x'"),
+            ("poisson", "rates=12", "rates must be a list/tuple/range, got 12"),
+        ],
+    )
+    def test_a_size_of_the_wrong_kind_is_named(self, capsys, name, param, message):
+        assert main(["demo", name, "--param", param]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestVerify:
     def test_quadratic_mechanism_report(self, tmp_path, capsys):

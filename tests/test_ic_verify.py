@@ -665,6 +665,23 @@ def test_the_kept_annihilator_is_built_once(monkeypatch):
     assert calls == ["_annihilator"] and anti._scored_annihilator is None
 
 
+def test_a_panel_reads_its_experiments_kept_null_directions():
+    rng = random.Random(37)
+    deficient = 0
+    for n in range(1, 6):
+        for m in range(1, 6):
+            e = random_experiment(rng, n, m)
+            panel = quadratic_mechanism(e)
+            assert panel._scored_annihilator is e._null_directions
+            # the kernel columns sum to the constant row, so [columns; 1] spans what they span
+            columns = e._kernel_ints[0]
+            assert e._null_directions == exactcore._annihilator([*columns, [1] * n], n)
+            deficient += bool(e._null_directions)
+            for target in (maximal_partition(e), _random_family(rng, e)):
+                assert ic_verify(panel, target, 2) == reference_ic_verify(panel, target, 2)
+    assert deficient >= 10
+
+
 def test_a_full_rank_scored_basis_elicits_any_target_with_no_grid(monkeypatch):
     calls = _grid_calls(monkeypatch)
     rng = random.Random(33)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -89,3 +91,11 @@ def test_dir_and_star_import_cover_every_name():
 def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         elicitkit.no_such_name
+
+
+def test_the_exact_input_rule_is_spelled_only_in_exactcore():
+    # "an int or a Fraction, never a bool": every other module calls exactcore's checks
+    rule = re.compile(r"isinstance\([^()]*\bbool\b|\(int, Fraction\)|\{int, Fraction\}")
+    source = Path(elicitkit.__file__).parent
+    spelled = sorted(path.name for path in source.glob("*.py") if rule.search(path.read_text()))
+    assert spelled == ["exactcore.py"]
