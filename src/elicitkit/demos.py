@@ -23,7 +23,7 @@ from .catalog import (
     truncated_poisson_experiment,
 )
 from .exactcore import (
-    Matrix, format_rational, parse_rational, rank, require_ints, require_vector, solve_linear
+    Matrix, determinant, format_rational, parse_rational, require_ints, require_vector, solve_linear
 )
 from .model import (
     Belief,
@@ -636,7 +636,7 @@ def demo_regression(
         raise ValueError("belief must range over the coefficient grid")
     claims = _Claims()
     design = Matrix.from_rows([(1,) + x for x in reg.covariates])
-    if rank(design) != k + 1:
+    if determinant(design) == 0:
         raise ValueError(
             "degenerate covariate draw: the design matrix is rank-deficient "
             "(a probability-zero event under continuous covariates)"

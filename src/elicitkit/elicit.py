@@ -44,6 +44,7 @@ from .exactcore import (
     require_exact,
     require_ints,
     require_keys,
+    require_labels,
     require_list,
     require_tuple,
     require_vector,
@@ -347,7 +348,7 @@ def load_statistic_family(doc: Mapping) -> StatisticFamily:
     """Schema: ``{"parameters": [...], "functions": {name: [...], ...}}``."""
     require_keys(doc, ("parameters", "functions"), "statistic family document")
     require_keys(doc["functions"], (), "statistic family functions")
-    parameters = tuple(str(x) for x in require_list(doc["parameters"], "parameters"))
+    parameters = require_labels(doc["parameters"], "parameters")
     labels = tuple(str(name) for name in doc["functions"])
     functions = tuple(
         tuple(parse_rational(x) for x in require_list(g, f"function {name!r}"))

@@ -1,24 +1,23 @@
 """Exact rational linear algebra, and the one boundary every public entry
 takes its values through: a rational is an int, a ``Fraction`` or a rational
 string (``parse_rational``), a vector a list, tuple or range of them
-(``require_vector``), a count an int (``require_ints``), never a bool; a
-record's fields are tuples (``require_tuple``) whose stored numbers are ints
-or Fractions (``require_exact``); all else raises ValueError.
+(``require_vector``), a count an int (``require_ints``), a JSON label a string
+or number (``require_labels``), never a bool; a record's fields are tuples
+(``require_tuple``) whose numbers are ints or Fractions (``require_exact``);
+all else raises ValueError.
 
 Dense matrices over :class:`fractions.Fraction`, the Kronecker product of
 vectors, linear solves, null-space bases, and linear-programming feasibility
-via a phase-I simplex with Bland's rule. Several right-hand sides of one
-linear system share one reduction, with None for each inconsistent one; that
-``Fraction`` reduction serves only solves and ``rank``. One forward
-fraction-free elimination of integer rows (Bareiss 1968) gives the
-determinant and, back-substituted, the integer annihilator of a basis: a
-null-space basis is a ``Fraction`` view of it, and a row is in a basis's span
-exactly when it is orthogonal to it. The LP is
-A @ x == b over nonnegative x and nothing else: a caller that needs x <= u
-adds the equality x + s == u with a slack s >= 0. Everything is exact; no
-floating point enters. All values are immutable and all functions are pure,
-so they are safe to share across threads. A pivot updates other rows only on
-the pivot row's nonzero columns.
+via a phase-I simplex with Bland's rule. One forward fraction-free
+elimination of integer rows (Bareiss 1968), back-substituted, gives every
+linear solve (right-hand sides share one elimination, with None for each
+inconsistent one), the determinant and a basis's integer annihilator: a
+null-space basis is a ``Fraction`` view of it, and a row is in a basis's
+span exactly when it is orthogonal to it. ``Fraction`` pivots serve only
+``rank`` and the simplex. The LP is A @ x == b over nonnegative x and nothing
+else: a caller that needs x <= u adds the equality x + s == u with a slack
+s >= 0. Everything is exact; no floating point enters. All values are
+immutable and all functions are pure, so they are safe to share across threads.
 
 Conventions that make outputs reproducible:
 
@@ -102,6 +101,13 @@ def require_list(value: object, what: str) -> Sequence:
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{what} must be a JSON list")
     return value
+
+
+def require_labels(values: object, what: str) -> tuple[str, ...]:
+    """A JSON list of strings and numbers (never a bool) as label strings."""
+    if all(type(x) in (str, int, float) for x in require_list(values, what)):
+        return tuple(map(str, values))
+    raise ValueError(f"{what} must be JSON strings or numbers, got {values!r}")
 
 
 def require_keys(doc: object, keys: Iterable[str], what: str) -> None:
@@ -250,55 +256,30 @@ def _pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
                 row[j] -= f * b
 
 
-def _row_reduce(rows: list[list[Fraction]], pivot_cols: int) -> list[int]:
-    """In-place reduced row echelon form over the first ``pivot_cols`` columns.
-
-    Returns the pivot columns. Extra columns (augmented right-hand sides) ride
-    along. Pivot columns are scanned strictly left to right; within a column
-    the first nonzero row is chosen, which fixes the result deterministically.
-    """
-    pivots: list[int] = []
-    r = 0
-    nrows = len(rows)
-    for c in range(pivot_cols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        _pivot(rows, r, c)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
 def solve_linear(
     a: Matrix, rhs: Sequence[Sequence[Fraction]]
 ) -> list[Optional[tuple[Fraction, ...]]]:
-    """Solve ``A @ x == b`` exactly for every ``b`` in ``rhs``.
+    """Solve ``A @ x == b`` exactly for every ``b`` in ``rhs``, None when inconsistent.
 
-    All right-hand sides share one reduction: they are appended as columns,
-    and pivots come from ``A``'s columns only, so each answer is the one a
-    separate solve would give. Per vector the result is its solution, or None
-    when that system is inconsistent. Free variables (the non-pivot columns
-    under left-to-right pivoting) are set to zero, so every returned
-    representative is deterministic.
-    """
+    One ``_bareiss`` elimination of the integer rows [A | rhs] serves every
+    column k of rhs: k is inconsistent exactly when a row below A's pivot
+    rows is nonzero in it, and otherwise k is back-substituted as the free
+    column of an annihilator vector v, so x = -v[:n] / v[k]. Free variables
+    are zero, so every answer is the one a separate solve would give."""
     if any(len(b) != a.rows for b in rhs):
         raise ValueError("right-hand side length does not match row count")
     n = a.cols
     rows = [list(a.row(i)) + [parse_rational(b[i]) for b in rhs] for i in range(a.rows)]
-    pivots = _row_reduce(rows, n)
+    echelon, pivots = _echelon(_scaled_ints(rows)[0])
+    solved = sum(c < n for c in pivots)  # A's pivot rows come first
+    echelon, pivots, below = echelon[:solved], pivots[:solved], echelon[solved:]
     solutions: list[Optional[tuple[Fraction, ...]]] = []
     for k in range(n, n + len(rhs)):
-        if any(row[k] != 0 for row in rows[len(pivots) :]):
+        if any(row[k] for row in below):
             solutions.append(None)
             continue
-        x = [_ZERO] * n
-        for r, c in enumerate(pivots):
-            x[c] = rows[r][k]
-        solutions.append(tuple(x))
+        v = _back_substitute(echelon, pivots, [0] * k + [1])
+        solutions.append(tuple(Fraction(-x, v[k]) for x in v[:n]))
     return solutions
 
 
@@ -319,12 +300,21 @@ def null_space_basis(a: Matrix) -> list[tuple[Fraction, ...]]:
 
 
 def rank(a: Matrix) -> int:
-    return len(_row_reduce(a.to_lists(), a.cols))
+    """The pivots of a ``Fraction`` Gauss-Jordan reduction, left to right."""
+    rows, r = a.to_lists(), 0
+    for c in range(a.cols):
+        if r == a.rows:
+            break
+        if (p := next((i for i in range(r, a.rows) if rows[i][c]), None)) is not None:
+            rows[r], rows[p] = rows[p], rows[r]
+            _pivot(rows, r, c)
+            r += 1
+    return r
 
 
 def _scaled_ints(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """Rational rows as integers over their least common denominator."""
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    scale = math.lcm(*{x.denominator for row in rows for x in row})
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
@@ -350,25 +340,34 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
 
 
 def _annihilator(basis: Sequence[Sequence[int]], n: int) -> list[list[int]]:
-    """Integer basis of ``{v : row @ v == 0 for every basis row}``, each v primitive.
-
-    One v per free column of the ``_bareiss`` echelon form, back-substituted:
-    before a pivot entry is set, v is scaled just enough for it to be an
-    integer, and that entry is coprime to the scale, so gcd(v) stays 1. Each
-    v is then signed so its first nonzero entry is positive."""
-    rows = list(basis)
-    echelon = rows[: _bareiss(rows)[0]]
-    pivots = [next(c for c, x in enumerate(row) if x) for row in echelon]
+    """Integer basis of ``{v : row @ v == 0 for every basis row}``: one primitive
+    v per free column of the ``_bareiss`` echelon form, back-substituted, then
+    signed so its first nonzero entry is positive."""
+    echelon, pivots = _echelon(basis)
     vectors = []
     for free in [j for j in range(n) if j not in pivots]:
-        v = [int(j == free) for j in range(n)]
-        for row, c in zip(reversed(echelon), reversed(pivots)):
-            if s := sum(map(mul, row, v)):
-                g = math.gcd(row[c], s)
-                v = [x * (row[c] // g) for x in v]
-                v[c] = -s // g
+        v = _back_substitute(echelon, pivots, [int(j == free) for j in range(n)])
         vectors.append(v if next(x for x in v if x) > 0 else [-x for x in v])
     return vectors
+
+
+def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """The nonzero rows of ``_bareiss`` on a copy of ``rows``, and their pivots."""
+    rows = list(rows)
+    echelon = rows[: _bareiss(rows)[0]]
+    return echelon, [next(c for c, x in enumerate(row) if x) for row in echelon]
+
+
+def _back_substitute(echelon: list[list[int]], pivots: list[int], v: list[int]) -> list[int]:
+    """v with its pivot entries set, last row first, so every echelon row is
+    orthogonal to it; v is scaled just enough for each entry to be an integer
+    coprime to the scale, so gcd(v) is kept. A short v ends the dot products."""
+    for row, c in zip(reversed(echelon), reversed(pivots)):
+        if s := sum(map(mul, row, v)):
+            g = math.gcd(row[c], s)
+            v = [x * (row[c] // g) for x in v]
+            v[c] = -s // g
+    return v
 
 
 def _orthogonal(vectors: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]) -> bool:

@@ -41,8 +41,8 @@ from operator import mul
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .exactcore import (
-    Matrix, _annihilator, _orthogonal, _scaled_ints, format_rational, parse_rational,
-    require_exact, require_ints, require_keys, require_list, require_tuple, require_vector,
+    Matrix, _annihilator, _orthogonal, _scaled_ints, format_rational, parse_rational, require_exact,
+    require_ints, require_keys, require_labels, require_list, require_tuple, require_vector,
 )
 from .elicit import StatisticFamily, statistic_mean
 from .model import (
@@ -867,7 +867,7 @@ def load_mechanism(doc: Mapping) -> Mechanism:
     if kind == "table":
         return TableMechanism(
             load_experiment(doc["experiment"]),
-            [str(r) for r in require_list(doc["reports"], "reports")],
+            require_labels(doc["reports"], "reports"),
             Matrix.from_rows(doc["payoffs"]),
         )
     if kind == "pushforward":

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .exactcore import (
     Matrix, _annihilator, _scaled_ints, format_rational, kron, parse_rational, require_exact,
-    require_ints, require_keys, require_list, require_tuple, require_vector,
+    require_ints, require_keys, require_labels, require_tuple, require_vector,
 )
 
 _ZERO = Fraction(0)
@@ -412,8 +412,8 @@ def load_experiment(doc: Mapping) -> Experiment:
     with kernel rows in parameter order and entries as rational strings.
     """
     require_keys(doc, ("parameters", "outcomes", "kernel"), "experiment document")
-    parameters = tuple(str(x) for x in require_list(doc["parameters"], "parameters"))
-    outcomes = tuple(str(x) for x in require_list(doc["outcomes"], "outcomes"))
+    parameters = require_labels(doc["parameters"], "parameters")
+    outcomes = require_labels(doc["outcomes"], "outcomes")
     kernel_doc = doc["kernel"]
     if not isinstance(kernel_doc, Sequence) or len(kernel_doc) != len(parameters):
         raise ValueError("kernel must have one row per parameter")
@@ -440,7 +440,7 @@ def load_mixture(doc: Mapping) -> CovariateMixture:
     # a JSON object first, since its keys name the covariates by default
     require_keys(components_doc, (), "mixture components")
     covariates_doc = doc.get("covariates", list(components_doc))
-    covariates = tuple(str(x) for x in require_list(covariates_doc, "covariates"))
+    covariates = require_labels(covariates_doc, "covariates")
     require_keys(components_doc, covariates, "mixture components")
     require_keys(doc["weights"], covariates, "mixture weights")
     weights = tuple(parse_rational(doc["weights"][x]) for x in covariates)

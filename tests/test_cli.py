@@ -16,14 +16,16 @@ import elicitkit
 from elicitkit.cli import main
 from elicitkit.demos import DEMOS
 from elicitkit.catalog import bernoulli_experiment, noisy_bernoulli_experiment
+from elicitkit.elicit import load_statistic_family
 from elicitkit.exactcore import Matrix
 from elicitkit.mechanisms import (
     TableMechanism,
+    load_mechanism,
     mean_mechanism,
     mechanism_to_doc,
     quadratic_mechanism,
 )
-from elicitkit.model import Experiment, experiment_to_doc
+from elicitkit.model import Experiment, experiment_to_doc, load_mixture
 
 
 @pytest.fixture()
@@ -415,6 +417,70 @@ def test_malformed_input_is_an_error(tmp_path, capsys, argv, docs, message):
     assert main([arg.format(*paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def _with_label(doc, key, label):
+    return {**doc, key: [label, *doc[key][1:]]}
+
+
+# every label list a document holds: a subcommand reading it, its documents
+# with the first label replaced, and the field the refusal names
+_LABEL_FIELDS = {
+    "experiment-parameters": (
+        ["compare", "blackwell", "{0}", "{0}"],
+        lambda label: [_with_label(_EXPERIMENT, "parameters", label)],
+        "parameters",
+    ),
+    "experiment-outcomes": (
+        ["compare", "elicitation", "{0}", "{0}"],
+        lambda label: [_with_label(_EXPERIMENT, "outcomes", label)],
+        "outcomes",
+    ),
+    "mixture-covariates": (
+        ["verify", "{0}"],
+        lambda label: [
+            _compound({"c": "1", "d": "0"}, {"c": _QUADRATIC, "d": _QUADRATIC}, [label, "d"])
+        ],
+        "covariates",
+    ),
+    "family-parameters": (
+        ["verify", "{0}", "--target", "{1}"],
+        lambda label: [_QUADRATIC, {"parameters": [label, "1/2", "1"], "functions": {"g": [0, 1, 2]}}],
+        "parameters",
+    ),
+    "table-reports": (["verify", "{0}"], lambda label: [_with_label(_TABLE, "reports", label)], "reports"),
+}
+
+
+@pytest.mark.parametrize("label", [None, True, False, [], {}, ["a"]], ids=repr)
+@pytest.mark.parametrize("field", sorted(_LABEL_FIELDS))
+def test_a_label_that_is_not_a_json_string_or_number_is_an_error(tmp_path, capsys, field, label):
+    argv, docs, message = _LABEL_FIELDS[field]
+    paths = [tmp_path / f"doc{i}.json" for i in range(len(docs(label)))]
+    for path, doc in zip(paths, docs(label)):
+        path.write_text(json.dumps(doc))
+    assert main([arg.format(*paths) for arg in argv]) == 2
+    assert f"{message} must be JSON strings or numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["experiment-outcomes", "experiment-parameters"])
+def test_numeric_labels_still_answer(tmp_path, capsys, field):
+    argv, docs, _ = _LABEL_FIELDS[field]
+    path = tmp_path / "doc0.json"
+    path.write_text(json.dumps(docs(7)[0]))
+    assert main([arg.format(path) for arg in argv]) == 0
+    assert json.loads(capsys.readouterr().out)["holds"] is True
+
+
+def test_numeric_labels_load_as_their_json_spelling():
+    doc = {"parameters": [0, 2.5, "1"], "outcomes": [-1, 1], "kernel": _EXPERIMENT["kernel"]}
+    e = elicitkit.load_experiment(doc)
+    assert e.parameters == ("0", "2.5", "1") and e.outcomes == ("-1", "1")
+    assert load_mechanism({**_TABLE, "reports": [3]}).reports == ("3",)
+    mixture = {"covariates": [4], "weights": {"4": "1"}, "components": {"4": _EXPERIMENT}}
+    assert load_mixture(mixture).covariates == ("4",)
+    family = load_statistic_family({"parameters": [0, 1, 2], "functions": {"g": [0, 1, 2]}})
+    assert family.parameters == ("0", "1", "2")
 
 
 @pytest.mark.parametrize(

@@ -130,11 +130,87 @@ class TestSolveLinear:
         assert solve_linear(a, rhs) == [solve_linear(a, [b])[0] for b in rhs]
 
 
+def fraction_row_reduce(rows, pivot_cols):
+    """Reference Fraction Gauss-Jordan: in-place reduced row echelon form over
+    the first ``pivot_cols`` columns, extra columns riding along. Pivot
+    columns run left to right, each on its first nonzero row; returns them."""
+    pivots = []
+    for c in range(pivot_cols):
+        if len(pivots) == len(rows):
+            break
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is not None:
+            rows[r], rows[p] = rows[p], rows[r]
+            rows[:] = dense_pivot(rows, r, c)
+            pivots.append(c)
+    return pivots
+
+
+def fraction_solve(a, rhs):
+    """The Fraction Gauss-Jordan solve, kept as the oracle for solve_linear:
+    None when a row below the pivots is nonzero in b, else the pivot
+    variables read off the reduced column and every free variable zero."""
+    rows = [list(a.row(i)) + [F(b[i]) for b in rhs] for i in range(a.rows)]
+    pivots = fraction_row_reduce(rows, a.cols)
+    solutions = []
+    for k in range(a.cols, a.cols + len(rhs)):
+        if any(row[k] != 0 for row in rows[len(pivots) :]):
+            solutions.append(None)
+            continue
+        x = [F(0)] * a.cols
+        for r, c in enumerate(pivots):
+            x[c] = rows[r][k]
+        solutions.append(tuple(x))
+    return solutions
+
+
+@st.composite
+def linear_systems(draw):
+    """A matrix up to 6x6, empty shapes included, whose rows often combine
+    earlier ones, so its rank falls short; and up to four right-hand sides,
+    each in the column span or drawn freely (then mostly inconsistent)."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(small_fractions)
+            rows.append([p + k * q for p, q in zip(x, y)])
+        else:
+            rows.append(draw(st.lists(small_fractions, min_size=ncols, max_size=ncols)))
+    a = Matrix(nrows, ncols, tuple(x for row in rows for x in row))
+    free = st.lists(small_fractions, min_size=nrows, max_size=nrows)
+    spanned = st.lists(small_fractions, min_size=ncols, max_size=ncols).map(a.mul_vec)
+    return a, draw(st.lists(st.one_of(free, spanned), max_size=4))
+
+
+class TestSolveOracle:
+    @given(linear_systems())
+    def test_matches_the_fraction_solve(self, system):
+        a, rhs = system
+        assert solve_linear(a, rhs) == fraction_solve(a, rhs)
+        assert rank(a) == len(fraction_row_reduce(a.to_lists(), a.cols))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_shapes_match_the_fraction_solve(self, shape):
+        a = Matrix(*shape, ())
+        rhs = [[F(0)] * shape[0], [F(k + 1) for k in range(shape[0])]]
+        assert solve_linear(a, rhs) == fraction_solve(a, rhs)
+        assert solve_linear(a, rhs)[0] == (F(0),) * shape[1]
+
+    def test_inconsistent_and_rank_deficient_columns_answer_none(self):
+        a = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+        rhs = [[F(1), F(2), F(1)], [F(1), F(3), F(1)], [F(0), F(0), F(1)]]
+        assert solve_linear(a, rhs) == fraction_solve(a, rhs)
+        assert solve_linear(a, rhs) == [(F(-2), F(0), F(1)), None, (F(-3), F(0), F(1))]
+
+
 def fraction_null_space_basis(a):
     """The Fraction Gauss-Jordan null-space basis, kept as an oracle."""
-    _ZERO, _ONE, _row_reduce = F(0), F(1), exactcore._row_reduce
+    _ZERO, _ONE = F(0), F(1)
     red = a.to_lists()
-    pivots = _row_reduce(red, a.cols)
+    pivots = fraction_row_reduce(red, a.cols)
     pivot_set = set(pivots)
     basis: list[tuple[F, ...]] = []
     for free in range(a.cols):

@@ -1,4 +1,4 @@
-"""Each span query reduces once, whatever the number of columns."""
+"""Each span query eliminates once, whatever the number of columns."""
 
 from __future__ import annotations
 
@@ -26,11 +26,12 @@ def _counting(monkeypatch, module, name):
 
 
 def test_solve_linear_reduces_once_for_all_right_hand_sides(monkeypatch):
-    reductions = _counting(monkeypatch, exactcore, "_row_reduce")
-    a = exactcore.Matrix.from_rows([[1, 2, 0], [0, 1, 1]])
-    rhs = [[F(k), F(k + 1)] for k in range(5)]
-    assert len(exactcore.solve_linear(a, rhs)) == 5
-    assert len(reductions) == 1
+    eliminations = _counting(monkeypatch, exactcore, "_bareiss")
+    a = exactcore.Matrix.from_rows([[1, 2, 0], [0, 1, 1], [1, 3, 1]])
+    for count in (0, 1, 5):
+        rhs = [[F(k), F(k + 1), F(2 * k + 1)] for k in range(count)]
+        assert len(exactcore.solve_linear(a, rhs)) == count
+    assert len(eliminations) == 3
 
 
 def test_dominance_and_coarseness_solve_once(monkeypatch):
@@ -38,18 +39,17 @@ def test_dominance_and_coarseness_solve_once(monkeypatch):
         for first, second in ((ey, ez), (ez, ey)):
             with monkeypatch.context() as patch:
                 solves = _counting(patch, orders, "solve_linear")
-                reductions = _counting(patch, exactcore, "_row_reduce")
+                eliminations = _counting(patch, exactcore, "_bareiss")
                 orders.elicitation_dominates(first, second)
-            assert len(solves) == 1 and len(reductions) == 1
-        # coarseness is one integer span test, with no Fraction solve at all
+            assert len(solves) == 1 and len(eliminations) == 1
+        # coarseness is one integer span test, with no solve at all
         fy = maximal_partition(ey)
         for coarse in (maximal_partition(ez), StatisticFamily(ey.parameters, ())):
             with monkeypatch.context() as patch:
                 spans = _counting(patch, elicit, "_in_span")
                 solves = _counting(patch, elicit, "solve_linear")
-                reductions = _counting(patch, exactcore, "_row_reduce")
                 elicit.is_coarser(coarse, fy)
-            assert len(spans) == 1 and solves == [] and reductions == []
+            assert len(spans) == 1 and solves == []
 
 
 def test_mode_elicitable_needs_no_rank(monkeypatch):
@@ -61,8 +61,8 @@ def test_mode_elicitable_needs_no_rank(monkeypatch):
 
 
 def test_the_kept_null_directions_answer_every_no(monkeypatch):
-    """One integer elimination per experiment serves all four queries; a
-    "no" is read off its directions with no Fraction reduction at all."""
+    """One kept integer elimination per experiment serves all four queries;
+    a "no" is read off its directions with no solve at all."""
     seen = []
     for e in (bernoulli_experiment(), german_tank_experiment(4)):
         n, m = len(e.parameters), len(e.outcomes)
@@ -70,13 +70,13 @@ def test_the_kept_null_directions_answer_every_no(monkeypatch):
         with monkeypatch.context() as patch:
             kept = _counting(patch, model, "_annihilator")
             ranks = _counting(patch, elicit, "rank")
-            reductions = _counting(patch, exactcore, "_row_reduce")
+            solves = _counting(patch, elicit, "solve_linear")
             assert elicit.unbiased_weights(e, spanned).elicitable
-            assert len(reductions) == 1  # the one solve for the weights
+            assert len(solves) == 1  # the one solve for the weights
             squares = elicit.unbiased_weights(e, [F(i * i) for i in range(n)])
             mode = elicit.mode_elicitable(e, range(n))
             if not mode.elicitable:
-                assert not squares.elicitable and len(reductions) == 1
+                assert not squares.elicitable and len(solves) == 1
             report = elicit.complete_elicitation(e)
         assert len(kept) == 1
         assert report.full_belief_elicitable == mode.elicitable

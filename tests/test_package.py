@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -99,3 +100,18 @@ def test_the_exact_input_rule_is_spelled_only_in_exactcore():
     source = Path(elicitkit.__file__).parent
     spelled = sorted(path.name for path in source.glob("*.py") if rule.search(path.read_text()))
     assert spelled == ["exactcore.py"]
+
+
+def test_one_fraction_elimination_step_serves_only_lp_and_rank():
+    # solves, null spaces, spans and determinants all run on the integer
+    # elimination; a second Fraction elimination must not creep back
+    tree = ast.parse((Path(elicitkit.__file__).parent / "exactcore.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert "_row_reduce" not in {f.name for f in functions}
+    callers = {
+        f.name
+        for f in functions
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_pivot"
+    }
+    assert callers == {"lp_feasible", "rank"}
