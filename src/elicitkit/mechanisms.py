@@ -1,9 +1,10 @@
 """Payment mechanisms and their exact verification.
 
-A mechanism maps (report, outcome) to a rational payoff. Direct mechanisms
-take a belief as the report; the mean-score mechanism takes a scalar. All
-expected payoffs are computed exactly by enumeration, never by sampling, so
-incentive properties are decided, not estimated:
+A mechanism maps (report, outcome) to a rational payoff. Every kind gives its
+truthful payoffs on a belief grid as integer rows (``grid_payoffs``). Direct
+mechanisms take a belief as the report and read its payoffs from that row;
+the mean-score mechanism takes a scalar, a table a label. All expected
+payoffs are exact, never sampled, so incentive properties are decided:
 
 * the quadratic panel scores the reported mean outcome distribution against
   the realized outcome, one squared term per outcome; truthful reporting is
@@ -11,8 +12,8 @@ incentive properties are decided, not estimated:
   distribution;
 * the mean-score mechanism turns unbiased outcome weights into a strictly
   proper quadratic score for a statistic's mean;
-* compound mechanisms apply a per-covariate sub-mechanism to mixture
-  outcomes;
+* compound mechanisms pay each covariate's outcomes by its sub-mechanism at
+  the sub's report for the belief, composing the subs' integer rows;
 * pushforward and the level-set transform transport a table mechanism along
   a dominance witness, preserving expected payoffs belief by belief (the
   level-set version also preserves the [0, 1] payoff range).
@@ -21,12 +22,12 @@ incentive properties are decided, not estimated:
 and asserts weak incentive compatibility everywhere, strict gaps exactly on
 target-distinguishable pairs, and indifference inside cells. A kind that is
 proper by construction (the quadratic panel, a mean score with unbiased
-weights) names the integer rows it scores (``_scored_rows``). A target in
-the span of those rows and the constants is settled for the whole simplex,
-with no grid built, when its rows are orthogonal to that span's integer
-annihilator, kept on the mechanism; otherwise classes of scored means decide
-its grid in O(G). Other kinds give the grid's truthful payoffs as integer rows
-(``grid_payoffs``), certified in packed integers. Every class of equal means
+weights, a compound whose positive-weight subs are proper) names the integer
+rows it scores (``_scored_rows``). A target in the span of those rows and the
+constants is settled for the whole simplex, with no grid built, when its rows
+are orthogonal to that span's integer annihilator, kept on the mechanism;
+otherwise classes of scored means decide its grid in O(G). Other kinds'
+grid payoffs are certified in packed integers. Every class of equal means
 comes from the grid's count columns, packed once per call into G-slot
 integers; ``pairs_checked`` is always G(G-1).
 """
@@ -81,27 +82,27 @@ class Mechanism:
         return self.payoff_vector(report)[self._outcome_index(outcome)]
 
     def payoff_vector(self, report: Report) -> tuple[Fraction, ...]:
-        """Payoffs across all outcomes for one report; each kind implements it."""
-        raise NotImplementedError
+        """Payoffs across all outcomes for one report: a direct kind's report is
+        a belief, paid its row of ``grid_payoffs``."""
+        if not isinstance(report, Belief):
+            raise ValueError("a direct mechanism takes a belief as the report")
+        if len(report.weights) != len(self.experiment.parameters):
+            raise ValueError("belief length does not match the parameter set")
+        (counts,), d = _scaled_ints([report.weights])
+        (row,), scale = self.grid_payoffs([counts], d)
+        return tuple(Fraction(x, scale) for x in row)
 
     def report_for_belief(self, p: Belief) -> Report:
-        """The report a truthful analyst holding belief p submits."""
-        raise ValueError(f"{self.kind} mechanism has no belief-to-report rule")
+        """The report a truthful analyst holding belief p submits; a direct kind's is p."""
+        return p
 
     def grid_payoffs(
         self, counts: Sequence[Sequence[int]], d: int
     ) -> tuple[list[list[int]], int]:
-        """Truthful payoff vectors of the beliefs k/d as integer rows over one scale.
-
-        Row i over the positive scale is
-        ``payoff_vector(report_for_belief(counts[i] / d))``. This generic
-        path builds each belief; kinds with an integer closed form override
-        it.
-        """
-        beliefs = (grid_belief(k, d) for k in counts)
-        return _scaled_ints(
-            [self.payoff_vector(self.report_for_belief(p)) for p in beliefs]
-        )
+        """Truthful payoff vectors of the beliefs k/d as integer rows over one positive
+        scale: row i is ``payoff_vector(report_for_belief(counts[i] / d))``. Every
+        kind gives them in closed form, building no belief."""
+        raise NotImplementedError
 
     def payoff_range(self) -> Optional[tuple[Fraction, Fraction]]:
         """Certified payoff bounds, when statically known."""
@@ -168,18 +169,6 @@ class QuadraticPanelMechanism(Mechanism):
         self.event_weights = weights
         self._columns, self._kernel_scale = experiment._kernel_ints
         (self._weights,), self._weight_scale = _scaled_ints([weights])
-
-    def report_for_belief(self, p: Belief) -> Belief:
-        return p
-
-    def payoff_vector(self, report: Report) -> tuple[Fraction, ...]:
-        if not isinstance(report, Belief):
-            raise ValueError("a direct mechanism takes a belief as the report")
-        if len(report.weights) != len(self.experiment.parameters):
-            raise ValueError("belief length does not match the parameter set")
-        (counts,), d = _scaled_ints([report.weights])
-        (row,), scale = self.grid_payoffs([counts], d)
-        return tuple(Fraction(x, scale) for x in row)
 
     def grid_payoffs(
         self, counts: Sequence[Sequence[int]], d: int
@@ -427,14 +416,21 @@ class CompoundMechanism(Mechanism):
         self.subs = subs
         self.experiment = mixture(mixture_spec)
 
-    def report_for_belief(self, p: Belief) -> Belief:
-        return p
+    def grid_payoffs(
+        self, counts: Sequence[Sequence[int]], d: int
+    ) -> tuple[list[list[int]], int]:
+        """Each covariate's sub-mechanism rows side by side, over the lcm of their scales."""
+        forms = [sub.grid_payoffs(counts, d) for sub in self.subs]
+        scale = math.lcm(*(s for _, s in forms))
+        parts = [[[x * (scale // s) for x in row] for row in rows] for rows, s in forms]
+        return [[x for row in part for x in row] for part in zip(*parts)], scale
 
-    def payoff_vector(self, report: Report) -> tuple[Fraction, ...]:
-        """Each covariate's sub-mechanism payoffs, in covariate order."""
-        if not isinstance(report, Belief):
-            raise ValueError("a direct mechanism takes a belief as the report")
-        return tuple(x for sub in self.subs for x in sub.payoff_vector(report))
+    def _scored_rows(self) -> Optional[list[list[int]]]:
+        # the gain is the covariate-weighted sum of the subs' gains
+        scored = [sub._scored_rows() for w, sub in zip(self.mixture.weights, self.subs) if w > 0]
+        if any(rows is None for rows in scored):
+            return None
+        return [row for rows in scored for row in rows]
 
     def payoff_range(self) -> tuple[Fraction, Fraction]:
         return (_ZERO, _ONE)
@@ -534,7 +530,7 @@ def level_set_transform(
             sum((w * event_weights.entries.at(y, mask) for mask, w in decomposition), _ZERO)
             for y in range(ny)
         ])
-    return TableMechanism(experiment, base.reports, Matrix.from_rows(rows))
+    return TableMechanism(experiment, base.reports, Matrix.from_rows(rows), base.report_beliefs)
 
 
 def tabulate(m: Mechanism, beliefs: Sequence[Belief]) -> TableMechanism:
@@ -684,7 +680,8 @@ def ic_verify(
     first use and kept on it (the integer kernel columns, target rows and
     table payoffs; a proper kind's integer annihilator of [scored rows; 1]),
     so a call does only the grid's work. A kind whose ``_scored_rows`` is not
-    None gains a squared distance between scored means, so weak IC and
+    None (a compound's are its positive-weight subs' rows) gains a weighted
+    sum of squared distances between scored means, so weak IC and
     indifference hold; if every target row is orthogonal to every annihilator
     vector (a few dot products, none at full rank), every target mean is a
     function of the scored means and the answer is yes with no grid built.
@@ -692,14 +689,14 @@ def ic_verify(
     family's means over the grid are n multiply-adds and its classes are the
     distinct slot bytes (``_grid_classes``). A proper kind then needs one
     O(G) pass for the first scored class holding two targets. Any other kind
-    gives its truthful payoffs as integer rows (``grid_payoffs``), each
-    outcome's column shifted by the least entry (no gap changes) and packed
-    into one int of G slots; belief k's row of G expected payoffs is m
-    multiply-adds weighted by k @ K_int, and a few whole-row int operations
-    certify its G pairs. Only the first failing row is scanned pair by pair,
-    and the pass stops at the first weak-IC or indifference failure. Memory
-    is O(G*m) plus a G-slot mask per class a row asks for, whatever the
-    violations.
+    gives its truthful payoffs as integer rows (``grid_payoffs``; a compound
+    sets its subs' rows side by side), each outcome's column shifted by the
+    least entry (no gap changes) and packed into one int of G slots; belief
+    k's row of G expected payoffs is m multiply-adds weighted by k @ K_int,
+    and a few whole-row int operations certify its G pairs. Only the first
+    failing row is scanned pair by pair, and the pass stops at the first
+    weak-IC or indifference failure. Memory is O(G*m) plus a G-slot mask per
+    class a row asks for, whatever the violations.
     """
     require_ints(grid_denominator=grid_denominator, max_pairs=max_pairs)
     if grid_denominator < 1:

@@ -334,6 +334,41 @@ def _compound(weights, subs, covariates=("c", "d")):
     return {"kind": "compound", "mixture": mixture, "subs": subs}
 
 
+def test_verify_golden_output_on_a_compound(tmp_path, capsys):
+    # two panels on the Bernoulli trial, the second covariate at weight 0:
+    # the span certificate and the class pass print what the packed-row scan
+    # of the same compound prints
+    path = tmp_path / "compound.json"
+    path.write_text(json.dumps(_compound({"c": "1", "d": "0"}, {"c": _QUADRATIC, "d": _QUADRATIC})))
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"parameters": ["0", "1/2", "1"], "functions": {"g": [0, 1, 0]}}))
+    for d, pairs in (("4", 210), ("6", 756)):
+        assert main(["verify", str(path), "--denominator", d]) == 0
+        assert capsys.readouterr().out == (
+            "{\n"
+            '  "incentive_compatible": true,\n'
+            '  "elicits_target": true,\n'
+            f'  "grid_denominator": {d},\n'
+            f'  "pairs_checked": {pairs}\n'
+            "}\n"
+        )
+    assert main(["verify", str(path), "--target", str(family)]) == 0
+    assert capsys.readouterr().out == (
+        "{\n"
+        '  "incentive_compatible": true,\n'
+        '  "elicits_target": false,\n'
+        '  "grid_denominator": 4,\n'
+        '  "pairs_checked": 210,\n'
+        '  "violation": {\n'
+        '    "check": "strictness",\n'
+        '    "belief": [\n      "0",\n      "1/2",\n      "1/2"\n    ],\n'
+        '    "deviation": [\n      "1/4",\n      "0",\n      "3/4"\n    ],\n'
+        '    "gap": "0"\n'
+        "  }\n"
+        "}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, docs, message",
     [

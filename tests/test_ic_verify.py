@@ -462,7 +462,7 @@ def _same_on_both_paths(m, target, d) -> ICReport:
 
 def test_proper_kinds_of_the_corpus_match_the_scan():
     proper = [(m, target, d) for _, m, target, d in _corpus() if m._scored_rows() is not None]
-    assert len(proper) == 4 * 3 * 6  # quadratic, brier, linear and constant
+    assert len(proper) == 5 * 3 * 6  # quadratic, brier, linear, constant and compound
     for m, target, d in proper:
         _same_on_both_paths(m, target, d)
 
@@ -477,6 +477,76 @@ def test_random_proper_instances_match_the_scan():
         assert report.incentive_compatible
         seen[None if report.violation is None else report.violation.check] += 1
     assert all(count > 0 for count in seen.values()), seen
+
+
+def _random_compound(rng, params, d, depth=0):
+    """A compound of one to three covariates on ``params``, some at weight 0.
+
+    A sub is a panel, a table over the 1/d grid (a panel's or an anti-proper
+    one's) or, at the top level, a nested compound."""
+    subs = []
+    for _ in range(rng.randint(1, 3)):
+        e = random_experiment(rng, len(params), rng.randint(1, 3), 4, params)
+        draw, panel = rng.random(), quadratic_mechanism(e)
+        if draw < 0.15 and depth == 0:
+            subs.append(_random_compound(rng, params, d, 1))
+        elif draw < 0.35:
+            beliefs = belief_grid(len(params), d)
+            if draw < 0.2:
+                rows = [[1 - x for x in panel.payoff_vector(p)] for p in beliefs]
+                subs.append(_table(e, rows, d))
+            else:
+                subs.append(tabulate(panel, beliefs))
+        else:
+            raw = [rng.randint(1, 5) for _ in e.outcomes]
+            subs.append(quadratic_mechanism(e, [F(w, sum(raw)) for w in raw]))
+    raw = [rng.choice((0, 0, 1, 2, 3)) for _ in subs]
+    raw[rng.randrange(len(raw))] += 1
+    mix = CovariateMixture(
+        tuple(f"x{i}" for i in range(len(subs))),
+        tuple(F(w, sum(raw)) for w in raw),
+        tuple(sub.experiment for sub in subs),
+    )
+    return compound_mechanism(mix, subs)
+
+
+def test_random_compounds_match_the_scan_and_the_reference():
+    # a compound is proper when every positive-weight sub is: those take the
+    # identity path, the rest pack their composed rows
+    rng = random.Random(53)
+    seen = dict.fromkeys(("zero weight", "nested", "table", "packed", "weak_ic", "strictness"), 0)
+    proper = 0
+    while proper < 500:
+        n, d = rng.randint(1, 4), rng.randint(1, 3)
+        m = _random_compound(rng, tuple(f"t{i}" for i in range(n)), d)
+        e = m.experiment
+        target = maximal_partition(e) if rng.random() < 0.3 else _random_family(rng, e)
+        if m._scored_rows() is None:
+            report, _ = _verified(m, target, d)
+            seen["packed"] += 1
+        else:
+            report = _same_on_both_paths(m, target, d)
+            assert report == reference_ic_verify(m, target, d)
+            proper += 1
+        seen["zero weight"] += 0 in m.mixture.weights
+        seen["nested"] += any(sub.kind == "compound" for sub in m.subs)
+        seen["table"] += any(sub.kind == "table" for sub in m.subs)
+        if report.violation is not None:
+            seen[report.violation.check] += 1
+    assert all(count >= 40 for count in seen.values()), seen
+
+
+def test_a_compound_pays_each_covariate_at_its_subs_report():
+    # a panel and its table over the grid: the table sub is paid at the
+    # report its menu names for the belief
+    e = random_experiment(random.Random(59), 3, 3)
+    panel = quadratic_mechanism(e)
+    mix = CovariateMixture(("a", "b"), (F(1, 2), F(1, 2)), (e, e))
+    m = compound_mechanism(mix, (panel, tabulate(panel, belief_grid(3, 4))))
+    p = Belief((F(1, 4), F(1, 2), F(1, 4)))
+    assert m.payoff_vector(p) == panel.payoff_vector(p) * 2
+    report, _ = _verified(m, maximal_partition(m.experiment), 4)
+    assert report == ICReport(True, True, None, 4, 210)
 
 
 def test_only_unbiased_mean_scores_take_the_identity_path():
@@ -569,10 +639,19 @@ def test_one_call_enumerates_the_grid_and_packs_its_counts_once(monkeypatch):
     rng = random.Random(29)
     e = Experiment(("a", "b", "c"), ("0", "1", "2"), Matrix.identity(3))
     unspanned = (mean_mechanism(e, [0, 1, 2], [0, 1, 2]), maximal_partition(e), 4)
-    for m, target, d in (*(_instance(rng, kind, 3, 4) + (4,) for kind in KINDS[4:]), unspanned):
+    # a compound with a table sub is not proper: it packs its composed rows
+    mix = CovariateMixture(("a", "b"), (F(1, 2), F(1, 2)), (e, e))
+    subs = (quadratic_mechanism(e), tabulate(quadratic_mechanism(e), belief_grid(3, 4)))
+    tabled = (compound_mechanism(mix, subs), maximal_partition(e), 4)
+    others = (_instance(rng, kind, 3, 4) + (4,) for kind in KINDS[4:] if kind != "compound")
+    for m, target, d in (*others, unspanned, tabled):
         calls.clear()
         ic_verify(m, target, d)
         assert sorted(calls) == ["_grid_classes", "_pack_counts", "grid_counts"], m.kind
+    # a compound of panels against its maximal partition builds no grid
+    calls.clear()
+    assert ic_verify(*_instance(rng, "compound", 3, 4), 4).elicits_target
+    assert calls == []
 
 
 def test_spanned_targets_are_settled_without_the_grid(monkeypatch):

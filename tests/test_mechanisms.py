@@ -259,16 +259,17 @@ class TestCompound:
         mix = CovariateMixture(("a", "b"), (F(1, 2), F(1, 2)), comps)
         comp = compound_mechanism(mix, tuple(map(quadratic_mechanism, comps)))
         calls = []
-        original = QuadraticPanelMechanism.payoff_vector
+        original = QuadraticPanelMechanism.grid_payoffs
 
-        def counted(self, report):
-            calls.append(report)
-            return original(self, report)
+        def counted(self, counts, d):
+            calls.append((counts, d))
+            return original(self, counts, d)
 
-        monkeypatch.setattr(QuadraticPanelMechanism, "payoff_vector", counted)
+        monkeypatch.setattr(QuadraticPanelMechanism, "grid_payoffs", counted)
         vector = comp.payoff_vector(Belief.uniform(3))
         assert len(vector) == 9
-        assert len(calls) == 2
+        # one row of each sub's integer form, at the belief's counts
+        assert calls == [([[1, 1, 1]], 3)] * 2
 
     def test_rejects_uncertified_sub_payoffs(self):
         base, _ = self.make_components()
@@ -387,6 +388,15 @@ class TestLevelSetTransform:
         state = Belief.point_mass(3, 0)
         assert expected_payoff(moved, state, "r") == F(3, 4)
         assert expected_payoff(table, state, "r") == F(3, 4)
+
+    def test_keeps_the_report_menu(self):
+        clean, noisy = bernoulli_experiment(), noisy_bernoulli_experiment()
+        table = tabulate(quadratic_mechanism(noisy), belief_grid(3, 4))
+        moved = level_set_transform(table, bounded_dominates(clean, noisy).event_weights, clean)
+        assert moved.report_beliefs == table.report_beliefs
+        # expected payoffs move belief by belief, so the verdict moves too
+        target = maximal_partition(clean)
+        assert ic_verify(moved, target, 4) == ic_verify(table, target, 4)
 
     def test_rejects_payoffs_outside_unit_interval(self):
         ey, ez = limited_liability_separation_pair()

@@ -115,3 +115,17 @@ def test_one_fraction_elimination_step_serves_only_lp_and_rank():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_pivot"
     }
     assert callers == {"lp_feasible", "rank"}
+
+
+def test_only_ic_verify_builds_grid_beliefs_in_mechanisms():
+    # every kind gives its grid payoffs as integer rows; a grid belief is
+    # built only to name a violation, never once per grid point
+    tree = ast.parse((Path(elicitkit.__file__).parent / "mechanisms.py").read_text())
+
+    def uses(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "grid_belief"]
+
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert {f.name for f in functions if uses(f)} == {"ic_verify"}
+    (verify,) = (f for f in functions if f.name == "ic_verify")
+    assert len(uses(tree)) == len(uses(verify))
