@@ -41,6 +41,7 @@ from .exactcore import (
     kron,
     parse_rational,
     rank,
+    require_distinct,
     require_exact,
     require_ints,
     require_keys,
@@ -269,8 +270,7 @@ def mode_elicitable(e: Experiment, parameter_values: Sequence[Fraction]) -> Mode
     values = require_vector(parameter_values, "parameter values")
     if len(values) != len(e.parameters):
         raise ValueError("parameter values must align with the parameter set")
-    if len(set(values)) != len(values):
-        raise ValueError("parameter values must be distinct")
+    require_distinct(values, "parameter values")
     if not e._null_directions:  # rank K = n: the full belief is elicitable
         return ModeReport(elicitable=True)
     plus, minus = _indistinguishable_witness(e._null_directions[0])

@@ -3,8 +3,11 @@ takes its values through: a rational is an int, a ``Fraction`` or a rational
 string (``parse_rational``), a vector a list, tuple or range of them
 (``require_vector``), a count an int (``require_ints``), a JSON label a string
 or number (``require_labels``), never a bool; a record's fields are tuples
-(``require_tuple``) whose numbers are ints or Fractions (``require_exact``);
-all else raises ValueError.
+(``require_tuple``) whose numbers are ints or Fractions (``require_exact``).
+Three value rules sit beside that type rule: a probability vector has no
+negative entry and sums to exactly 1 (``require_distribution``), a label set
+repeats no label (``require_distinct``), and an outcome or report is given by
+its label or its int index (``require_index``). All else raises ValueError.
 
 Dense matrices over :class:`fractions.Fraction`, the Kronecker product of
 vectors, linear solves, null-space bases, and linear-programming feasibility
@@ -74,10 +77,50 @@ def require_exact(values: object, what: str, where: Callable[[int], str] = lambd
         raise ValueError(f"{what} must be ints or Fractions, got {x!r}{where(i)}")
 
 
-def require_vector(values: object, what: str) -> list[Fraction]:
+def require_vector(values: object, what: str) -> tuple[Fraction, ...]:
     """The entries of a list, tuple or range, each through ``parse_rational``;
     anything else (a str, bytes, a mapping, a scalar) raises ValueError."""
-    return [parse_rational(x) for x in require_tuple(values, what, object, (list, tuple, range))]
+    return tuple(map(parse_rational, require_tuple(values, what, object, (list, tuple, range))))
+
+
+def require_distribution(values: object, what: str) -> tuple:
+    """``values`` if they are a probability vector: a tuple of ints and
+    Fractions (``require_exact``), none negative, summing to exactly 1."""
+    require_exact(values, what)
+    for x in values:
+        if x < 0:
+            raise ValueError(
+                f"{what} must be a probability vector, got entry {format_rational(x)} "
+                "outside [0, 1]"
+            )
+    total = sum(values, _ZERO)
+    if total != 1:
+        raise ValueError(
+            f"{what} must be a probability vector, but it sums to {format_rational(total)}"
+        )
+    return values
+
+
+def require_distinct(values: Sequence, what: str) -> None:
+    """Raise ValueError naming the first of ``values`` that repeats an earlier one."""
+    if len(set(values)) != len(values):
+        x = next(x for i, x in enumerate(values) if x in values[:i])
+        shown = format_rational(x) if isinstance(x, Fraction) else repr(x)
+        raise ValueError(f"{what} must be distinct, got duplicate {shown}")
+
+
+def require_index(value: object, labels: Sequence[str], what: str) -> int:
+    """The position of the label ``value`` in ``labels``, or ``value`` itself
+    as an int index into them; anything else raises ValueError."""
+    if isinstance(value, str):
+        try:
+            return labels.index(value)
+        except ValueError:
+            raise ValueError(f"unknown {what} {value!r}") from None
+    require_ints(**{what: value})
+    if not 0 <= value < len(labels):
+        raise ValueError(f"{what} index {value} out of range")
+    return value
 
 
 def require_tuple(values: object, what: str, kind: type = object, types: tuple = (tuple,)) -> tuple:

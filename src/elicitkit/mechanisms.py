@@ -42,8 +42,9 @@ from operator import mul
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .exactcore import (
-    Matrix, _annihilator, _orthogonal, _scaled_ints, format_rational, parse_rational, require_exact,
-    require_ints, require_keys, require_labels, require_list, require_tuple, require_vector,
+    Matrix, _annihilator, _orthogonal, _scaled_ints, format_rational, parse_rational,
+    require_distinct, require_distribution, require_exact, require_index, require_ints,
+    require_keys, require_labels, require_list, require_tuple, require_vector,
 )
 from .elicit import StatisticFamily, statistic_mean
 from .model import (
@@ -79,7 +80,8 @@ class Mechanism:
     experiment: Experiment
 
     def payoff(self, report: Report, outcome: Union[int, str]) -> Fraction:
-        return self.payoff_vector(report)[self._outcome_index(outcome)]
+        payoffs = self.payoff_vector(report)
+        return payoffs[require_index(outcome, self.experiment.outcomes, "outcome")]
 
     def payoff_vector(self, report: Report) -> tuple[Fraction, ...]:
         """Payoffs across all outcomes for one report: a direct kind's report is
@@ -120,14 +122,6 @@ class Mechanism:
         n = len(self.experiment.parameters)
         return _annihilator([*scored, [1] * n], n)
 
-    def _outcome_index(self, outcome: Union[int, str]) -> int:
-        if isinstance(outcome, str):
-            return self.experiment.outcome_index(outcome)
-        require_ints(outcome=outcome)
-        if not 0 <= outcome < len(self.experiment.outcomes):
-            raise ValueError(f"outcome index {outcome} out of range")
-        return outcome
-
 
 def expected_payoff(m: Mechanism, belief: Belief, report: Report) -> Fraction:
     """Expected payoff under a belief: outcome-distribution-weighted payoffs."""
@@ -160,11 +154,12 @@ class QuadraticPanelMechanism(Mechanism):
         m = len(experiment.outcomes)
         if event_weights is None:
             event_weights = [Fraction(1, m)] * m
-        weights = tuple(require_vector(event_weights, "event weights"))
+        weights = require_vector(event_weights, "event weights")
+        require_distribution(weights, "event weights")
         if len(weights) != m:
             raise ValueError("one event weight per outcome is required")
-        if any(w <= 0 for w in weights) or sum(weights, _ZERO) != 1:
-            raise ValueError("event weights must be positive and sum to 1")
+        if 0 in weights:
+            raise ValueError("event weights must be positive")
         self.experiment = experiment
         self.event_weights = weights
         self._columns, self._kernel_scale = experiment._kernel_ints
@@ -228,8 +223,8 @@ class MeanScoreMechanism(Mechanism):
     ) -> None:
         if variant not in ("brier", "linear"):
             raise ValueError("variant must be 'brier' or 'linear'")
-        statistic = tuple(require_vector(statistic, "statistic"))
-        weights = tuple(require_vector(weights, "weights"))
+        statistic = require_vector(statistic, "statistic")
+        weights = require_vector(weights, "weights")
         if len(statistic) != len(experiment.parameters):
             raise ValueError("statistic length does not match the parameter set")
         if len(weights) != len(experiment.outcomes):
@@ -289,8 +284,8 @@ class TableMechanism(Mechanism):
 
     When the table was produced by freezing a direct mechanism over a belief
     menu, ``report_beliefs`` remembers which belief each report stands for,
-    so belief-based checks still apply; the mapping is a session construct
-    and is not serialized.
+    so belief-based checks still apply; its document carries them as
+    ``report_beliefs``.
     """
 
     kind = "table"
@@ -303,8 +298,7 @@ class TableMechanism(Mechanism):
         report_beliefs: Optional[Sequence[Belief]] = None,
     ) -> None:
         reports = require_tuple(reports, "reports", str, (list, tuple))
-        if len(set(reports)) != len(reports):
-            raise ValueError("duplicate report labels")
+        require_distinct(reports, "report labels")
         if payoffs.rows != len(reports) or payoffs.cols != len(experiment.outcomes):
             raise ValueError("payoff table shape must be reports x outcomes")
         if report_beliefs is not None:
@@ -356,19 +350,8 @@ class TableMechanism(Mechanism):
                 f"belief ({belief}) is not on the tabulated report menu (grid denominator {d})"
             ) from None
 
-    def report_index(self, report: Report) -> int:
-        if isinstance(report, str):
-            try:
-                return self.reports.index(report)
-            except ValueError:
-                raise ValueError(f"unknown report {report!r}") from None
-        require_ints(report=report)
-        if 0 <= report < len(self.reports):
-            return report
-        raise ValueError(f"unknown report {report!r}")
-
     def payoff_vector(self, report: Report) -> tuple[Fraction, ...]:
-        return self.payoffs.row(self.report_index(report))
+        return self.payoffs.row(require_index(report, self.reports, "report"))
 
     def payoff_range(self) -> tuple[Fraction, Fraction]:
         return (min(self.payoffs.entries), max(self.payoffs.entries))
@@ -826,6 +809,8 @@ def mechanism_to_doc(m: Mechanism) -> dict:
         doc.update(base=mechanism_to_doc(m.base), matrix=m.matrix.to_doc())
     else:
         doc.update(reports=list(m.reports), payoffs=m.payoffs.to_doc())
+        if m.report_beliefs is not None:
+            doc["report_beliefs"] = [p.to_doc() for p in m.report_beliefs]
     return doc
 
 
@@ -862,10 +847,13 @@ def load_mechanism(doc: Mapping) -> Mechanism:
             variant=doc.get("variant", "brier"),
         )
     if kind == "table":
+        menu = require_list(doc.get("report_beliefs", ()), "report_beliefs")
         return TableMechanism(
             load_experiment(doc["experiment"]),
             require_labels(doc["reports"], "reports"),
             Matrix.from_rows(doc["payoffs"]),
+            [Belief(require_vector(p, "report belief")) for p in menu]
+            if "report_beliefs" in doc else None,
         )
     if kind == "pushforward":
         base = load_mechanism(doc["base"])

@@ -17,11 +17,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactcore import (
-    Matrix, _annihilator, _scaled_ints, format_rational, kron, parse_rational, require_exact,
-    require_ints, require_keys, require_labels, require_tuple, require_vector,
+    Matrix, _annihilator, _scaled_ints, format_rational, kron, parse_rational, require_distinct,
+    require_distribution, require_ints, require_keys, require_labels, require_tuple, require_vector,
 )
 
 _ZERO = Fraction(0)
@@ -49,35 +49,12 @@ class Experiment:
             raise ValueError("experiment needs at least one parameter")
         if not self.outcomes:
             raise ValueError("experiment needs at least one outcome")
-        if len(set(self.parameters)) != len(self.parameters):
-            raise ValueError("duplicate parameter labels")
-        if len(set(self.outcomes)) != len(self.outcomes):
-            raise ValueError("duplicate outcome labels")
+        require_distinct(self.parameters, "parameter labels")
+        require_distinct(self.outcomes, "outcome labels")
         if self.kernel.rows != len(self.parameters) or self.kernel.cols != len(self.outcomes):
             raise ValueError("kernel shape does not match label counts")
-        m = self.kernel.cols
-        require_exact(self.kernel.entries, "kernel entries",
-                      lambda i: f" for parameter {self.parameters[i // m]!r}")
         for i, label in enumerate(self.parameters):
-            row = self.kernel.row(i)
-            for x in row:
-                if x < 0 or x > 1:
-                    raise ValueError(
-                        f"kernel entry {format_rational(x)} for parameter "
-                        f"{label!r} lies outside [0, 1]"
-                    )
-            total = sum(row, _ZERO)
-            if total != 1:
-                raise ValueError(
-                    f"kernel row for parameter {label!r} sums to "
-                    f"{format_rational(total)}, expected 1"
-                )
-
-    def outcome_index(self, label: str) -> int:
-        try:
-            return self.outcomes.index(label)
-        except ValueError:
-            raise ValueError(f"unknown outcome {label!r}") from None
+            require_distribution(self.kernel.row(i), f"kernel row for parameter {label!r}")
 
     @cached_property
     def _kernel_ints(self) -> tuple[list[list[int]], int]:
@@ -98,13 +75,7 @@ class Belief:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        require_exact(self.weights, "belief weights")
-        if not self.weights:
-            raise ValueError("belief needs at least one weight")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("belief weights must be nonnegative")
-        if sum(self.weights, _ZERO) != 1:
-            raise ValueError("belief weights must sum to exactly 1")
+        require_distribution(self.weights, "belief weights")
 
     @staticmethod
     def uniform(n: int) -> "Belief":
@@ -143,20 +114,13 @@ class CovariateMixture:
 
     def __post_init__(self) -> None:
         require_tuple(self.covariates, "covariate labels", str)
-        require_exact(self.weights, "covariate weights")
+        require_distribution(self.weights, "covariate weights")
         require_tuple(self.components, "mixture components", Experiment)
-        if not self.covariates:
-            raise ValueError("mixture needs at least one covariate")
-        if len(set(self.covariates)) != len(self.covariates):
-            raise ValueError("duplicate covariate labels")
+        require_distinct(self.covariates, "covariate labels")
         if len(self.weights) != len(self.covariates) or len(self.components) != len(
             self.covariates
         ):
             raise ValueError("covariates, weights, and components must align")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("covariate weights must be nonnegative")
-        if sum(self.weights, _ZERO) != 1:
-            raise ValueError("covariate weights must sum to exactly 1")
         params = self.components[0].parameters
         for comp in self.components[1:]:
             if comp.parameters != params:
@@ -239,35 +203,18 @@ def mixture(m: CovariateMixture) -> Experiment:
     return Experiment(m.parameters, labels, Matrix.from_rows(rows))
 
 
-def _check_markov(channel: Matrix) -> None:
-    for i in range(channel.rows):
-        row = channel.row(i)
-        if any(x < 0 for x in row):
-            raise ValueError("channel has a negative entry; not Markov")
-        if sum(row, _ZERO) != 1:
-            raise ValueError("channel row does not sum to 1; not Markov")
-
-
-def garble(
-    e: Experiment,
-    channel: Matrix,
-    outcome_labels: Optional[Sequence[str]] = None,
-) -> Experiment:
+def garble(e: Experiment, channel: Matrix) -> Experiment:
     """Post-compose the experiment with a Markov channel on outcomes.
 
-    The new kernel is ``kernel @ channel``. With a square channel the
-    original outcome labels are kept; otherwise labels must be supplied (or
-    are generated).
+    The new kernel is ``kernel @ channel``. A square channel keeps the
+    outcome labels; any other channel's outcomes are ``g0``, ``g1``, ...
     """
     if channel.rows != len(e.outcomes):
         raise ValueError("channel rows must be indexed by the experiment outcomes")
-    _check_markov(channel)
-    if outcome_labels is None:
-        if channel.cols == len(e.outcomes):
-            outcome_labels = e.outcomes
-        else:
-            outcome_labels = tuple(f"g{j}" for j in range(channel.cols))
-    labels = require_tuple(outcome_labels, "outcome labels", str, (list, tuple))
+    for i in range(channel.rows):
+        require_distribution(channel.row(i), f"Markov channel row {i}")
+    square = channel.cols == len(e.outcomes)
+    labels = e.outcomes if square else tuple(f"g{j}" for j in range(channel.cols))
     return Experiment(e.parameters, labels, e.kernel @ channel)
 
 
@@ -283,8 +230,7 @@ def _replacement_matrix(
     if not 0 <= noise < 1:
         raise ValueError("noise probability must lie in [0, 1)")
     probs = require_vector(replacement, "replacement distribution")
-    if any(p < 0 for p in probs) or sum(probs, _ZERO) != 1:
-        raise ValueError("replacement distribution must be a probability vector")
+    require_distribution(probs, "replacement distribution")
     a = -noise / (1 - noise) if inverse else noise
     n = len(probs)
     return Matrix.from_rows(

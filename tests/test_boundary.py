@@ -43,6 +43,7 @@ from elicitkit.mechanisms import (
     mechanism_to_doc,
     pushforward,
     quadratic_mechanism,
+    tabulate,
 )
 from elicitkit.model import Belief, CovariateMixture, experiment_to_doc
 from elicitkit.orders import elicitation_dominates
@@ -74,8 +75,7 @@ CASES = {
     ),
     "belief_grid": (elicitkit.belief_grid, dict(n_parameters=2, denominator=2),
                     dict(n_parameters="int", denominator="int")),
-    "garble": (elicitkit.garble, dict(e=E, channel=Matrix.identity(2), outcome_labels=("u", "v")),
-               dict(outcome_labels="seq?")),
+    "garble": (elicitkit.garble, dict(e=E, channel=Matrix.identity(2)), {}),
     "is_complete": (elicitkit.is_complete, dict(e=E), {}),
     "is_identified": (elicitkit.is_identified, dict(e=E), {}),
     "load_experiment": (elicitkit.load_experiment, dict(doc=experiment_to_doc(E)), dict(doc="doc")),
@@ -247,6 +247,48 @@ def test_a_method_index_or_size_must_be_an_int(call, bad):
         call(bad)
 
 
+# -- the value rules: probability vectors, distinct labels, label-or-index -----
+
+PAIR, NEGATIVE, OFF_ONE = (F(1, 2), F(1, 2)), (F(3, 2), F(-1, 2)), (F(1, 2), F(1, 3))
+# each site that takes a probability vector, built on a two-entry vector
+DISTRIBUTIONS = {
+    "kernel row": lambda v: elicitkit.Experiment(("a",), ("x", "y"), Matrix(1, 2, v)),
+    "belief weights": Belief,
+    "covariate weights": lambda v: CovariateMixture(("a", "b"), v, (E, E)),
+    "Markov channel row": lambda v: elicitkit.garble(E, Matrix(2, 2, (*v, F(0), F(1)))),
+    "replacement distribution": lambda v: elicitkit.replacement_garbling_channel_inverse(v, 0),
+    "event weights": lambda v: quadratic_mechanism(E, v),
+}
+# each site that takes a set of labels, built on three labels
+LABEL_SETS = {
+    "parameter labels": lambda ls: elicitkit.Experiment(ls, ("x",), Matrix(3, 1, (1, 1, 1))),
+    "outcome labels": lambda ls: elicitkit.Experiment(("a",), ls, Matrix(1, 3, (1, 0, 0))),
+    "covariate labels": lambda ls: CovariateMixture(ls, (1, 0, 0), (E, E, E)),
+    "report labels": lambda ls: TableMechanism(E, ls, Matrix(3, 2, (0,) * 6)),
+    "parameter values": lambda ls: elicitkit.mode_elicitable(E, ls),
+}
+RULES = {
+    **{f"{field}: negative": (build, PAIR, NEGATIVE, rf"^{field}.* entry -1/2 outside \[0, 1\]$")
+       for field, build in DISTRIBUTIONS.items()},
+    **{f"{field}: sum": (build, PAIR, OFF_ONE, rf"^{field}.* sums to 5/6$")
+       for field, build in DISTRIBUTIONS.items()},
+    **{f"{field}: repeat": (build, ("0", "1", "2"), ("0", "1", "1"), rf"^{field} .* '?1'?$")
+       for field, build in LABEL_SETS.items()},
+    "unknown outcome": (lambda y: TABLE.payoff("low", y), "1", "2", "^unknown outcome '2'$"),
+    "outcome index": (lambda y: TABLE.payoff("low", y), 1, 2, "^outcome index 2 out of range$"),
+    "negative outcome index": (lambda y: TABLE.payoff(0, y), 0, -1, "^outcome index -1 out of"),
+    "unknown report": (lambda r: TABLE.payoff(r, 0), "high", "mid", "^unknown report 'mid'$"),
+    "report index": (lambda r: TABLE.payoff(r, 0), 1, 2, "^report index 2 out of range$"),
+}
+
+
+@pytest.mark.parametrize("build, valid, bad, message", RULES.values(), ids=list(RULES))
+def test_a_value_rule_refuses_a_bad_value_naming_the_field(build, valid, bad, message):
+    build(valid)  # the valid call answers
+    with pytest.raises(ValueError, match=message):
+        build(bad)
+
+
 # -- the CLI on mutated documents ---------------------------------------------
 
 REPLACEMENTS = (True, 1.5, None, [], {}, "x")
@@ -273,10 +315,13 @@ def _replaced(doc, path, value):
 def _mechanism_docs():
     statistic = E.kernel.mul_vec((F(0), F(1)))
     table = TableMechanism(NOISY, ("lo", "hi"), Matrix.from_rows([[0, 1], [1, 0]]))
+    panel = quadratic_mechanism(E)
     return {
-        "panel": mechanism_to_doc(quadratic_mechanism(E)),
+        "panel": mechanism_to_doc(panel),
         "mean_score": mechanism_to_doc(mean_mechanism(E, statistic, (F(0), F(1)))),
         "table": mechanism_to_doc(table),
+        # a table with the belief menu that verify reads from its document
+        "tabulated": mechanism_to_doc(tabulate(panel, elicitkit.belief_grid(3, 2))),
         "pushforward": mechanism_to_doc(
             pushforward(table, elicitation_dominates(E, NOISY).witness, E)
         ),
@@ -322,7 +367,7 @@ def _run_on(doc_dir, argv, docs) -> int:
 
 @pytest.mark.parametrize("run", RUNS)
 def test_valid_documents_exit_zero(doc_dir, run):
-    # a loaded table keeps no report beliefs, so verify refuses it: exit 2
+    # these table documents carry no report_beliefs, so verify refuses them: exit 2
     expected = 2 if run in ("verify table", "verify pushforward") else 0
     assert _run_on(doc_dir, *RUNS[run]) == expected
 

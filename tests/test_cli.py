@@ -16,16 +16,30 @@ import elicitkit
 from elicitkit.cli import main
 from elicitkit.demos import DEMOS
 from elicitkit.catalog import bernoulli_experiment, noisy_bernoulli_experiment
-from elicitkit.elicit import load_statistic_family
+from elicitkit.elicit import (
+    StatisticFamily,
+    load_statistic_family,
+    maximal_partition,
+    statistic_family_to_doc,
+)
 from elicitkit.exactcore import Matrix
 from elicitkit.mechanisms import (
     TableMechanism,
+    compound_mechanism,
+    ic_verify,
     load_mechanism,
     mean_mechanism,
     mechanism_to_doc,
     quadratic_mechanism,
+    tabulate,
 )
-from elicitkit.model import Experiment, experiment_to_doc, load_mixture
+from elicitkit.model import (
+    CovariateMixture,
+    Experiment,
+    belief_grid,
+    experiment_to_doc,
+    load_mixture,
+)
 
 
 @pytest.fixture()
@@ -367,6 +381,25 @@ def test_verify_golden_output_on_a_compound(tmp_path, capsys):
         "  }\n"
         "}\n"
     )
+
+
+def test_verify_answers_a_compound_document_with_a_tabulated_table(tmp_path, capsys):
+    # a table document carries its menu's beliefs, so verify answers the
+    # document of a panel beside its tabulated table as ic_verify does in process
+    e = bernoulli_experiment()
+    panel = quadratic_mechanism(e)
+    mixture = CovariateMixture(("c", "d"), (F(1, 2), F(1, 2)), (e, e))
+    m = compound_mechanism(mixture, (panel, tabulate(panel, belief_grid(3, 4))))
+    family = StatisticFamily(e.parameters, ((F(0), F(1), F(0)),))
+    path, target = tmp_path / "compound.json", tmp_path / "family.json"
+    path.write_text(json.dumps(mechanism_to_doc(m)))
+    target.write_text(json.dumps(statistic_family_to_doc(family)))
+    for argv, report in (
+        ([], ic_verify(m, maximal_partition(m.experiment), 4)),
+        (["--target", str(target)], ic_verify(m, family, 4)),
+    ):
+        assert main(["verify", str(path), "--denominator", "4", *argv]) == 0
+        assert capsys.readouterr().out == json.dumps(report.to_doc(), indent=2) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from fractions import Fraction as F
@@ -632,11 +633,7 @@ class TestRandomizedTransfer:
             for _ in ey.outcomes:
                 raw = [rng.randrange(1, 5) for _ in range(nz)]
                 channel_rows.append([F(x, sum(raw)) for x in raw])
-            ez = garble(
-                ey,
-                Matrix.from_rows(channel_rows),
-                outcome_labels=[f"z{j}" for j in range(nz)],
-            )
+            ez = garble(ey, Matrix.from_rows(channel_rows))
             result = bounded_dominates(ey, ez)
             assert result.holds
             payoffs = Matrix.from_rows(
@@ -735,6 +732,17 @@ class TestDocRoundTrips:
             assert mechanism_to_doc(rebuilt) == doc
             if m.kind != "compound":
                 assert rebuilt.experiment == m.experiment
+
+    def test_a_table_document_carries_its_menu(self):
+        # a tabulated table, and a pushforward of it, load with the same menu
+        e = bernoulli_experiment()
+        table = tabulate(quadratic_mechanism(e), belief_grid(3, 2))
+        for m in (table, pushforward(table, Matrix.identity(2), e)):
+            doc = mechanism_to_doc(m)
+            rebuilt = load_mechanism(json.loads(json.dumps(doc)))
+            assert rebuilt.report_beliefs == table.report_beliefs
+            assert mechanism_to_doc(rebuilt) == doc
+        assert mechanism_to_doc(table)["report_beliefs"][1] == ["0", "1/2", "1/2"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):

@@ -102,6 +102,15 @@ def test_the_exact_input_rule_is_spelled_only_in_exactcore():
     assert spelled == ["exactcore.py"]
 
 
+def test_the_value_rules_are_spelled_only_in_exactcore():
+    # "sums to exactly 1" and "no repeated label": every other module calls
+    # require_distribution and require_distinct
+    rule = re.compile(r"!= 1\b|len\(set\([^()]*\)\) !=")
+    source = Path(elicitkit.__file__).parent
+    spelled = sorted(path.name for path in source.glob("*.py") if rule.search(path.read_text()))
+    assert spelled == ["exactcore.py"]
+
+
 def test_one_fraction_elimination_step_serves_only_lp_and_rank():
     # solves, null spaces, spans and determinants all run on the integer
     # elimination; a second Fraction elimination must not creep back
