@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .exactcore import Matrix, require_ints, require_tuple, require_vector
+from .exactcore import Matrix, require_int, require_length, require_tuple, require_vector
 from .model import Experiment, uniform_garble
 
 _DEFAULT_GRID = (Fraction(0), Fraction(1, 2), Fraction(1))
@@ -39,9 +39,7 @@ def german_tank_experiment(n_max: int) -> Experiment:
     The parameter is the population size; observing serial k has probability
     1/size when k <= size and zero otherwise.
     """
-    require_ints(n_max=n_max)
-    if n_max < 1:
-        raise ValueError("population bound must be at least 1")
+    require_int(n_max, "n_max", 1)
     labels = tuple(str(k) for k in range(1, n_max + 1))
     rows = [
         [Fraction(1, size) if k <= size else Fraction(0) for k in range(1, n_max + 1)]
@@ -57,9 +55,7 @@ def truncated_poisson_experiment(k_max: int, rates: Sequence[Fraction]) -> Exper
     renormalized to sum to 1, which keeps them exact rationals (the usual
     exponential factor cancels).
     """
-    require_ints(k_max=k_max)
-    if k_max < 0:
-        raise ValueError("count truncation must be nonnegative")
+    require_int(k_max, "k_max", 0)
     rates = require_vector(rates, "rates")
     labels = tuple(str(k) for k in range(k_max + 1))
     rows = []
@@ -101,12 +97,13 @@ def random_experiment(
     parameters: Sequence[str] | None = None,
 ) -> Experiment:
     """Random kernel with entries on the 1/denominator grid, rows summing to 1."""
-    require_ints(n_parameters=n_parameters, n_outcomes=n_outcomes, denominator=denominator)
-    if min(n_outcomes, denominator) < 1:  # a row of zeros would be redrawn forever
-        raise ValueError("need at least one outcome and a denominator of at least 1")
+    require_int(n_parameters, "n_parameters", 1)
+    require_int(n_outcomes, "n_outcomes", 1)  # a row of zeros would be redrawn forever
+    require_int(denominator, "denominator", 1)
     if parameters is None:
         parameters = tuple(f"t{i}" for i in range(n_parameters))
     parameters = require_tuple(parameters, "parameters", str, (list, tuple))
+    require_length(len(parameters), n_parameters, "parameter label count", "n_parameters")
     outcomes = tuple(f"o{j}" for j in range(n_outcomes))
     rows = []
     for _ in range(n_parameters):
@@ -127,7 +124,11 @@ def random_experiment_pairs(
     denominator: int = 6,
 ) -> list[tuple[Experiment, Experiment]]:
     """Seeded corpus of experiment pairs sharing parameter sets, for audits."""
-    require_ints(seed=seed, count=count, max_parameters=max_parameters, max_outcomes=max_outcomes)
+    require_int(seed, "seed")
+    require_int(count, "count", 0)
+    require_int(max_parameters, "max_parameters", 2)  # each pair has at least two parameters
+    require_int(max_outcomes, "max_outcomes", 1)
+    require_int(denominator, "denominator", 1)
     rng = random.Random(seed)
     pairs = []
     for _ in range(count):

@@ -23,7 +23,8 @@ from .catalog import (
     truncated_poisson_experiment,
 )
 from .exactcore import (
-    Matrix, determinant, format_rational, parse_rational, require_ints, require_vector, solve_linear
+    Matrix, determinant, format_rational, parse_rational, require_exact, require_int,
+    require_length, require_tuple, require_vector, solve_linear,
 )
 from .model import (
     Belief,
@@ -102,11 +103,7 @@ def demo_german_tank(n_max: int = 5) -> DemoReport:
     serials up to m, -m on serial m+1, 0 above), so every c.d.f. level of the
     population size, and hence the whole belief, can be elicited at once.
     """
-    require_ints(n_max=n_max)
-    if not 2 <= n_max <= MAX_TANK_POPULATION:
-        raise ValueError(
-            f"need a population bound from 2 to {MAX_TANK_POPULATION}, got {n_max}"
-        )
+    require_int(n_max, "n_max", 2, MAX_TANK_POPULATION)
     e = german_tank_experiment(n_max)
     claims = _Claims()
     weight_table: dict[str, list[str]] = {}
@@ -162,13 +159,8 @@ def demo_poisson(
     shortfall is computed exactly and reported. Complex-exponential target
     functions are not used; polynomial moments carry the same point here.
     """
-    require_ints(k_max=k_max, max_power=max_power)
-    if not 0 <= k_max <= MAX_POISSON_COUNT:
-        raise ValueError(f"need k_max from 0 to {MAX_POISSON_COUNT}, got {k_max}")
-    if not 0 <= max_power <= MAX_POISSON_POWER:
-        raise ValueError(
-            f"need max_power from 0 to {MAX_POISSON_POWER}, got {max_power}"
-        )
+    require_int(k_max, "k_max", 0, MAX_POISSON_COUNT)
+    require_int(max_power, "max_power", 0, MAX_POISSON_POWER)
     rates, tail_bound = require_vector(rates, "rates"), parse_rational(tail_bound)
     claims = _Claims()
     partial_sums = []
@@ -255,13 +247,10 @@ def demo_expertise(
         raise ValueError("the expertise demo needs an Experiment")
     if not is_identified(e):
         raise ValueError("experiment must be identified (distinct kernel rows)")
-    require_ints(grid_denominator=grid_denominator)
     n = len(e.parameters)
-    d = grid_denominator
-    if d < 1 or math.comb(d + n - 1, n - 1) > MAX_GRID_BELIEFS:
-        raise ValueError(
-            f"grid_denominator must give 1 to {MAX_GRID_BELIEFS} grid beliefs, got {d}"
-        )
+    d = require_int(grid_denominator, "grid_denominator", 1)
+    if math.comb(d + n - 1, n - 1) > MAX_GRID_BELIEFS:
+        raise ValueError(f"grid_denominator {d} gives more than {MAX_GRID_BELIEFS} grid beliefs")
     claims = _Claims()
     doubled = power(e, 2)
     columns = [e.kernel.col(y) for y in range(len(e.outcomes))]
@@ -434,11 +423,7 @@ def demo_density(density: str = "quadratic", max_degree: int = 8) -> DemoReport:
     """
     if density not in _DENSITIES:
         raise ValueError(f"unknown density {density!r}; options: {sorted(_DENSITIES)}")
-    require_ints(max_degree=max_degree)
-    if not 1 <= max_degree <= MAX_DENSITY_DEGREE:
-        raise ValueError(
-            f"need max_degree from 1 to {MAX_DENSITY_DEGREE}, got {max_degree}"
-        )
+    require_int(max_degree, "max_degree", 1, MAX_DENSITY_DEGREE)
     moment, d, g_squared = _DENSITIES[density]
     claims = _Claims()
     basis = _orthogonal_polynomials(max_degree)
@@ -546,17 +531,18 @@ class DiscretizedRegression:
     noise_scale: Fraction
 
     def __post_init__(self) -> None:
-        if not self.coefficient_grid:
+        if not require_tuple(self.coefficient_grid, "coefficient grid", tuple):
             raise ValueError("coefficient grid must be nonempty")
         width = len(self.coefficient_grid[0])
         if width < 1:
             raise ValueError("coefficient vectors need an intercept entry")
         for beta in self.coefficient_grid:
-            if len(beta) != width:
-                raise ValueError("coefficient vectors must share a length")
-        for x in self.covariates:
-            if len(x) != width - 1:
-                raise ValueError("covariate length must match the slope count")
+            require_exact(beta, "coefficient vector")
+            require_length(len(beta), width, "coefficient vector length", "first vector's length")
+        for x in require_tuple(self.covariates, "covariates", tuple):
+            require_exact(x, "covariate")
+            require_length(len(x), width - 1, "covariate length", "slope count")
+        require_exact((self.noise_scale,), "noise scale")
         if self.noise_scale < 0:
             raise ValueError("noise scale must be nonnegative")
 
@@ -627,13 +613,12 @@ def demo_regression(
     if not isinstance(reg, DiscretizedRegression):
         raise ValueError("the regression demo needs a DiscretizedRegression")
     k = reg.n_slopes
-    if len(reg.covariates) != k + 1:
-        raise ValueError("need exactly one more covariate draw than slopes")
+    require_length(len(reg.covariates), k + 1, "covariate draw count", "slope count plus one")
     belief = belief or Belief.uniform(len(reg.coefficient_grid))
     if not isinstance(belief, Belief):
         raise ValueError("the regression demo needs a Belief over the coefficient grid")
-    if len(belief.weights) != len(reg.coefficient_grid):
-        raise ValueError("belief must range over the coefficient grid")
+    require_length(len(belief.weights), len(reg.coefficient_grid), "belief length",
+                   "coefficient grid")
     claims = _Claims()
     design = Matrix.from_rows([(1,) + x for x in reg.covariates])
     if determinant(design) == 0:

@@ -43,9 +43,10 @@ from .exactcore import (
     rank,
     require_distinct,
     require_exact,
-    require_ints,
+    require_int,
     require_keys,
     require_labels,
+    require_length,
     require_list,
     require_tuple,
     require_vector,
@@ -73,12 +74,11 @@ class StatisticFamily:
     def __post_init__(self) -> None:
         require_tuple(self.parameters, "parameter labels", str)
         for g in require_tuple(self.functions, "statistic functions", tuple):
-            if len(g) != len(self.parameters):
-                raise ValueError("statistic length does not match the parameter set")
+            require_length(len(g), len(self.parameters), "statistic length", "parameter set")
             require_exact(g, "statistic entries")
         if self.labels is not None:
-            if len(require_tuple(self.labels, "labels", str)) != len(self.functions):
-                raise ValueError("labels must align with functions")
+            labels = require_tuple(self.labels, "labels", str)
+            require_length(len(labels), len(self.functions), "label count", "functions")
 
     @cached_property
     def _ints(self) -> list[list[int]]:
@@ -163,17 +163,14 @@ def maximal_partition(e: Experiment) -> StatisticFamily:
 
 
 def statistic_mean(g: Sequence[Fraction], p: Belief) -> Fraction:
-    if len(g) != len(p.weights):
-        raise ValueError("statistic length does not match the belief")
+    require_length(len(g), len(p.weights), "statistic length", "belief")
     return sum((gi * wi for gi, wi in zip(g, p.weights)), _ZERO)
 
 
 def indistinguishable(family: StatisticFamily, p: Belief, q: Belief) -> bool:
     """True when every statistic in the family has equal means under p and q."""
-    if len(p.weights) != len(family.parameters) or len(q.weights) != len(
-        family.parameters
-    ):
-        raise ValueError("belief length does not match the family's parameter set")
+    for weights in (p.weights, q.weights):
+        require_length(len(weights), len(family.parameters), "belief length", "family's parameters")
     diff = [a - b for a, b in zip(p.weights, q.weights)]
     return all(
         sum((gi * di for gi, di in zip(g, diff)), _ZERO) == 0
@@ -219,8 +216,7 @@ def unbiased_weights(e: Experiment, statistic: Sequence[Fraction]) -> Elicitabil
     gives the weights.
     """
     g = require_vector(statistic, "statistic")
-    if len(g) != len(e.parameters):
-        raise ValueError("statistic length does not match the parameter set")
+    require_length(len(g), len(e.parameters), "statistic length", "parameter set")
     for v in e._null_directions:
         if sum(map(mul, g, v)):
             return ElicitabilityReport(elicitable=False, witness=_indistinguishable_witness(v))
@@ -244,9 +240,8 @@ def moment_weights(
     and all. A product past ``model.MAX_PRODUCT_OUTCOMES`` outcomes raises
     ValueError before any work.
     """
-    require_ints(copies=copies, exponent=exponent)
-    if copies < 0 or not 0 <= exponent <= copies:
-        raise ValueError("need 0 <= exponent <= copies")
+    # the exponent-th power needs at least that many independent copies
+    require_int(copies, "copies", require_int(exponent, "exponent", 0))
     require_product_size(itertools.repeat(len(e.outcomes), copies))
     base = unbiased_weights(e, statistic)
     if not base.elicitable:
@@ -268,8 +263,7 @@ def mode_elicitable(e: Experiment, parameter_values: Sequence[Fraction]) -> Mode
     criterion and the witness pair are the same.
     """
     values = require_vector(parameter_values, "parameter values")
-    if len(values) != len(e.parameters):
-        raise ValueError("parameter values must align with the parameter set")
+    require_length(len(values), len(e.parameters), "parameter value count", "parameter set")
     require_distinct(values, "parameter values")
     if not e._null_directions:  # rank K = n: the full belief is elicitable
         return ModeReport(elicitable=True)

@@ -1,13 +1,16 @@
 """Exact rational linear algebra, and the one boundary every public entry
 takes its values through: a rational is an int, a ``Fraction`` or a rational
 string (``parse_rational``), a vector a list, tuple or range of them
-(``require_vector``), a count an int (``require_ints``), a JSON label a string
-or number (``require_labels``), never a bool; a record's fields are tuples
-(``require_tuple``) whose numbers are ints or Fractions (``require_exact``).
-Three value rules sit beside that type rule: a probability vector has no
-negative entry and sums to exactly 1 (``require_distribution``), a label set
-repeats no label (``require_distinct``), and an outcome or report is given by
-its label or its int index (``require_index``). All else raises ValueError.
+(``require_vector``), a JSON label a string or number (``require_labels``),
+never a bool; a record's fields are tuples (``require_tuple``) whose numbers
+are ints or Fractions (``require_exact``). Three value rules sit beside that
+type rule: a probability vector has no negative entry and sums to exactly 1
+(``require_distribution``), a label set repeats no label
+(``require_distinct``), and an outcome or report is given by its label or its
+int index (``require_index``). Two size rules close it: a count, size, index
+or cap is an int within its bounds (``require_int``), and a vector or a
+matrix side has one entry per label (``require_length``). Each refusal names
+the argument and the bound; all else raises ValueError.
 
 Dense matrices over :class:`fractions.Fraction`, the Kronecker product of
 vectors, linear solves, null-space bases, and linear-programming feasibility
@@ -117,7 +120,7 @@ def require_index(value: object, labels: Sequence[str], what: str) -> int:
             return labels.index(value)
         except ValueError:
             raise ValueError(f"unknown {what} {value!r}") from None
-    require_ints(**{what: value})
+    require_int(value, what)
     if not 0 <= value < len(labels):
         raise ValueError(f"{what} index {value} out of range")
     return value
@@ -132,11 +135,24 @@ def require_tuple(values: object, what: str, kind: type = object, types: tuple =
     raise ValueError(f"{what} must be a {'/'.join(t.__name__ for t in types)}{of}, got {values!r}")
 
 
-def require_ints(**values: object) -> None:
-    """Raise ValueError naming the first value that is a bool or not an int."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+def require_int(
+    value: object, what: str, low: Optional[int] = None, high: Optional[int] = None
+) -> int:
+    """``value`` if it is an int (a bool is not) of at least ``low`` and, when
+    ``high`` is given too, at most ``high``; else ValueError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if low is not None and value < low or high is not None and value > high:
+        bound = f"at least {low}" if high is None else f"from {low} to {high}"
+        raise ValueError(f"{what} must be {bound}, got {value}")
+    return value
+
+
+def require_length(size: int, expected: int, what: str, per: str) -> None:
+    """Raise ValueError unless ``size``, a vector's length or a matrix's row or
+    column count, is ``expected``: one entry per label of ``per``."""
+    if size != expected:
+        raise ValueError(f"{what} does not match the {per}: got {size}, need {expected}")
 
 
 def require_list(value: object, what: str) -> Sequence:
@@ -176,15 +192,10 @@ class Matrix:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        require_ints(rows=self.rows, cols=self.cols)
+        require_int(self.rows, "rows", 0)
+        require_int(self.cols, "cols", 0)
         require_tuple(self.entries, "matrix entries")
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"matrix of shape {self.rows}x{self.cols} needs "
-                f"{self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        require_length(len(self.entries), self.rows * self.cols, "entry count", "rows x cols")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[object]]) -> "Matrix":
@@ -196,8 +207,7 @@ class Matrix:
         ncols = len(rows[0]) if nrows else 0
         entries: list[Fraction] = []
         for row in rows:
-            if len(row) != ncols:
-                raise ValueError("all matrix rows must have the same length")
+            require_length(len(row), ncols, "matrix row length", "first row's length")
             entries.extend(parse_rational(x) for x in row)
         return Matrix(nrows, ncols, tuple(entries))
 
@@ -211,7 +221,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        require_ints(n=n)
+        require_int(n, "n", 0)
         return Matrix(
             n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n))
         )
@@ -236,8 +246,7 @@ class Matrix:
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("matrix product dimension mismatch")
+        require_length(other.rows, self.cols, "right factor's row count", "left's column count")
         out: list[Fraction] = []
         for i in range(self.rows):
             my_row = self.row(i)
@@ -252,8 +261,7 @@ class Matrix:
 
     def mul_vec(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Matrix-vector product ``A @ x``; terms with a zero factor are skipped."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
+        require_length(len(vec), self.cols, "vector length", "column count")
         return tuple(
             sum((a * v for a, v in zip(self.row(i), vec) if a and v), _ZERO)
             for i in range(self.rows)
@@ -261,8 +269,7 @@ class Matrix:
 
     def left_mul_vec(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Row-vector product ``x^T @ A``."""
-        if len(vec) != self.rows:
-            raise ValueError("vector length does not match row count")
+        require_length(len(vec), self.rows, "vector length", "row count")
         return tuple(
             sum((vec[i] * self.at(i, j) for i in range(self.rows)), _ZERO)
             for j in range(self.cols)
@@ -309,8 +316,8 @@ def solve_linear(
     rows is nonzero in it, and otherwise k is back-substituted as the free
     column of an annihilator vector v, so x = -v[:n] / v[k]. Free variables
     are zero, so every answer is the one a separate solve would give."""
-    if any(len(b) != a.rows for b in rhs):
-        raise ValueError("right-hand side length does not match row count")
+    for b in rhs:
+        require_length(len(b), a.rows, "right-hand side length", "row count")
     n = a.cols
     rows = [list(a.row(i)) + [parse_rational(b[i]) for b in rhs] for i in range(a.rows)]
     echelon, pivots = _echelon(_scaled_ints(rows)[0])
@@ -447,8 +454,7 @@ def lp_feasible(
     basis id until it leaves, and it never enters.
     """
     m, n = equalities.rows, equalities.cols
-    if len(rhs) != m:
-        raise ValueError("right-hand side length does not match row count")
+    require_length(len(rhs), m, "right-hand side length", "row count")
 
     b = [parse_rational(v) for v in rhs]
     rows = [list(equalities.row(i)) + [b[i]] for i in range(m)]

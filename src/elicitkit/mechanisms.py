@@ -43,8 +43,8 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .exactcore import (
     Matrix, _annihilator, _orthogonal, _scaled_ints, format_rational, parse_rational,
-    require_distinct, require_distribution, require_exact, require_index, require_ints,
-    require_keys, require_labels, require_list, require_tuple, require_vector,
+    require_distinct, require_distribution, require_exact, require_index, require_int,
+    require_keys, require_labels, require_length, require_list, require_tuple, require_vector,
 )
 from .elicit import StatisticFamily, statistic_mean
 from .model import (
@@ -88,8 +88,8 @@ class Mechanism:
         a belief, paid its row of ``grid_payoffs``."""
         if not isinstance(report, Belief):
             raise ValueError("a direct mechanism takes a belief as the report")
-        if len(report.weights) != len(self.experiment.parameters):
-            raise ValueError("belief length does not match the parameter set")
+        require_length(len(report.weights), len(self.experiment.parameters), "belief length",
+                       "parameter set")
         (counts,), d = _scaled_ints([report.weights])
         (row,), scale = self.grid_payoffs([counts], d)
         return tuple(Fraction(x, scale) for x in row)
@@ -156,8 +156,7 @@ class QuadraticPanelMechanism(Mechanism):
             event_weights = [Fraction(1, m)] * m
         weights = require_vector(event_weights, "event weights")
         require_distribution(weights, "event weights")
-        if len(weights) != m:
-            raise ValueError("one event weight per outcome is required")
+        require_length(len(weights), m, "event weight count", "outcome set")
         if 0 in weights:
             raise ValueError("event weights must be positive")
         self.experiment = experiment
@@ -225,10 +224,9 @@ class MeanScoreMechanism(Mechanism):
             raise ValueError("variant must be 'brier' or 'linear'")
         statistic = require_vector(statistic, "statistic")
         weights = require_vector(weights, "weights")
-        if len(statistic) != len(experiment.parameters):
-            raise ValueError("statistic length does not match the parameter set")
-        if len(weights) != len(experiment.outcomes):
-            raise ValueError("weights length does not match the outcome set")
+        require_length(len(statistic), len(experiment.parameters), "statistic length",
+                       "parameter set")
+        require_length(len(weights), len(experiment.outcomes), "weights length", "outcome set")
         self._unbiased = experiment.kernel.mul_vec(weights) == statistic
         if check_unbiased and not self._unbiased:
             raise ValueError("weights are not unbiased for the statistic")
@@ -299,14 +297,14 @@ class TableMechanism(Mechanism):
     ) -> None:
         reports = require_tuple(reports, "reports", str, (list, tuple))
         require_distinct(reports, "report labels")
-        if payoffs.rows != len(reports) or payoffs.cols != len(experiment.outcomes):
-            raise ValueError("payoff table shape must be reports x outcomes")
+        require_length(payoffs.rows, len(reports), "payoff row count", "report labels")
+        require_length(payoffs.cols, len(experiment.outcomes), "payoff column count", "outcome set")
         if report_beliefs is not None:
             report_beliefs = require_tuple(report_beliefs, "report beliefs", Belief, (list, tuple))
-            if len(report_beliefs) != len(reports):
-                raise ValueError("one belief per report label is required")
-        if any(len(p.weights) != len(experiment.parameters) for p in report_beliefs or ()):
-            raise ValueError("report belief length does not match the parameter set")
+            require_length(len(report_beliefs), len(reports), "belief menu size", "report labels")
+            for p in report_beliefs:
+                require_length(len(p.weights), len(experiment.parameters), "report belief length",
+                               "parameter set")
         require_exact(payoffs.entries, "payoff entries",
                       lambda i: f" for report {reports[i // payoffs.cols]!r}")
         self.experiment = experiment
@@ -387,8 +385,7 @@ class CompoundMechanism(Mechanism):
 
     def __init__(self, mixture_spec: CovariateMixture, subs: Sequence[Mechanism]) -> None:
         subs = require_tuple(subs, "sub-mechanisms", Mechanism, (list, tuple))
-        if len(subs) != len(mixture_spec.covariates):
-            raise ValueError("one sub-mechanism per covariate is required")
+        require_length(len(subs), len(mixture_spec.covariates), "sub-mechanism count", "covariates")
         for sub, comp in zip(subs, mixture_spec.components):
             if sub.experiment != comp:
                 raise ValueError("sub-mechanism experiment must match its mixture component")
@@ -452,10 +449,9 @@ def pushforward(
     base payoffs; whenever the factorization holds, expected payoffs agree
     with the base mechanism's for every belief and every report.
     """
-    if matrix.rows != len(experiment.outcomes):
-        raise ValueError("matrix rows must match the new experiment's outcomes")
-    if matrix.cols != len(base.experiment.outcomes):
-        raise ValueError("matrix columns must match the base experiment's outcomes")
+    require_length(matrix.rows, len(experiment.outcomes), "matrix row count", "new outcomes")
+    require_length(matrix.cols, len(base.experiment.outcomes), "matrix column count",
+                   "base outcomes")
     payoffs = base.payoffs @ matrix.transpose()
     return PushforwardMechanism(experiment, base, matrix, payoffs)
 
@@ -681,9 +677,8 @@ def ic_verify(
     weak-IC or indifference failure. Memory is O(G*m) plus a G-slot mask per
     class a row asks for, whatever the violations.
     """
-    require_ints(grid_denominator=grid_denominator, max_pairs=max_pairs)
-    if grid_denominator < 1:
-        raise ValueError("grid denominator must be at least 1")
+    require_int(grid_denominator, "grid_denominator", 1)
+    require_int(max_pairs, "max_pairs", 1)
     e = m.experiment
     if target.parameters != e.parameters:
         raise ValueError("target family must share the experiment's parameters")

@@ -21,7 +21,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactcore import (
     Matrix, _annihilator, _scaled_ints, format_rational, kron, parse_rational, require_distinct,
-    require_distribution, require_ints, require_keys, require_labels, require_tuple, require_vector,
+    require_distribution, require_int, require_keys, require_labels, require_length, require_tuple,
+    require_vector,
 )
 
 _ZERO = Fraction(0)
@@ -51,8 +52,8 @@ class Experiment:
             raise ValueError("experiment needs at least one outcome")
         require_distinct(self.parameters, "parameter labels")
         require_distinct(self.outcomes, "outcome labels")
-        if self.kernel.rows != len(self.parameters) or self.kernel.cols != len(self.outcomes):
-            raise ValueError("kernel shape does not match label counts")
+        require_length(self.kernel.rows, len(self.parameters), "kernel row count", "parameter set")
+        require_length(self.kernel.cols, len(self.outcomes), "kernel column count", "outcome set")
         for i, label in enumerate(self.parameters):
             require_distribution(self.kernel.row(i), f"kernel row for parameter {label!r}")
 
@@ -79,16 +80,13 @@ class Belief:
 
     @staticmethod
     def uniform(n: int) -> "Belief":
-        require_ints(n=n)
-        if n < 1:
-            raise ValueError(f"a uniform belief needs at least one parameter, got {n}")
+        require_int(n, "n", 1)
         return Belief((Fraction(1, n),) * n)
 
     @staticmethod
     def point_mass(n: int, index: int) -> "Belief":
-        require_ints(n=n, index=index)
-        if not 0 <= index < n:
-            raise ValueError("point-mass index out of range")
+        require_int(n, "n", 1)
+        require_int(index, "index", 0, n - 1)
         return Belief(tuple(_ONE if i == index else _ZERO for i in range(n)))
 
     def modes(self) -> tuple[int, ...]:
@@ -117,10 +115,8 @@ class CovariateMixture:
         require_distribution(self.weights, "covariate weights")
         require_tuple(self.components, "mixture components", Experiment)
         require_distinct(self.covariates, "covariate labels")
-        if len(self.weights) != len(self.covariates) or len(self.components) != len(
-            self.covariates
-        ):
-            raise ValueError("covariates, weights, and components must align")
+        require_length(len(self.weights), len(self.covariates), "weight count", "covariates")
+        require_length(len(self.components), len(self.covariates), "component count", "covariates")
         params = self.components[0].parameters
         for comp in self.components[1:]:
             if comp.parameters != params:
@@ -156,9 +152,7 @@ def power(e: Experiment, copies: int) -> Experiment:
     Capped at ``MAX_PRODUCT_OUTCOMES`` outcomes, as ``product_many`` is; the
     cap is checked before the ``copies`` factors are listed.
     """
-    require_ints(copies=copies)
-    if copies < 0:
-        raise ValueError("copies must be nonnegative")
+    require_int(copies, "copies", 0)
     require_product_size(itertools.repeat(len(e.outcomes), copies))
     return _product(e.parameters, (e,) * copies)
 
@@ -209,8 +203,7 @@ def garble(e: Experiment, channel: Matrix) -> Experiment:
     The new kernel is ``kernel @ channel``. A square channel keeps the
     outcome labels; any other channel's outcomes are ``g0``, ``g1``, ...
     """
-    if channel.rows != len(e.outcomes):
-        raise ValueError("channel rows must be indexed by the experiment outcomes")
+    require_length(channel.rows, len(e.outcomes), "Markov channel row count", "outcome set")
     for i in range(channel.rows):
         require_distribution(channel.row(i), f"Markov channel row {i}")
     square = channel.cols == len(e.outcomes)
@@ -283,8 +276,7 @@ def mean_outcome_distribution(e: Experiment, p: Belief) -> tuple[Fraction, ...]:
     This is the only feature of a belief that outcome-contingent payments can
     respond to.
     """
-    if len(p.weights) != len(e.parameters):
-        raise ValueError("belief length does not match the parameter set")
+    require_length(len(p.weights), len(e.parameters), "belief length", "parameter set")
     return e.kernel.left_mul_vec(p.weights)
 
 
@@ -316,12 +308,8 @@ def grid_counts(n_parameters: int, denominator: int) -> Iterator[tuple[int, ...]
     the 1/denominator belief grid; ``belief_grid`` builds its beliefs from
     them, so both share one order.
     """
-    require_ints(n_parameters=n_parameters, denominator=denominator)
-    if n_parameters < 1:
-        raise ValueError(f"need at least one parameter, got {n_parameters}")
-    if denominator < 1:
-        raise ValueError("denominator must be at least 1")
-    return _compositions(denominator, n_parameters)
+    require_int(n_parameters, "n_parameters", 1)
+    return _compositions(require_int(denominator, "denominator", 1), n_parameters)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -360,10 +348,7 @@ def load_experiment(doc: Mapping) -> Experiment:
     require_keys(doc, ("parameters", "outcomes", "kernel"), "experiment document")
     parameters = require_labels(doc["parameters"], "parameters")
     outcomes = require_labels(doc["outcomes"], "outcomes")
-    kernel_doc = doc["kernel"]
-    if not isinstance(kernel_doc, Sequence) or len(kernel_doc) != len(parameters):
-        raise ValueError("kernel must have one row per parameter")
-    return Experiment(parameters, outcomes, Matrix.from_rows(kernel_doc))
+    return Experiment(parameters, outcomes, Matrix.from_rows(doc["kernel"]))
 
 
 def experiment_to_doc(e: Experiment) -> dict:

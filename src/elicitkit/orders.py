@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactcore import (
-    Matrix, format_rational, lp_feasible, require_ints, require_tuple, solve_linear,
+    Matrix, format_rational, lp_feasible, require_distribution, require_int, require_length,
+    require_tuple, solve_linear,
 )
 from .model import Experiment, is_complete, replacement_garbling_channel
 
@@ -80,11 +81,10 @@ class EventWeightMatrix:
 
     def __post_init__(self) -> None:
         require_tuple(self.source_outcomes, "source outcomes", str)
-        expected_cols = 1 << len(require_tuple(self.target_outcomes, "target outcomes", str))
-        if self.entries.rows != len(self.source_outcomes):
-            raise ValueError("event-weight rows must match the source outcomes")
-        if self.entries.cols != expected_cols:
-            raise ValueError("event-weight columns must enumerate all target subsets")
+        subsets = 1 << len(require_tuple(self.target_outcomes, "target outcomes", str))
+        require_length(self.entries.rows, len(self.source_outcomes), "event-weight row count",
+                       "source outcomes")
+        require_length(self.entries.cols, subsets, "event-weight column count", "target subsets")
         if any(x < 0 or x > 1 for x in self.entries.entries):
             raise ValueError("event weights must lie in [0, 1]")
 
@@ -248,10 +248,12 @@ def bounded_dominates(
     by nature, hence the hard cap.
     """
     _require_shared_parameters(ey, ez)
-    require_ints(max_outcomes=max_outcomes)
+    require_int(max_outcomes, "max_outcomes", 1)
     nz = len(ez.outcomes)
     if nz > max_outcomes:
-        raise ValueError(f"dominated outcome set of size {nz} exceeds the cap {max_outcomes}")
+        raise ValueError(
+            f"dominated outcome set of size {nz} exceeds the cap {max_outcomes} (max_outcomes)"
+        )
     ny = len(ey.outcomes)
     system = Matrix.from_rows(
         [row + [_ZERO] * ny for row in ey.kernel.to_lists()]
@@ -356,11 +358,10 @@ def order_consistency_audit(pairs: Sequence[tuple[Experiment, Experiment]]) -> A
                 violations.append(f"pair {index}: {res.relation} witness fails")
         if blackwell_res.holds:
             w = blackwell_res.witness
-            rows_ok = all(
-                sum(w.row(y), _ZERO) == 1 and all(x >= 0 for x in w.row(y))
-                for y in range(w.rows)
-            )
-            if not rows_ok:
+            try:
+                for y in range(w.rows):
+                    require_distribution(w.row(y), "blackwell witness row")
+            except ValueError:
                 violations.append(f"pair {index}: blackwell witness not Markov")
         if nonneg_res.holds and any(x < 0 for x in nonneg_res.witness.entries):
             violations.append(f"pair {index}: nonneg witness has a negative entry")

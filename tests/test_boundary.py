@@ -4,9 +4,9 @@ Each public name in ``elicitkit.__all__`` and each ``catalog`` constructor is
 called on valid arguments with one value argument replaced by a drawn bad
 value: a bool, a float, a str, bytes, None, a nested list, or a list holding
 a bool, a float or None. Every call must raise ``ValueError``. Edge ints (0,
--1, 1) in an int argument must give an answer or a ``ValueError``. Each CLI
-subcommand, run in process on a valid document with one JSON leaf replaced,
-must exit 0 or 2.
+-1, 1) in an int argument must give an answer or a ``ValueError`` naming that
+argument. Each CLI subcommand, run in process on a valid document with one
+JSON leaf replaced, must exit 0 or 2.
 
 Not drawn: arguments that take one package object (an experiment, belief,
 matrix, mechanism, statistic family, mixture, event-weight matrix or
@@ -24,6 +24,7 @@ import io
 import inspect
 import json
 import random
+import re
 import string
 from fractions import Fraction as F
 
@@ -34,8 +35,8 @@ from hypothesis import strategies as st
 import elicitkit
 from elicitkit import catalog, cli
 from elicitkit.catalog import bernoulli_experiment, noisy_bernoulli_experiment
-from elicitkit.demos import DEMOS
-from elicitkit.elicit import maximal_partition, statistic_family_to_doc
+from elicitkit.demos import DEMOS, DiscretizedRegression, demo_regression
+from elicitkit.elicit import maximal_partition, statistic_family_to_doc, statistic_mean
 from elicitkit.exactcore import Matrix
 from elicitkit.mechanisms import (
     TableMechanism,
@@ -226,8 +227,28 @@ def test_edge_ints_answer_or_raise_value_error(name, arg, edge):
     build, valid, _ = CASES[name]
     try:
         build(**dict(valid, **{arg: edge}))
-    except ValueError:
-        pass
+    except ValueError as exc:
+        assert arg in str(exc)
+
+
+# sizes each refused by its range with a message naming the argument
+SIZE_HOLES = {
+    "negative count": (lambda: catalog.random_experiment_pairs(0, -1),
+                       "^count must be at least 0, got -1$"),
+    "one parameter at most": (lambda: catalog.random_experiment_pairs(0, 2, max_parameters=1),
+                              "^max_parameters must be at least 2, got 1$"),
+    "zero outcome cap": (lambda: elicitkit.bounded_dominates(E, NOISY, max_outcomes=0),
+                         "^max_outcomes must be at least 1, got 0$"),
+    "zero pair cap": (lambda: elicitkit.ic_verify(quadratic_mechanism(E), maximal_partition(E),
+                                                  2, max_pairs=0),
+                      "^max_pairs must be at least 1, got 0$"),
+}
+
+
+@pytest.mark.parametrize("build, message", SIZE_HOLES.values(), ids=list(SIZE_HOLES))
+def test_a_size_out_of_range_is_refused_naming_the_argument(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 METHODS = {
@@ -286,6 +307,108 @@ RULES = {
 def test_a_value_rule_refuses_a_bad_value_naming_the_field(build, valid, bad, message):
     build(valid)  # the valid call answers
     with pytest.raises(ValueError, match=message):
+        build(bad)
+
+
+# -- the length rule: one entry per label --------------------------------------
+
+U2, U3, I2, ZEROS = Belief.uniform(2), Belief.uniform(3), Matrix.identity(2), (F(0),) * 6
+GRID, DRAWS = ((F(1), F(0)), (F(1), F(1))), ((F(2),), (F(3),))
+# each site that checks a length or a shape: its call on one argument, a valid
+# and a bad value, and the refusal, naming the bad size and the one it needs
+LENGTHS = {
+    "StatisticFamily.functions": (
+        lambda g: elicitkit.StatisticFamily(E.parameters, (g,)), STAT, STAT[:2],
+        "statistic length does not match the parameter set: got 2, need 3"),
+    "StatisticFamily.labels": (
+        lambda ls: elicitkit.StatisticFamily(E.parameters, (STAT,), ls), ("g",), ("g", "h"),
+        "label count does not match the functions: got 2, need 1"),
+    "statistic_mean": (lambda g: statistic_mean(g, U3), STAT, STAT[:2],
+                       "statistic length does not match the belief: got 2, need 3"),
+    "indistinguishable": (
+        lambda p: elicitkit.indistinguishable(maximal_partition(E), U3, p), U3, U2,
+        "belief length does not match the family's parameters: got 2, need 3"),
+    "unbiased_weights": (lambda g: elicitkit.unbiased_weights(E, g), STAT, STAT[:2],
+                         "statistic length does not match the parameter set: got 2, need 3"),
+    "mode_elicitable": (lambda v: elicitkit.mode_elicitable(E, v), range(3), range(2),
+                        "parameter value count does not match the parameter set: got 2, need 3"),
+    "Mechanism.payoff_vector": (lambda p: quadratic_mechanism(E).payoff_vector(p), U3, U2,
+                                "belief length does not match the parameter set: got 2, need 3"),
+    "event weights": (lambda w: quadratic_mechanism(E, w), PAIR, (F(1, 3),) * 3,
+                      "event weight count does not match the outcome set: got 3, need 2"),
+    "MeanScoreMechanism.statistic": (
+        lambda g: mean_mechanism(E, g, (F(0), F(1))), STAT, STAT[:2],
+        "statistic length does not match the parameter set: got 2, need 3"),
+    "MeanScoreMechanism.weights": (
+        lambda w: mean_mechanism(E, STAT, w), (F(0), F(1)), (F(0), F(1), F(2)),
+        "weights length does not match the outcome set: got 3, need 2"),
+    "TableMechanism.payoffs rows": (
+        lambda m: TableMechanism(E, ("lo", "hi"), m), I2, Matrix(3, 2, ZEROS),
+        "payoff row count does not match the report labels: got 3, need 2"),
+    "TableMechanism.payoffs columns": (
+        lambda m: TableMechanism(E, ("lo", "hi"), m), I2, Matrix(2, 3, ZEROS),
+        "payoff column count does not match the outcome set: got 3, need 2"),
+    "TableMechanism.report_beliefs": (
+        lambda ps: TableMechanism(E, ("lo", "hi"), I2, ps), (U3, U3), (U3,),
+        "belief menu size does not match the report labels: got 1, need 2"),
+    "TableMechanism.report_beliefs entry": (
+        lambda ps: TableMechanism(E, ("lo", "hi"), I2, ps), (U3, U3), (U3, U2),
+        "report belief length does not match the parameter set: got 2, need 3"),
+    "CompoundMechanism": (
+        lambda subs: elicitkit.compound_mechanism(MIX, subs), (quadratic_mechanism(E),),
+        (quadratic_mechanism(E),) * 2,
+        "sub-mechanism count does not match the covariates: got 2, need 1"),
+    "pushforward rows": (
+        lambda m: pushforward(TABLE, m, E), I2, Matrix(3, 2, ZEROS),
+        "matrix row count does not match the new outcomes: got 3, need 2"),
+    "pushforward columns": (
+        lambda m: pushforward(TABLE, m, E), I2, Matrix(2, 3, ZEROS),
+        "matrix column count does not match the base outcomes: got 3, need 2"),
+    "Experiment kernel rows": (
+        lambda m: elicitkit.Experiment(("a", "b"), ("x",), m), Matrix(2, 1, (1, 1)),
+        Matrix.identity(1), "kernel row count does not match the parameter set: got 1, need 2"),
+    "Experiment kernel columns": (
+        lambda m: elicitkit.Experiment(("a",), ("x", "y"), m), Matrix(1, 2, (1, 0)),
+        Matrix.identity(1), "kernel column count does not match the outcome set: got 1, need 2"),
+    "CovariateMixture.weights": (
+        lambda w: CovariateMixture(("a", "b"), w, (E, E)), PAIR, (F(1),),
+        "weight count does not match the covariates: got 1, need 2"),
+    "CovariateMixture.components": (
+        lambda cs: CovariateMixture(("a", "b"), PAIR, cs), (E, E), (E,),
+        "component count does not match the covariates: got 1, need 2"),
+    "garble": (lambda m: elicitkit.garble(E, m), I2, Matrix.identity(3),
+               "Markov channel row count does not match the outcome set: got 3, need 2"),
+    "mean_outcome_distribution": (lambda p: elicitkit.mean_outcome_distribution(E, p), U3, U2,
+                                  "belief length does not match the parameter set: got 2, need 3"),
+    "load_experiment": (
+        lambda rows: elicitkit.load_experiment({**experiment_to_doc(E), "kernel": rows}),
+        experiment_to_doc(E)["kernel"], experiment_to_doc(E)["kernel"][:2],
+        "kernel row count does not match the parameter set: got 2, need 3"),
+    "EventWeightMatrix rows": (
+        lambda m: elicitkit.EventWeightMatrix(("0", "1"), ("0",), m), I2, Matrix(1, 2, (0, 0)),
+        "event-weight row count does not match the source outcomes: got 1, need 2"),
+    "EventWeightMatrix columns": (
+        lambda m: elicitkit.EventWeightMatrix(("0", "1"), ("0",), m), I2, Matrix(2, 1, (0, 0)),
+        "event-weight column count does not match the target subsets: got 1, need 2"),
+    "DiscretizedRegression.coefficient_grid": (
+        lambda grid: DiscretizedRegression(grid, DRAWS[:1], F(1, 2)), GRID, (GRID[0], (F(1),)),
+        "coefficient vector length does not match the first vector's length: got 1, need 2"),
+    "DiscretizedRegression.covariates": (
+        lambda xs: DiscretizedRegression(GRID, xs, F(1, 2)), DRAWS, (DRAWS[0], (F(3), F(4))),
+        "covariate length does not match the slope count: got 2, need 1"),
+    "demo_regression covariate draws": (
+        lambda xs: demo_regression(DiscretizedRegression(GRID, xs, F(1, 2))), DRAWS, DRAWS[:1],
+        "covariate draw count does not match the slope count plus one: got 1, need 2"),
+    "demo_regression belief": (
+        lambda p: demo_regression(DiscretizedRegression(GRID, DRAWS, F(1, 2)), p),
+        Belief.uniform(2), U3, "belief length does not match the coefficient grid: got 3, need 2"),
+}
+
+
+@pytest.mark.parametrize("build, valid, bad, message", LENGTHS.values(), ids=list(LENGTHS))
+def test_a_length_rule_refuses_a_mismatch_naming_both_sizes(build, valid, bad, message):
+    build(valid)  # the valid call answers
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(bad)
 
 

@@ -173,6 +173,22 @@ class TestRegression:
         assert report.passed
         assert report.artifacts["recovered_coefficient_means"] == ["2"]
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("noise_scale", "1/2", "^noise scale must be ints or Fractions, got '1/2'$"),
+            ("noise_scale", True, "^noise scale must be ints or Fractions, got True$"),
+            ("coefficient_grid", [(F(1),)], "^coefficient grid must be a tuple of tuple values"),
+            ("coefficient_grid", ((F(1), 0.5),), "^coefficient vector must be ints or Fractions"),
+            ("covariates", ((True,),), "^covariate must be ints or Fractions, got True$"),
+        ],
+    )
+    def test_fields_go_through_the_boundary(self, field, value, message):
+        fields = dict(coefficient_grid=((F(1), F(0)),), covariates=((F(2),),), noise_scale=F(1))
+        DiscretizedRegression(**fields)  # the valid record is built
+        with pytest.raises(ValueError, match=message):
+            DiscretizedRegression(**{**fields, field: value})
+
     def test_duplicate_covariates_abort(self):
         reg = DiscretizedRegression(
             coefficient_grid=((F(1), F(0)), (F(1), F(1))),

@@ -14,6 +14,7 @@ from elicitkit.catalog import (
     random_experiment,
     random_experiment_pairs,
 )
+from elicitkit import orders
 from elicitkit.exactcore import Matrix
 from elicitkit.model import (
     Experiment,
@@ -367,6 +368,20 @@ class TestAudit:
         assert report.violations == ()
         assert report.found_elicitation_without_nonneg
         assert report.found_nonneg_without_blackwell
+
+    def test_a_factorizing_witness_that_is_not_markov_is_a_violation(self, monkeypatch):
+        # K_Y @ M == K_Z, but M's rows sum to 2 and 0: the audit's check of
+        # each witness row is the probability-vector rule itself
+        ey = Experiment(("t",), ("a", "b"), Matrix.from_rows([["1/2", "1/2"]]))
+        ez = Experiment(("t",), ("z",), Matrix.identity(1))
+        witness = Matrix.from_rows([[2], [0]])
+        assert verify_factorization(ey, ez, witness)
+        monkeypatch.setattr(
+            orders, "blackwell_dominates",
+            lambda ey, ez: orders.DominanceResult("blackwell", True, witness=witness),
+        )
+        report = order_consistency_audit([(ey, ez)])
+        assert report.violations == ("pair 0: blackwell witness not Markov",)
 
     def test_complete_dominating_side_collapses_nonneg_to_blackwell(self):
         # audited internally; checked directly here on a complete experiment

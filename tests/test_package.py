@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import elicitkit
+from elicitkit import exactcore
 
 # the public names, by home module
 PUBLIC = {
@@ -104,11 +105,40 @@ def test_the_exact_input_rule_is_spelled_only_in_exactcore():
 
 def test_the_value_rules_are_spelled_only_in_exactcore():
     # "sums to exactly 1" and "no repeated label": every other module calls
-    # require_distribution and require_distinct
-    rule = re.compile(r"!= 1\b|len\(set\([^()]*\)\) !=")
+    # require_distribution and require_distinct, to refuse or to test
+    rule = re.compile(r"!= 1\b|len\(set\([^()]*\)\) !=|sum\(.*\) == 1\b")
     source = Path(elicitkit.__file__).parent
     spelled = sorted(path.name for path in source.glob("*.py") if rule.search(path.read_text()))
     assert spelled == ["exactcore.py"]
+
+
+def _is_size(node) -> bool:
+    """A ``len(...)`` call or a matrix's ``.rows`` or ``.cols``."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) == "len"
+    return isinstance(node, ast.Attribute) and node.attr in ("rows", "cols")
+
+
+def test_the_size_rules_are_spelled_only_in_exactcore():
+    # "an int within its bounds" is require_int and "one entry per label" is
+    # require_length; only verify_factorization compares a shape inline, since
+    # it answers False rather than refusing
+    assert not hasattr(exactcore, "require_ints")
+    source = Path(elicitkit.__file__).parent
+    assert not [path.name for path in source.glob("*.py") if "require_ints" in path.read_text()]
+    spelled = set()
+    for path in source.glob("*.py"):
+        if path.name == "exactcore.py":
+            continue
+        for f in ast.walk(ast.parse(path.read_text())):
+            if isinstance(f, ast.FunctionDef) and any(
+                isinstance(node, ast.Compare)
+                and any(isinstance(op, ast.NotEq) for op in node.ops)
+                and any(map(_is_size, [node.left, *node.comparators]))
+                for node in ast.walk(f)
+            ):
+                spelled.add((path.name, f.name))
+    assert spelled == {("orders.py", "verify_factorization")}
 
 
 def test_one_fraction_elimination_step_serves_only_lp_and_rank():
