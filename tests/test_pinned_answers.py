@@ -1,10 +1,14 @@
 """Answers pinned byte for byte on a seeded corpus.
 
 Every dominance order in both directions, completeness, unbiased weights and
-mode elicitability are serialized to canonical JSON and hashed per seed. A
-change that moves any answer, witness or note changes a hash; such a change
-must be named and justified, and the hashes below regenerated with
-``python tests/test_pinned_answers.py``.
+mode elicitability are serialized to canonical JSON and hashed per seed
+(``PINNED``). The span-path answers are hashed per block of seeds
+(``SPAN_PINNED``): coarseness both ways, complete elicitation, unbiased
+weights of random statistics, and ``ic_verify`` of quadratic panels and mean
+scores on targets that the span certificate settles and on targets left to
+the class pass. A change that moves any answer, witness or note changes a
+hash; such a change must be named and justified, and the hashes below
+regenerated with ``python tests/test_pinned_answers.py``.
 """
 
 from __future__ import annotations
@@ -12,11 +16,20 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 from elicitkit.catalog import random_experiment, random_experiment_pairs
 from elicitkit.exactcore import format_rational
 from elicitkit.model import garble, is_complete
-from elicitkit.elicit import mode_elicitable, unbiased_weights
+from elicitkit.elicit import (
+    StatisticFamily,
+    complete_elicitation,
+    is_coarser,
+    maximal_partition,
+    mode_elicitable,
+    unbiased_weights,
+)
+from elicitkit.mechanisms import ic_verify, mean_mechanism, quadratic_mechanism
 from elicitkit.orders import (
     blackwell_dominates,
     bounded_dominates,
@@ -37,6 +50,16 @@ PINNED = {
     2: "16f3b59052aae46e19165bfd5baee6b8f3747c410abc9d10c621beb14d7b2891",
     3: "1ccd26400ab9acf26067e527a328fdf0447cc2730b7004905ca880398d128f4a",
     4: "b06fd770fe9de8f815d174c4e9f6134388d31ef4b511997e6720fc3fbf50d575",
+}
+
+# each block hashes SPAN_SEEDS consecutive seeds of span-path answers
+SPAN_SEEDS = 12
+SPAN_PINNED = {
+    0: "8e203537131d3475b39184082193a85f2a6dbbf343f7864fa3da4849d4c5cbf3",
+    1: "12a7d76af70bf9ad3986444e729c8b006d22ef8f68ea20ada5dd0ebe219b81d7",
+    2: "35218b8eceda6fd168f278b153dda0ae2b98186c2e154a8d49e7564abde49244",
+    3: "7a716b5dac6529d94dbb15b7e05319aa61505b890af48de28fc2a14792d28cb8",
+    4: "aff4fa3e8a6c983400f03bdf29bff62db2b52f731f9846ddbe9c91abbd15e9a5",
 }
 
 
@@ -90,11 +113,81 @@ def digest(seed: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _complete_doc(report) -> dict:
+    doc = {
+        "single": report.full_belief_elicitable,
+        "bound": report.min_copies_bound,
+        "impossible": report.impossible_by_dimension,
+    }
+    if (c := report.vandermonde_certificate) is not None:
+        doc["certificate"] = {
+            "statistic": _rationals(c.statistic),
+            "outcome_weights": _rationals(c.outcome_weights),
+            "copies": c.copies,
+            "vandermonde": c.vandermonde.to_doc(),
+            "determinant": format_rational(c.determinant),
+            "product": c.product_full_belief_elicitable,
+        }
+    return doc
+
+
+def span_answers(seed: int) -> list:
+    """Span-path answers on the seed's 6 random pairs, each way round."""
+    rng = random.Random(2000 + seed)
+    out = []
+    for ey, ez in random_experiment_pairs(2000 + seed, 6, max_outcomes=3):
+        for a, b in ((ey, ez), (ez, ey)):
+            n, m = len(a.parameters), len(a.outcomes)
+            statistics = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(3)]
+            weights = [rng.randint(-2, 2) for _ in range(m)]
+            scored = a.kernel.mul_vec(weights)
+            families = [
+                StatisticFamily(a.parameters, (tuple(map(Fraction, g)),))
+                for g in statistics[:2]
+            ]
+            panel, mean = quadratic_mechanism(a), mean_mechanism(a, scored, weights)
+            checks = [
+                (panel, maximal_partition(a)),  # always the span certificate
+                (panel, maximal_partition(b)),
+                (panel, families[0]),
+                (mean, StatisticFamily(a.parameters, (scored,))),
+                (mean, maximal_partition(b)),
+                (mean, families[1]),
+            ]
+            out.append(
+                {
+                    "coarser": [
+                        is_coarser(maximal_partition(b), maximal_partition(a)),
+                        is_coarser(families[0], maximal_partition(a)),
+                    ],
+                    "complete": _complete_doc(complete_elicitation(a)),
+                    "unbiased": [_report_doc(unbiased_weights(a, g)) for g in statistics],
+                    "ic": [ic_verify(mech, target, 2 + n % 2).to_doc() for mech, target in checks],
+                }
+            )
+    return out
+
+
+def span_digest(block: int) -> str:
+    seeds = range(block * SPAN_SEEDS, (block + 1) * SPAN_SEEDS)
+    text = json.dumps([span_answers(seed) for seed in seeds], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_answers_match_pinned_hashes():
     moved = [seed for seed, expected in PINNED.items() if digest(seed) != expected]
     assert not moved, f"answers changed for seeds {moved}"
 
 
+def test_span_path_answers_match_pinned_hashes():
+    moved = [block for block, expected in SPAN_PINNED.items() if span_digest(block) != expected]
+    assert not moved, f"span-path answers changed for blocks {moved}"
+
+
 if __name__ == "__main__":
-    for seed in PINNED:
-        print(f"    {seed}: \"{digest(seed)}\",")
+    tables = (("PINNED", PINNED, digest), ("SPAN_PINNED", SPAN_PINNED, span_digest))
+    for name, table, hashed in tables:
+        print(f"{name} = {{")
+        for key in table:
+            print(f"    {key}: \"{hashed(key)}\",")
+        print("}")
