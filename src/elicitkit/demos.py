@@ -333,7 +333,7 @@ def _inner(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     )
 
 
-def _orthogonal_polynomials(max_degree: int) -> list[tuple[list[Fraction], Fraction]]:
+def _shifted_legendre(max_degree: int) -> list[tuple[list[Fraction], Fraction]]:
     """Exact orthogonal polynomial basis on [0, 1] up to ``max_degree``.
 
     Gram-Schmidt over monomials using the exact inner product ``_inner``.
@@ -426,7 +426,7 @@ def demo_density(density: str = "quadratic", max_degree: int = 8) -> DemoReport:
     require_int(max_degree, "max_degree", 1, MAX_DENSITY_DEGREE)
     moment, d, g_squared = _DENSITIES[density]
     claims = _Claims()
-    basis = _orthogonal_polynomials(max_degree)
+    basis = _shifted_legendre(max_degree)
 
     claims.check(
         "basis polynomials are exactly orthogonal",

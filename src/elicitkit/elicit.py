@@ -17,10 +17,10 @@ elicitability questions reduce to exact linear algebra over the kernel:
 
 Failures come with machine-checkable witnesses: a pair of beliefs that no
 outcome-contingent payment can separate but whose target values differ.
-Every such pair steps from uniform along one of the integer null directions
-of the kernel transpose that the experiment keeps (one elimination each,
-``Experiment._null_directions``); they answer every "no" with no ``Fraction``
-null space or rank of the kernel.
+Every such pair steps from uniform along one integer annihilator vector of
+the kernel columns' span, which the experiment keeps (``Experiment.span``, an
+``exactcore.Span`` built by one elimination); ``Span.outside`` answers every
+"no" with no ``Fraction`` null space or rank of the kernel.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .exactcore import (
     Matrix,
-    _in_span,
+    Span,
     _scaled_ints,
     determinant,
     format_rational,
@@ -187,7 +186,8 @@ def is_coarser(coarse: StatisticFamily, fine: StatisticFamily) -> bool:
     """
     if coarse.parameters != fine.parameters:
         raise ValueError("families must share the parameter set")
-    return _in_span([*fine._ints, [1] * len(fine.parameters)], coarse._ints)
+    n = len(fine.parameters)
+    return Span.of([*fine._ints, [1] * n], n).outside(coarse._ints) is None
 
 
 def _indistinguishable_witness(direction: Sequence[int]) -> tuple[Belief, Belief]:
@@ -209,19 +209,17 @@ def _indistinguishable_witness(direction: Sequence[int]) -> tuple[Belief, Belief
 def unbiased_weights(e: Experiment, statistic: Sequence[Fraction]) -> ElicitabilityReport:
     """Outcome weights whose kernel average reproduces the statistic exactly.
 
-    The statistic's mean is elicitable iff the statistic is orthogonal to
-    every kept null direction of the kernel transpose. The first direction
-    it is not orthogonal to builds the report's witness belief pair, with no
-    elimination at all; otherwise one solve of ``kernel @ w == statistic``
-    gives the weights.
+    The statistic's mean is elicitable iff it lies in the kernel columns'
+    kept span (``Experiment.span``). The first annihilator vector it is not
+    orthogonal to builds the report's witness belief pair with no
+    elimination; otherwise one solve of ``kernel @ w == statistic`` does.
     """
     g = require_vector(statistic, "statistic")
     require_length(len(g), len(e.parameters), "statistic length", "parameter set")
-    for v in e._null_directions:
-        if sum(map(mul, g, v)):
-            return ElicitabilityReport(elicitable=False, witness=_indistinguishable_witness(v))
+    if (v := e.span.outside([g])) is not None:
+        return ElicitabilityReport(elicitable=False, witness=_indistinguishable_witness(v))
     solution = solve_linear(e.kernel, [g])[0]
-    if solution is None:  # g is orthogonal to every null direction, so spanned
+    if solution is None:  # g is orthogonal to every annihilator vector, so spanned
         raise RuntimeError("inconsistent solve/null-space answers; invariant broken")
     return ElicitabilityReport(elicitable=True, weights=solution)
 
@@ -255,8 +253,8 @@ def mode_elicitable(e: Experiment, parameter_values: Sequence[Fraction]) -> Mode
     """Whether correct mode reports can be strictly rewarded.
 
     The mode is elicitable iff the whole belief already is, that is, iff the
-    experiment keeps no null direction of the kernel transpose (rank K = n).
-    Otherwise its first kept direction yields two beliefs around uniform
+    experiment's span has no annihilator vector (rank K = n). Otherwise
+    its first annihilator vector yields two beliefs around uniform
     that no mechanism separates. Their modal index sets (where the direction
     peaks and where it bottoms out) are disjoint, so their modes provably
     differ under any distinct real parameter values. The median has the same answer: the
@@ -265,9 +263,9 @@ def mode_elicitable(e: Experiment, parameter_values: Sequence[Fraction]) -> Mode
     values = require_vector(parameter_values, "parameter values")
     require_length(len(values), len(e.parameters), "parameter value count", "parameter set")
     require_distinct(values, "parameter values")
-    if not e._null_directions:  # rank K = n: the full belief is elicitable
+    if not e.span.annihilator:  # rank K = n: the full belief is elicitable
         return ModeReport(elicitable=True)
-    plus, minus = _indistinguishable_witness(e._null_directions[0])
+    plus, minus = _indistinguishable_witness(e.span.annihilator[0])
     return ModeReport(False, (plus, minus), (plus.modes(), minus.modes()))
 
 
@@ -293,8 +291,8 @@ def complete_elicitation(e: Experiment) -> CompleteElicitationReport:
     """Can the full belief be elicited, and with how many observations?
 
     One observation suffices iff the kernel has rank n, the number of
-    parameters, that is, iff the experiment keeps no null direction of the
-    kernel transpose; with fewer outcomes than parameters that is impossible
+    parameters, that is, iff the experiment's span has no annihilator
+    vector; with fewer outcomes than parameters that is impossible
     by dimension count. For an identified experiment, a certificate is built:
     an injective statistic from the kernel-column span whose first n-1
     powers, estimated on the (n-1)-fold product, determine the belief through
@@ -308,7 +306,7 @@ def complete_elicitation(e: Experiment) -> CompleteElicitationReport:
     """
     n = len(e.parameters)
     m = len(e.outcomes)
-    single = not e._null_directions
+    single = not e.span.annihilator
     impossible = m < n
     if not is_identified(e):
         return CompleteElicitationReport(single, n - 1, impossible, None)

@@ -17,13 +17,13 @@ vectors, linear solves, null-space bases, and linear-programming feasibility
 via a phase-I simplex with Bland's rule. One forward fraction-free
 elimination of integer rows (Bareiss 1968), back-substituted, gives every
 linear solve (right-hand sides share one elimination, with None for each
-inconsistent one), the determinant and a basis's integer annihilator: a
-null-space basis is a ``Fraction`` view of it, and a row is in a basis's
-span exactly when it is orthogonal to it. ``Fraction`` pivots serve only
-``rank`` and the simplex. The LP is A @ x == b over nonnegative x and nothing
-else: a caller that needs x <= u adds the equality x + s == u with a slack
-s >= 0. Everything is exact; no floating point enters. All values are
-immutable and all functions are pure, so they are safe to share across threads.
+inconsistent one), the determinant and a ``Span``'s integer annihilator: a
+row lies in the span exactly when it is orthogonal to it, and a null-space
+basis is a ``Fraction`` view of it. ``Fraction`` pivots serve only ``rank``
+and the simplex. The LP is A @ x == b over nonnegative x and nothing else: a
+caller that needs x <= u adds the equality x + s == u with a slack s >= 0.
+Everything is exact; no floating point enters. All values are immutable and
+all functions are pure, so they are safe to share across threads.
 
 Conventions that make outputs reproducible:
 
@@ -194,7 +194,7 @@ class Matrix:
     def __post_init__(self) -> None:
         require_int(self.rows, "rows", 0)
         require_int(self.cols, "cols", 0)
-        require_tuple(self.entries, "matrix entries")
+        require_exact(self.entries, "matrix entries")
         require_length(len(self.entries), self.rows * self.cols, "entry count", "rows x cols")
 
     @staticmethod
@@ -334,16 +334,11 @@ def solve_linear(
 
 
 def null_space_basis(a: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of ``{v : A @ v == 0}``: the integer annihilator of A's rows.
-
-    One vector per free column, over that column and the pivot columns left
-    of it, so the free column's entry is the last nonzero one; each vector is
-    divided by that entry's magnitude and keeps its first nonzero entry
-    positive. The basis is linearly independent and spans the whole kernel
-    (dimension ``cols - rank``).
-    """
+    """Basis of ``{v : A @ v == 0}``, of dimension ``cols - rank``: the
+    annihilator of A's rows' ``Span``, each vector divided by the magnitude
+    of its last nonzero entry, the one at its free column."""
     basis = []
-    for v in _annihilator(_scaled_ints(a.to_lists())[0], a.cols):
+    for v in Span.of(_scaled_ints(a.to_lists())[0], a.cols).annihilator:
         free = abs(next(x for x in reversed(v) if x))
         basis.append(tuple(Fraction(x, free) for x in v))
     return basis
@@ -389,18 +384,6 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
     return rank, sign * previous
 
 
-def _annihilator(basis: Sequence[Sequence[int]], n: int) -> list[list[int]]:
-    """Integer basis of ``{v : row @ v == 0 for every basis row}``: one primitive
-    v per free column of the ``_bareiss`` echelon form, back-substituted, then
-    signed so its first nonzero entry is positive."""
-    echelon, pivots = _echelon(basis)
-    vectors = []
-    for free in [j for j in range(n) if j not in pivots]:
-        v = _back_substitute(echelon, pivots, [int(j == free) for j in range(n)])
-        vectors.append(v if next(x for x in v if x) > 0 else [-x for x in v])
-    return vectors
-
-
 def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """The nonzero rows of ``_bareiss`` on a copy of ``rows``, and their pivots."""
     rows = list(rows)
@@ -420,14 +403,31 @@ def _back_substitute(echelon: list[list[int]], pivots: list[int], v: list[int]) 
     return v
 
 
-def _orthogonal(vectors: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]) -> bool:
-    """True when every row's dot product with every vector is zero."""
-    return not any(sum(map(mul, row, v)) for v in vectors for row in rows)
+@dataclass(frozen=True)
+class Span:
+    """The span of integer rows of length n, kept as its annihilator: one primitive
+    vector per free column of their ``_bareiss`` echelon form, back-substituted
+    and signed so its first nonzero entry is positive (none at full rank)."""
 
+    annihilator: tuple[tuple[int, ...], ...]
 
-def _in_span(basis: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]) -> bool:
-    """True when every integer row lies in the span of the basis rows."""
-    return not rows or _orthogonal(_annihilator(basis, len(rows[0])), rows)
+    @classmethod
+    def of(cls, rows: Iterable[Sequence[int]], n: int) -> "Span":
+        echelon, pivots = _echelon(rows)
+        vectors = []
+        for free in [j for j in range(n) if j not in pivots]:
+            v = _back_substitute(echelon, pivots, [int(j == free) for j in range(n)])
+            vectors.append(tuple(v) if next(x for x in v if x) > 0 else tuple(-x for x in v))
+        return cls(tuple(vectors))
+
+    def outside(self, rows: Sequence[Sequence]) -> Optional[tuple[int, ...]]:
+        """The first annihilator vector some row is not orthogonal to, or None
+        when every row lies in the span."""
+        for v in self.annihilator:
+            for row in rows:
+                if sum(map(mul, row, v)):
+                    return v
+        return None
 
 
 def determinant(a: Matrix) -> Fraction:

@@ -23,10 +23,10 @@ and asserts weak incentive compatibility everywhere, strict gaps exactly on
 target-distinguishable pairs, and indifference inside cells. A kind that is
 proper by construction (the quadratic panel, a mean score with unbiased
 weights, a compound whose positive-weight subs are proper) names the integer
-rows it scores (``_scored_rows``). A target in the span of those rows and the
-constants is settled for the whole simplex, with no grid built, when its rows
-are orthogonal to that span's integer annihilator, kept on the mechanism;
-otherwise classes of scored means decide its grid in O(G). Other kinds'
+rows it scores (``_scored_rows``). A target in the ``Span`` of those rows and
+the constants, kept on the mechanism (``_scored_span``), is settled for the
+whole simplex with no grid built; otherwise classes of scored means decide
+its grid in O(G). Other kinds'
 grid payoffs are certified in packed integers. Every class of equal means
 comes from the grid's count columns, packed once per call into G-slot
 integers; ``pairs_checked`` is always G(G-1).
@@ -42,9 +42,9 @@ from operator import mul
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .exactcore import (
-    Matrix, _annihilator, _orthogonal, _scaled_ints, format_rational, parse_rational,
-    require_distinct, require_distribution, require_exact, require_index, require_int,
-    require_keys, require_labels, require_length, require_list, require_tuple, require_vector,
+    Matrix, Span, _scaled_ints, format_rational, parse_rational, require_distinct,
+    require_distribution, require_index, require_int, require_keys, require_labels,
+    require_length, require_list, require_tuple, require_vector,
 )
 from .elicit import StatisticFamily, statistic_mean
 from .model import (
@@ -115,12 +115,12 @@ class Mechanism:
         return None
 
     @cached_property
-    def _scored_annihilator(self) -> Optional[list[list[int]]]:
-        """Integer annihilator of [scored rows; 1] (empty at full rank), kept for span tests."""
+    def _scored_span(self) -> Optional[Span]:
+        """The span of [scored rows; 1], kept for the span certificate; None if not proper."""
         if (scored := self._scored_rows()) is None:
             return None
         n = len(self.experiment.parameters)
-        return _annihilator([*scored, [1] * n], n)
+        return Span.of([*scored, [1] * n], n)
 
 
 def expected_payoff(m: Mechanism, belief: Belief, report: Report) -> Fraction:
@@ -190,11 +190,6 @@ class QuadraticPanelMechanism(Mechanism):
 
     def _scored_rows(self) -> list[list[int]]:
         return self._columns  # the gain is sum W_y (lambda_p - lambda_q)_y^2
-
-    @property
-    def _scored_annihilator(self) -> list[list[int]]:
-        """The experiment's kept null directions: its columns sum to the constant row."""
-        return self.experiment._null_directions
 
 
 class MeanScoreMechanism(Mechanism):
@@ -305,8 +300,6 @@ class TableMechanism(Mechanism):
             for p in report_beliefs:
                 require_length(len(p.weights), len(experiment.parameters), "report belief length",
                                "parameter set")
-        require_exact(payoffs.entries, "payoff entries",
-                      lambda i: f" for report {reports[i // payoffs.cols]!r}")
         self.experiment = experiment
         self.reports = reports
         self.payoffs = payoffs
@@ -342,7 +335,9 @@ class TableMechanism(Mechanism):
         g = math.gcd(*weights)
         try:
             return self._report_rows[tuple(weights) if g == 1 else tuple(x // g for x in weights)]
-        except KeyError:
+        except KeyError:  # every menu key has one entry per parameter
+            require_length(len(weights), len(self.experiment.parameters), "belief length",
+                           "parameter set")
             belief = ",".join(format_rational(Fraction(k, d)) for k in weights)
             raise ValueError(
                 f"belief ({belief}) is not on the tabulated report menu (grid denominator {d})"
@@ -657,12 +652,12 @@ def ic_verify(
     G(G-1), and above ``max_pairs`` the call raises ``ValueError`` before
     enumerating anything. What depends on one input alone is built at its
     first use and kept on it (the integer kernel columns, target rows and
-    table payoffs; a proper kind's integer annihilator of [scored rows; 1]),
+    table payoffs; a proper kind's ``_scored_span`` of [scored rows; 1]),
     so a call does only the grid's work. A kind whose ``_scored_rows`` is not
     None (a compound's are its positive-weight subs' rows) gains a weighted
     sum of squared distances between scored means, so weak IC and
-    indifference hold; if every target row is orthogonal to every annihilator
-    vector (a few dot products, none at full rank), every target mean is a
+    indifference hold; if ``outside`` finds no target row leaving that span
+    (a few dot products, none at full rank), every target mean is a
     function of the scored means and the answer is yes with no grid built.
     Otherwise the n count columns are packed once into G-slot ints, so a
     family's means over the grid are n multiply-adds and its classes are the
@@ -690,12 +685,12 @@ def ic_verify(
             f"a denominator-{d} grid over {n} parameters has {size} beliefs and "
             f"{pairs} ordered pairs, above the cap of {max_pairs} (max_pairs)"
         )
-    annihilator, targets = m._scored_annihilator, target._ints
+    span, targets = m._scored_span, target._ints
     # a spanned target is a function of the scored means: no pair splits
-    if annihilator is not None and _orthogonal(annihilator, targets):
+    if span is not None and span.outside(targets) is None:
         return ICReport(True, True, None, grid_denominator, pairs)
     counts = list(grid_counts(n, d))
-    if annihilator is not None:
+    if span is not None:
         # only strictness fails: first at the least i (a class's first member)
         # whose scored class holds another target, against the first such j
         target_ids, scored_ids = _grid_classes(counts, d, (targets, m._scored_rows()))

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactcore import (
-    Matrix, _annihilator, _scaled_ints, format_rational, kron, parse_rational, require_distinct,
+    Matrix, Span, _scaled_ints, format_rational, kron, parse_rational, require_distinct,
     require_distribution, require_int, require_keys, require_labels, require_length, require_tuple,
     require_vector,
 )
@@ -63,10 +63,10 @@ class Experiment:
         return _scaled_ints([self.kernel.col(y) for y in range(self.kernel.cols)])
 
     @cached_property
-    def _null_directions(self) -> list[list[int]]:
-        """An integer basis of the kernel transpose's null space, built on first
-        use: no payment separates beliefs differing by one. Empty iff rank K = n."""
-        return _annihilator(self._kernel_ints[0], len(self.parameters))
+    def span(self) -> Span:
+        """The kernel columns' span, built on first use: no payment separates beliefs
+        differing by an annihilator vector, and there is none iff rank K = n."""
+        return Span.of(self._kernel_ints[0], len(self.parameters))
 
 
 @dataclass(frozen=True)

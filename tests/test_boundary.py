@@ -300,6 +300,10 @@ RULES = {
     "negative outcome index": (lambda y: TABLE.payoff(0, y), 0, -1, "^outcome index -1 out of"),
     "unknown report": (lambda r: TABLE.payoff(r, 0), "high", "mid", "^unknown report 'mid'$"),
     "report index": (lambda r: TABLE.payoff(r, 0), 1, 2, "^report index 2 out of range$"),
+    "matrix entries": (
+        lambda xs: elicitkit.EventWeightMatrix(("0", "1"), ("0",), Matrix(2, 2, xs)),
+        (F(1, 2), F(1, 2), 0, 1), (0.5, 0.5, 0, 1),
+        r"^matrix entries must be ints or Fractions, got 0\.5$"),
 }
 
 
@@ -314,6 +318,7 @@ def test_a_value_rule_refuses_a_bad_value_naming_the_field(build, valid, bad, me
 
 U2, U3, I2, ZEROS = Belief.uniform(2), Belief.uniform(3), Matrix.identity(2), (F(0),) * 6
 GRID, DRAWS = ((F(1), F(0)), (F(1), F(1))), ((F(2),), (F(3),))
+MENU = tabulate(quadratic_mechanism(E), elicitkit.belief_grid(3, 3))  # U3 is on its menu
 # each site that checks a length or a shape: its call on one argument, a valid
 # and a bad value, and the refusal, naming the bad size and the one it needs
 LENGTHS = {
@@ -354,6 +359,12 @@ LENGTHS = {
     "TableMechanism.report_beliefs entry": (
         lambda ps: TableMechanism(E, ("lo", "hi"), I2, ps), (U3, U3), (U3, U2),
         "report belief length does not match the parameter set: got 2, need 3"),
+    "TableMechanism.report_for_belief": (
+        lambda p: MENU.report_for_belief(p), U3, U2,
+        "belief length does not match the parameter set: got 2, need 3"),
+    "TableMechanism.grid_payoffs": (
+        lambda k: MENU.grid_payoffs([k], 3), (1, 1, 1), (2, 1),
+        "belief length does not match the parameter set: got 2, need 3"),
     "CompoundMechanism": (
         lambda subs: elicitkit.compound_mechanism(MIX, subs), (quadratic_mechanism(E),),
         (quadratic_mechanism(E),) * 2,

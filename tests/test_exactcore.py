@@ -391,15 +391,21 @@ def span_problems(draw):
     return pool[:split], pool[split:]
 
 
+def outside(basis, rows, n):
+    """The first annihilator vector of the basis's span that some row leaves, or None."""
+    return exactcore.Span.of(basis, n).outside(rows)
+
+
 class TestSpan:
     def test_edge_cases(self):
-        assert exactcore._in_span([], [])
-        assert exactcore._in_span([], [[0, 0]])
-        assert not exactcore._in_span([], [[0, 1]])
-        assert exactcore._in_span([[1, 2]], [])
-        assert exactcore._in_span([[0, 0], [2, 4]], [[1, 2], [1, 2], [0, 0]])
-        assert not exactcore._in_span([[1, 2], [2, 4]], [[1, 2], [0, 1]])
-        assert not exactcore._in_span([[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]])
+        assert exactcore.Span.of([], 2).annihilator == ((1, 0), (0, 1))
+        assert outside([], [], 2) is None
+        assert outside([], [[0, 0]], 2) is None
+        assert outside([], [[0, 1]], 2) == (0, 1)
+        assert outside([[1, 2]], [], 2) is None
+        assert outside([[0, 0], [2, 4]], [[1, 2], [1, 2], [0, 0]], 2) is None
+        assert outside([[1, 2], [2, 4]], [[1, 2], [0, 1]], 2) == (2, -1)
+        assert outside([[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]], 3) == (0, 0, 1)
 
     def test_matches_rank(self):
         rng = random.Random(29)
@@ -409,7 +415,13 @@ class TestSpan:
             basis = integer_rows(rng, rng.randint(0, 6), cols, pool)
             rows = integer_rows(rng, rng.randint(0, 4), cols, pool)
             expected = rank_of(basis + rows) == rank_of(basis)
-            assert exactcore._in_span(basis, rows) == expected, (basis, rows)
+            span = exactcore.Span.of(basis, cols)
+            v = span.outside(rows)
+            assert (v is None) == expected, (basis, rows)
+            # a "no" names an annihilator vector that some row is not orthogonal to
+            assert v is None or v in span.annihilator and any(
+                sum(x * y for x, y in zip(row, v)) for row in rows
+            )
             echelon = [list(row) for row in basis]
             assert exactcore._bareiss(echelon)[0] == rank_of(basis)
             spanned += expected
@@ -421,7 +433,7 @@ class TestSpan:
         basis, rows = problem
         originals = [list(row) for row in (*basis, *rows)]
         n = len((*basis, *rows)[0]) if basis or rows else 3
-        null = exactcore._annihilator(basis, n)
+        null = exactcore.Span.of(basis, n).annihilator
         assert all(len(v) == n and math.gcd(*v) == 1 for v in null)
         assert all(next(x for x in v if x) > 0 for v in null)
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in basis for v in null)
@@ -429,7 +441,7 @@ class TestSpan:
         assert len(null) == n - rank_of(basis)
         assert rank_of(null) == len(null)
         expected = rank_of(basis + rows) == rank_of(basis)
-        assert exactcore._in_span(basis, rows) == expected
+        assert (outside(basis, rows, n) is None) == expected
         assert [*basis, *rows] == originals
 
 

@@ -250,7 +250,7 @@ def test_strictness_violation_before_weak_ic_is_reported_first():
 def test_pair_budget_refuses_before_building_the_grid(monkeypatch):
     built = []
     monkeypatch.setattr(mechanisms, "grid_counts", lambda *args: built.append(args))
-    _counting(monkeypatch, mechanisms, "_orthogonal", built)
+    _counting(monkeypatch, exactcore.Span, "outside", built)
     e = random_experiment(random.Random(1), 4, 3)
     weights = [F(1), F(-2), F(1, 2)]
     statistic = e.kernel.mul_vec(weights)
@@ -267,7 +267,7 @@ def test_pair_budget_refuses_before_building_the_grid(monkeypatch):
     # within the cap the certificate runs and settles both with no grid
     for m, target in cases:
         assert ic_verify(m, target, 6).elicits_target
-    assert built == ["_orthogonal", "_orthogonal"]
+    assert built == ["outside", "outside"]
 
 
 def _peak_bytes(m, target, d) -> int:
@@ -727,7 +727,7 @@ def test_span_certificate_matches_the_scan(monkeypatch):
 
 def test_the_kept_annihilator_is_built_once(monkeypatch):
     calls = []
-    _counting(monkeypatch, mechanisms, "_annihilator", calls)
+    _counting(monkeypatch, exactcore.Span, "of", calls)
     rng = random.Random(31)
     # mean (0,1,2) on the point masses: (1,0,1)/2 and (0,1,0) share it
     e = Experiment(("a", "b", "c"), ("0", "1", "2"), Matrix.identity(3))
@@ -738,10 +738,10 @@ def test_the_kept_annihilator_is_built_once(monkeypatch):
     targets = (maximal_partition(e), spanned, *(_random_family(rng, e) for _ in range(4)))
     first = [ic_verify(proper, target, d) for d in (1, 2, 3) for target in targets]
     assert {r.elicits_target for r in first} == {True, False}
-    assert calls == ["_annihilator"] and proper._scored_annihilator == [[1, -2, 1]]
+    assert calls == ["of"] and proper._scored_span.annihilator == ((1, -2, 1),)
     assert [ic_verify(proper, target, d) for d in (1, 2, 3) for target in targets] == first
     ic_verify(anti, maximal_partition(e), 2)
-    assert calls == ["_annihilator"] and anti._scored_annihilator is None
+    assert calls == ["of"] and anti._scored_span is None
 
 
 def test_a_panel_reads_its_experiments_kept_null_directions():
@@ -751,11 +751,11 @@ def test_a_panel_reads_its_experiments_kept_null_directions():
         for m in range(1, 6):
             e = random_experiment(rng, n, m)
             panel = quadratic_mechanism(e)
-            assert panel._scored_annihilator is e._null_directions
+            assert panel._scored_span == e.span
             # the kernel columns sum to the constant row, so [columns; 1] spans what they span
             columns = e._kernel_ints[0]
-            assert e._null_directions == exactcore._annihilator([*columns, [1] * n], n)
-            deficient += bool(e._null_directions)
+            assert e.span == exactcore.Span.of([*columns, [1] * n], n)
+            deficient += bool(e.span.annihilator)
             for target in (maximal_partition(e), _random_family(rng, e)):
                 assert ic_verify(panel, target, 2) == reference_ic_verify(panel, target, 2)
     assert deficient >= 10
@@ -771,7 +771,7 @@ def test_a_full_rank_scored_basis_elicits_any_target_with_no_grid(monkeypatch):
     weights = [F(1), F(-2), F(1, 2)]
     mean = mean_mechanism(e2, e2.kernel.mul_vec(weights), weights)
     for m, ex in ((quadratic_mechanism(e), e), (mean, e2)):
-        assert m._scored_annihilator == []
+        assert m._scored_span.annihilator == ()
         for target in (maximal_partition(ex), *(_random_family(rng, ex) for _ in range(10))):
             for d in (1, 2, 4):
                 report = ic_verify(m, target, d)

@@ -456,11 +456,11 @@ class TestIcVerify:
         e = Experiment(("a", "b"), ("0", "1"), Matrix.identity(2))
         beliefs = (Belief.point_mass(2, 0), Belief.point_mass(2, 1))
         for entry in (0.5, True, "1/2"):
-            payoffs = Matrix(2, 2, (entry, 0, 0, 1))
             got = re.escape(repr(entry))
-            message = rf"^payoff entries must be ints or Fractions, got {got} for report 'x'$"
+            # the payoff Matrix refuses the entry before any table is built on it
+            message = rf"^matrix entries must be ints or Fractions, got {got}$"
             with pytest.raises(ValueError, match=message):
-                TableMechanism(e, ("x", "y"), payoffs, beliefs)
+                TableMechanism(e, ("x", "y"), Matrix(2, 2, (entry, 0, 0, 1)), beliefs)
         # a bare int is exact: the table works as its Fraction twin does
         bare = TableMechanism(e, ("x", "y"), Matrix(2, 2, (1, 0, 0, 1)), beliefs)
         twin = TableMechanism(e, ("x", "y"), Matrix.identity(2), beliefs)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -81,9 +82,11 @@ class TestLoading:
 
     @pytest.mark.parametrize("entry", [0.5, "1/2", True], ids=["float", "str", "bool"])
     def test_kernel_matrix_built_directly_must_be_exact(self, entry):
-        # only Matrix.from_rows parses; a Matrix built directly skips it
+        # only Matrix.from_rows parses, but a Matrix built directly refuses the
+        # entry itself, so no experiment is built on it
         other = F(1, 2) if entry is not True else F(0)
-        with pytest.raises(ValueError, match="parameter 'a'"):
+        message = rf"^matrix entries must be ints or Fractions, got {re.escape(repr(entry))}$"
+        with pytest.raises(ValueError, match=message):
             Experiment(("a",), ("x", "y"), Matrix(1, 2, (entry, other)))
 
     def test_int_kernel_entries_accepted(self):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-from elicitkit import elicit, exactcore, model, orders
+from elicitkit import elicit, exactcore, orders
 from elicitkit.catalog import (
     bernoulli_experiment,
     german_tank_experiment,
@@ -46,10 +46,11 @@ def test_dominance_and_coarseness_solve_once(monkeypatch):
         fy = maximal_partition(ey)
         for coarse in (maximal_partition(ez), StatisticFamily(ey.parameters, ())):
             with monkeypatch.context() as patch:
-                spans = _counting(patch, elicit, "_in_span")
+                spans = _counting(patch, exactcore.Span, "of")
+                eliminations = _counting(patch, exactcore, "_bareiss")
                 solves = _counting(patch, elicit, "solve_linear")
                 elicit.is_coarser(coarse, fy)
-            assert len(spans) == 1 and solves == []
+            assert len(spans) == 1 and len(eliminations) == 1 and solves == []
 
 
 def test_mode_elicitable_needs_no_rank(monkeypatch):
@@ -68,7 +69,7 @@ def test_the_kept_null_directions_answer_every_no(monkeypatch):
         n, m = len(e.parameters), len(e.outcomes)
         spanned = e.kernel.mul_vec([F(j + 1) for j in range(m)])
         with monkeypatch.context() as patch:
-            kept = _counting(patch, model, "_annihilator")
+            kept = _counting(patch, exactcore.Span, "of")
             ranks = _counting(patch, elicit, "rank")
             solves = _counting(patch, elicit, "solve_linear")
             assert elicit.unbiased_weights(e, spanned).elicitable

@@ -156,6 +156,30 @@ def test_one_fraction_elimination_step_serves_only_lp_and_rank():
     assert callers == {"lp_feasible", "rank"}
 
 
+def test_one_span_record_answers_every_span_question():
+    # the integer elimination is private to exactcore, every span question
+    # goes through exactcore.Span, and the helpers it replaced stay gone
+    source = Path(elicitkit.__file__).parent
+
+    def naming(pattern):
+        return [path.name for path in source.glob("*.py") if re.search(pattern, path.read_text())]
+
+    for name in ("_echelon", "_back_substitute", "_bareiss"):
+        assert naming(rf"\b{name}\b") == ["exactcore.py"], name
+    replaced = "_annihilator|_in_span|_orthogonal|_null_directions|_scored_annihilator"
+    assert not naming(rf"\b({replaced})\b")
+    assert {name for name in vars(exactcore.Span) if not name.startswith("__")} == {"of", "outside"}
+    tree = ast.parse((source / "mechanisms.py").read_text())
+    owners = [
+        cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef) and f.name == "_scored_span"
+    ]
+    assert owners == ["Mechanism"]
+
+
 def test_only_ic_verify_builds_grid_beliefs_in_mechanisms():
     # every kind gives its grid payoffs as integer rows; a grid belief is
     # built only to name a violation, never once per grid point
