@@ -4,7 +4,8 @@ string (``parse_rational``), a vector a list, tuple or range of them
 (``require_vector``), a JSON label a string or number (``require_labels``),
 never a bool; a record's fields are tuples (``require_tuple``) whose numbers
 are ints or Fractions (``require_exact``). Three value rules sit beside that
-type rule: a probability vector has no negative entry and sums to exactly 1
+type rule: a probability vector has no negative numerator and its numerators
+over the least common denominator sum to exactly that denominator
 (``require_distribution``), a label set repeats no label
 (``require_distinct``), and an outcome or report is given by its label or its
 int index (``require_index``). Two size rules close it: a count, size, index
@@ -19,9 +20,12 @@ elimination of integer rows (Bareiss 1968), back-substituted, gives every
 linear solve (right-hand sides share one elimination, with None for each
 inconsistent one), the determinant and a ``Span``'s integer annihilator: a
 row lies in the span exactly when it is orthogonal to it, and a null-space
-basis is a ``Fraction`` view of it. ``Fraction`` pivots serve only ``rank``
-and the simplex. The LP is A @ x == b over nonnegative x and nothing else: a
-caller that needs x <= u adds the equality x + s == u with a slack s >= 0.
+basis is a ``Fraction`` view of it. A matrix product scales each left row
+and each right column to integers over one common denominator, once, so
+every output entry is one integer dot product and one ``Fraction``.
+``Fraction`` pivots serve only ``rank`` and the simplex. The LP is
+A @ x == b over nonnegative x and nothing else: a caller that needs x <= u
+adds the equality x + s == u with a slack s >= 0.
 Everything is exact; no floating point enters. All values are immutable and
 all functions are pure, so they are safe to share across threads.
 
@@ -88,18 +92,20 @@ def require_vector(values: object, what: str) -> tuple[Fraction, ...]:
 
 def require_distribution(values: object, what: str) -> tuple:
     """``values`` if they are a probability vector: a tuple of ints and
-    Fractions (``require_exact``), none negative, summing to exactly 1."""
+    Fractions (``require_exact``), none negative, summing to exactly 1. The
+    sign is read off each numerator and the sum is one integer sum over the
+    least common denominator."""
     require_exact(values, what)
-    for x in values:
-        if x < 0:
-            raise ValueError(
-                f"{what} must be a probability vector, got entry {format_rational(x)} "
-                "outside [0, 1]"
-            )
-    total = sum(values, _ZERO)
-    if total != 1:
+    if (x := next((x for x in values if x.numerator < 0), None)) is not None:
         raise ValueError(
-            f"{what} must be a probability vector, but it sums to {format_rational(total)}"
+            f"{what} must be a probability vector, got entry {format_rational(x)} "
+            "outside [0, 1]"
+        )
+    scale = math.lcm(*{x.denominator for x in values})
+    if (total := sum(x.numerator * (scale // x.denominator) for x in values)) != scale:
+        raise ValueError(
+            f"{what} must be a probability vector, but it sums to "
+            f"{format_rational(Fraction(total, scale))}"
         )
     return values
 
@@ -185,7 +191,9 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of Fractions, stored row-major."""
+    """Immutable dense matrix of Fractions, stored row-major. A product runs
+    over one common denominator per left row and per right column, with one
+    ``Fraction`` per output entry."""
 
     rows: int
     cols: int
@@ -246,18 +254,14 @@ class Matrix:
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Each left row and right column scaled to integers once, so entry
+        (i, j) is one integer dot product over the two scales."""
         require_length(other.rows, self.cols, "right factor's row count", "left's column count")
-        out: list[Fraction] = []
-        for i in range(self.rows):
-            my_row = self.row(i)
-            for j in range(other.cols):
-                out.append(
-                    sum(
-                        (my_row[k] * other.at(k, j) for k in range(self.cols)),
-                        _ZERO,
-                    )
-                )
-        return Matrix(self.rows, other.cols, tuple(out))
+        rows = [_scaled_ints([self.row(i)]) for i in range(self.rows)]
+        cols = [_scaled_ints([other.col(j)]) for j in range(other.cols)]
+        return Matrix(self.rows, other.cols, tuple(
+            Fraction(sum(map(mul, a, b)), s * t) for (a,), s in rows for (b,), t in cols
+        ))
 
     def mul_vec(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Matrix-vector product ``A @ x``; terms with a zero factor are skipped."""

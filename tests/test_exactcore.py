@@ -26,9 +26,11 @@ from elicitkit.exactcore import (
     null_space_basis,
     parse_rational,
     rank,
+    require_distribution,
+    require_exact,
     solve_linear,
 )
-from elicitkit.model import garble
+from elicitkit.model import garble, power
 from elicitkit.orders import blackwell_dominates
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -719,3 +721,146 @@ class TestMatrixBasics:
     def test_left_mul_vec(self):
         a = Matrix.from_rows([[1, 0], [0, 1], [1, 1]])
         assert a.left_mul_vec([F(1), F(2), F(3)]) == (F(4), F(5))
+
+
+def reference_product(a, b):
+    """Reference: entry (i, j) summed term by term in Fractions."""
+    return tuple(
+        sum((F(a.at(i, k)) * F(b.at(k, j)) for k in range(a.cols)), F(0))
+        for i in range(a.rows)
+        for j in range(b.cols)
+    )
+
+
+def reference_distribution(values, what):
+    """Reference: the sign of each entry, then one Fraction sum."""
+    require_exact(values, what)
+    for x in values:
+        if x < 0:
+            raise ValueError(
+                f"{what} must be a probability vector, got entry {format_rational(x)} "
+                "outside [0, 1]"
+            )
+    total = sum(values, F(0))
+    if total != 1:
+        raise ValueError(
+            f"{what} must be a probability vector, but it sums to {format_rational(total)}"
+        )
+    return values
+
+
+def random_entry(rng):
+    """An int, a small Fraction or one over a large prime, often negative."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-5, 5)
+    if kind == 1:
+        return F(rng.randint(-9, 9), rng.randint(1, 12))
+    if kind == 2:
+        return F(rng.randint(-10**9, 10**9), rng.choice((10007, 10009, 2**61 - 1)))
+    return F(0)
+
+
+def outcome(check, values):
+    try:
+        return "ok", check(values, "row")
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+class TestExactProducts:
+    def test_product_matches_the_fraction_reference(self):
+        rng = random.Random(32)
+        shapes = set()
+        random_shapes = [[rng.randint(0, 5) for _ in range(3)] for _ in range(600)]
+        for r, n, c in [*itertools.product((0, 3), repeat=3), *random_shapes]:
+            a = Matrix(r, n, tuple(random_entry(rng) for _ in range(r * n)))
+            b = Matrix(n, c, tuple(random_entry(rng) for _ in range(n * c)))
+            product = a @ b
+            assert (product.rows, product.cols) == (r, c)
+            assert product.entries == reference_product(a, b), (a, b)
+            assert all(type(x) is F for x in product.entries)
+            shapes.add((r > 0, n > 0, c > 0))
+        assert len(shapes) == 8  # every side empty and nonempty
+
+    def test_product_of_ints_is_fractions(self):
+        a = Matrix(2, 2, (1, 2, 3, 4))
+        assert (a @ a).entries == (F(7), F(10), F(15), F(22))
+        assert all(type(x) is F for x in (a @ a).entries)
+        assert (Matrix(2, 0, ()) @ Matrix(0, 3, ())).entries == (F(0),) * 6
+
+    def test_product_refuses_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="right factor's row count"):
+            Matrix(2, 3, (0,) * 6) @ Matrix(2, 3, (0,) * 6)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (),
+            (1,),
+            (0, 1, 0),
+            (1, 1),
+            (0,),
+            (F(1, 2), F(1, 3)),  # sums to 5/6
+            (F(1, 2), F(-1, 3), F(5, 6), F(-7, 6)),  # the first negative is named
+            (-1, 2),
+            (F(1, 3), 0, F(2, 3)),
+            (F(2**61 - 2, 2**61 - 1), F(1, 2**61 - 1)),
+            (F(1, 10007), F(1, 10009)),
+        ],
+    )
+    def test_distribution_check_matches_the_fraction_reference(self, values):
+        expected = outcome(reference_distribution, values)
+        assert outcome(require_distribution, values) == expected
+        if expected[0] == "ok":
+            assert require_distribution(values, "row") is values
+
+    def test_distribution_messages(self):
+        assert outcome(require_distribution, ()) == (
+            "refused", "row must be a probability vector, but it sums to 0"
+        )
+        assert outcome(require_distribution, (F(1, 2), F(1, 3))) == (
+            "refused", "row must be a probability vector, but it sums to 5/6"
+        )
+        assert outcome(require_distribution, (F(1, 2), F(-1, 3), -1)) == (
+            "refused", "row must be a probability vector, got entry -1/3 outside [0, 1]"
+        )
+
+    def test_distribution_check_matches_on_random_vectors(self):
+        rng = random.Random(33)
+        kinds = set()
+        for _ in range(2000):
+            values = [random_entry(rng) for _ in range(rng.randint(0, 6))]
+            if values and rng.random() < 0.6:  # make it sum to 1 or nearly
+                values[-1] += 1 - sum(values, F(0)) + rng.choice((0, 0, F(1, 10**9)))
+                if rng.random() < 0.7:
+                    values = [abs(x) for x in values]
+                    values[-1] += 1 - sum(values, F(0))
+            values = tuple(values)
+            expected = outcome(reference_distribution, values)
+            assert outcome(require_distribution, values) == expected, values
+            kinds.add("sum" if "sums to" in expected[1] else "sign" if expected[0] != "ok" else "ok")
+        assert kinds == {"ok", "sign", "sum"}
+
+    def test_products_and_distribution_checks_do_no_fraction_arithmetic(self, monkeypatch):
+        rng = random.Random(34)
+        a, b = (
+            Matrix(5, 5, tuple(F(rng.randint(-9, 9), rng.randint(1, 50)) for _ in range(25)))
+            for _ in range(2)
+        )
+        row = power(random_experiment(rng, 2, 4), 5).kernel.row(0)
+        assert len(row) == 1024
+        calls = []
+        for name in ("__add__", "__mul__", "__sub__", "__lt__"):
+            original = getattr(F, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(F, name, counted)
+        product = a @ b
+        require_distribution(row, "row")
+        monkeypatch.undo()
+        assert calls == []
+        assert product.entries == reference_product(a, b)
