@@ -4,8 +4,8 @@ string (``parse_rational``), a vector a list, tuple or range of them
 (``require_vector``), a JSON label a string or number (``require_labels``),
 never a bool; a record's fields are tuples (``require_tuple``) whose numbers
 are ints or Fractions (``require_exact``). Three value rules sit beside that
-type rule: a probability vector has no negative numerator and its numerators
-over the least common denominator sum to exactly that denominator
+type rule: a probability vector has no negative entry and sums to exactly 1,
+one integer sum over its least common denominator
 (``require_distribution``), a label set repeats no label
 (``require_distinct``), and an outcome or report is given by its label or its
 int index (``require_index``). Two size rules close it: a count, size, index
@@ -254,8 +254,6 @@ class Matrix:
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Each left row and right column scaled to integers once, so entry
-        (i, j) is one integer dot product over the two scales."""
         require_length(other.rows, self.cols, "right factor's row count", "left's column count")
         rows = [_scaled_ints([self.row(i)]) for i in range(self.rows)]
         cols = [_scaled_ints([other.col(j)]) for j in range(other.cols)]
