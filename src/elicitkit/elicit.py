@@ -26,16 +26,17 @@ the kernel columns' span, which the experiment keeps (``Experiment.span``, an
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .exactcore import (
     Matrix,
     Span,
     _scaled_ints,
-    determinant,
     format_rational,
     kron,
     parse_rational,
@@ -269,22 +270,35 @@ def mode_elicitable(e: Experiment, parameter_values: Sequence[Fraction]) -> Mode
     return ModeReport(False, (plus, minus), (plus.modes(), minus.modes()))
 
 
-def _injective_statistic(e: Experiment) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """An injective statistic inside the kernel-column span, with its weights.
+def _injective_statistic(e: Experiment) -> tuple[list[int], int, tuple[Fraction, ...]]:
+    """An injective statistic inside the kernel-column span, as integer
+    numerators over one denominator, with its weights.
 
     Tries weight vectors (1, t, t^2, ...) over outcomes for t = 1, 2, ...;
     for an identified experiment each parameter pair disagrees on some
     outcome, so only finitely many t produce collisions and the scan
-    terminates. The scan order makes the output canonical.
+    terminates. The scan order makes the output canonical. Each candidate
+    is read off the kept integer kernel columns (``Experiment._kernel_ints``),
+    whose scale is the denominator.
     """
-    m = len(e.outcomes)
+    cols, scale = e._kernel_ints
     t = 1
     while True:
-        weights = tuple(Fraction(t) ** j for j in range(m))
-        g = e.kernel.mul_vec(weights)
+        powers = [t**j for j in range(len(cols))]
+        g = [sum(map(mul, powers, point)) for point in zip(*cols)]
         if len(set(g)) == len(g):
-            return g, weights
+            return g, scale, tuple(map(Fraction, powers))
         t += 1
+
+
+def _vandermonde(values: Sequence[int], scale: int) -> tuple[Matrix, Fraction]:
+    """The Vandermonde matrix of the values a/scale, row k holding their k-th
+    powers, and its determinant: the product over i < j of s_j - s_i, over
+    scale to the number of such pairs, with no elimination."""
+    n = len(values)
+    matrix = Matrix(n, n, tuple(Fraction(a**k, scale**k) for k in range(n) for a in values))
+    differences = math.prod(b - a for a, b in itertools.combinations(values, 2))
+    return matrix, Fraction(differences, scale ** (n * (n - 1) // 2))
 
 
 def complete_elicitation(e: Experiment) -> CompleteElicitationReport:
@@ -302,7 +316,8 @@ def complete_elicitation(e: Experiment) -> CompleteElicitationReport:
     The (n-1)-fold power is materialised and rank-checked only for a
     rank-deficient kernel at desk scale. Otherwise the Vandermonde
     determinant decides; for a full-rank kernel it is nonzero, as rank K = n
-    already forces full rank on the product.
+    already forces full rank on the product. The determinant is the product
+    of the differences of the statistic's values, so no elimination runs.
     """
     n = len(e.parameters)
     m = len(e.outcomes)
@@ -310,12 +325,9 @@ def complete_elicitation(e: Experiment) -> CompleteElicitationReport:
     impossible = m < n
     if not is_identified(e):
         return CompleteElicitationReport(single, n - 1, impossible, None)
-    statistic, outcome_weights = _injective_statistic(e)
+    values, scale, outcome_weights = _injective_statistic(e)
     copies = n - 1
-    vandermonde = Matrix.from_rows(
-        [[statistic[i] ** k for i in range(n)] for k in range(n)]
-    )
-    det = determinant(vandermonde)
+    vandermonde, det = _vandermonde(values, scale)
     if not single and n * m**copies <= 20_000:
         # desk scale: materialize the product kernel and rank-check directly.
         # A full-rank kernel skips this: summed over the other draws, the
@@ -326,7 +338,7 @@ def complete_elicitation(e: Experiment) -> CompleteElicitationReport:
         # distribution, so an invertible power map forces full rank
         product_ok = det != 0
     certificate = VandermondeCertificate(
-        statistic=statistic,
+        statistic=tuple(Fraction(a, scale) for a in values),
         outcome_weights=outcome_weights,
         copies=copies,
         vandermonde=vandermonde,

@@ -20,9 +20,11 @@ elimination of integer rows (Bareiss 1968), back-substituted, gives every
 linear solve (right-hand sides share one elimination, with None for each
 inconsistent one), the determinant and a ``Span``'s integer annihilator: a
 row lies in the span exactly when it is orthogonal to it, and a null-space
-basis is a ``Fraction`` view of it. A matrix product scales each left row
-and each right column to integers over one common denominator, once, so
-every output entry is one integer dot product and one ``Fraction``.
+basis is a ``Fraction`` view of it. A matrix, matrix-vector or
+vector-matrix product scales each left row and each right column (a vector
+is one of them) to integers over one common denominator, once per call, so
+every output entry is one integer dot product and one ``Fraction``; the
+Kronecker product multiplies integer vectors under one running scale.
 ``Fraction`` pivots serve only ``rank`` and the simplex. The LP is
 A @ x == b over nonnegative x and nothing else: a caller that needs x <= u
 adds the equality x + s == u with a slack s >= 0.
@@ -94,8 +96,15 @@ def require_distribution(values: object, what: str) -> tuple:
     """``values`` if they are a probability vector: a tuple of ints and
     Fractions (``require_exact``), none negative, summing to exactly 1. The
     sign is read off each numerator and the sum is one integer sum over the
-    least common denominator."""
+    least common denominator (``_require_stochastic``)."""
     require_exact(values, what)
+    return _require_stochastic(values, what)
+
+
+def _require_stochastic(values: tuple, what: str) -> tuple:
+    """``values``, already ints and Fractions, if none is negative and they
+    sum to exactly 1: ``require_distribution`` without its type check, for
+    entries a ``Matrix`` has already checked."""
     if (x := next((x for x in values if x.numerator < 0), None)) is not None:
         raise ValueError(
             f"{what} must be a probability vector, got entry {format_rational(x)} "
@@ -191,9 +200,10 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of Fractions, stored row-major. A product runs
-    over one common denominator per left row and per right column, with one
-    ``Fraction`` per output entry."""
+    """Immutable dense matrix of Fractions, stored row-major. A product with
+    a matrix (``@``) or a vector (``mul_vec``, ``left_mul_vec``) runs over one
+    common denominator per left row and per right column, with one
+    ``Fraction`` per output entry; no integer form is kept between calls."""
 
     rows: int
     cols: int
@@ -255,27 +265,18 @@ class Matrix:
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         require_length(other.rows, self.cols, "right factor's row count", "left's column count")
-        rows = [_scaled_ints([self.row(i)]) for i in range(self.rows)]
-        cols = [_scaled_ints([other.col(j)]) for j in range(other.cols)]
-        return Matrix(self.rows, other.cols, tuple(
-            Fraction(sum(map(mul, a, b)), s * t) for (a,), s in rows for (b,), t in cols
-        ))
+        rows = [self.row(i) for i in range(self.rows)]
+        return Matrix(self.rows, other.cols, _dots(rows, [other.col(j) for j in range(other.cols)]))
 
     def mul_vec(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Matrix-vector product ``A @ x``; terms with a zero factor are skipped."""
+        """Matrix-vector product ``A @ x``, one integer dot product per row."""
         require_length(len(vec), self.cols, "vector length", "column count")
-        return tuple(
-            sum((a * v for a, v in zip(self.row(i), vec) if a and v), _ZERO)
-            for i in range(self.rows)
-        )
+        return _dots([self.row(i) for i in range(self.rows)], [vec])
 
     def left_mul_vec(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Row-vector product ``x^T @ A``."""
+        """Row-vector product ``x^T @ A``, one integer dot product per column."""
         require_length(len(vec), self.rows, "vector length", "row count")
-        return tuple(
-            sum((vec[i] * self.at(i, j) for i in range(self.rows)), _ZERO)
-            for j in range(self.cols)
-        )
+        return _dots([vec], [self.col(j) for j in range(self.cols)])
 
     def to_doc(self) -> list[list[str]]:
         return [[format_rational(x) for x in self.row(i)] for i in range(self.rows)]
@@ -284,14 +285,30 @@ class Matrix:
 def kron(vectors: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     """Every product of one entry per vector, first vector slowest.
 
-    Each entry is one multiplication on the product of the earlier vectors'
-    entries; no vectors give ``[1]``. Product experiments and their weights
-    list outcomes in this order.
+    Each vector is scaled to integers once, so each entry is one integer
+    multiplication on the product of the earlier vectors' entries under one
+    running scale, and one ``Fraction`` at the end; no vectors give ``[1]``.
+    Product experiments and their weights list outcomes in this order.
     """
-    out = [_ONE]
+    out, scale = [1], 1
     for vec in vectors:
-        out = [a * b for a in out for b in vec]
-    return out
+        (ints,), t = _scaled_ints([vec])
+        out, scale = [a * b for a in out for b in ints], scale * t
+    return [Fraction(x, scale) for x in out]
+
+
+def _dots(
+    lefts: Sequence[Sequence[Fraction]], rights: Sequence[Sequence[Fraction]]
+) -> tuple[Fraction, ...]:
+    """Every left vector's dot product with every right vector, left slowest.
+
+    Each vector is scaled to integers over its own common denominator once,
+    so each product is one integer dot product and one ``Fraction``."""
+    lefts = [_scaled_ints([a]) for a in lefts]
+    rights = [_scaled_ints([b]) for b in rights]
+    return tuple(
+        Fraction(sum(map(mul, a, b)), s * t) for (a,), s in lefts for (b,), t in rights
+    )
 
 
 def _pivot(rows: list[list[Fraction]], r: int, c: int) -> None:

@@ -20,9 +20,9 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactcore import (
-    Matrix, Span, _scaled_ints, format_rational, kron, parse_rational, require_distinct,
-    require_distribution, require_int, require_keys, require_labels, require_length, require_tuple,
-    require_vector,
+    Matrix, Span, _require_stochastic, _scaled_ints, format_rational, kron, parse_rational,
+    require_distinct, require_distribution, require_int, require_keys, require_labels,
+    require_length, require_tuple, require_vector,
 )
 
 _ZERO = Fraction(0)
@@ -54,8 +54,8 @@ class Experiment:
         require_distinct(self.outcomes, "outcome labels")
         require_length(self.kernel.rows, len(self.parameters), "kernel row count", "parameter set")
         require_length(self.kernel.cols, len(self.outcomes), "kernel column count", "outcome set")
-        for i, label in enumerate(self.parameters):
-            require_distribution(self.kernel.row(i), f"kernel row for parameter {label!r}")
+        for i, label in enumerate(self.parameters):  # Matrix checked the entries' types
+            _require_stochastic(self.kernel.row(i), f"kernel row for parameter {label!r}")
 
     @cached_property
     def _kernel_ints(self) -> tuple[list[list[int]], int]:
@@ -217,21 +217,23 @@ def _replacement_matrix(
     """(1-a) I + a P, every row of P being ``replacement``.
 
     The channel takes a = noise. P is idempotent, so a = -noise/(1-noise)
-    gives its inverse. Both check the noise and the replacement alike.
+    gives its inverse. Both check the noise and the replacement alike. With
+    a = k/d and the replacement p/q over one common denominator q, entry
+    (i, j) is one ``Fraction((d - k)·q·[i = j] + k·p_j, d·q)``.
     """
     noise = parse_rational(noise)
     if not 0 <= noise < 1:
         raise ValueError("noise probability must lie in [0, 1)")
     probs = require_vector(replacement, "replacement distribution")
     require_distribution(probs, "replacement distribution")
-    a = -noise / (1 - noise) if inverse else noise
-    n = len(probs)
-    return Matrix.from_rows(
-        [
-            [(1 - a) * (_ONE if i == j else _ZERO) + a * probs[j] for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    k, d = noise.numerator, noise.denominator
+    if inverse:  # -k/d over 1 - k/d
+        k, d = -k, d - k
+    (p,), q = _scaled_ints([probs])
+    keep, n = (d - k) * q, len(p)
+    return Matrix(n, n, tuple(
+        Fraction(keep * (i == j) + k * p[j], d * q) for i in range(n) for j in range(n)
+    ))
 
 
 def replacement_garbling_channel(

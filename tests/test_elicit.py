@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elicitkit import elicit
+from elicitkit import elicit, exactcore
 from elicitkit.catalog import (
     bernoulli_experiment,
     german_tank_experiment,
@@ -18,7 +18,7 @@ from elicitkit.catalog import (
     random_experiment_pairs,
     truncated_poisson_experiment,
 )
-from elicitkit.exactcore import Matrix, rank, solve_linear
+from elicitkit.exactcore import Matrix, determinant, rank, solve_linear
 from elicitkit.model import (
     Belief,
     Experiment,
@@ -338,6 +338,38 @@ class TestCompleteElicitation:
         report = complete_elicitation(e)
         assert not report.full_belief_elicitable
         assert report.vandermonde_certificate is None
+
+
+class TestVandermonde:
+    """The certificate's determinant is the product of the statistic's differences."""
+
+    def test_closed_form_matches_the_elimination(self):
+        rng = random.Random(33)
+        for _ in range(300):
+            values = [rng.randint(-20, 20) for _ in range(rng.randint(0, 6))]
+            if values and rng.random() < 0.3:  # a repeated value: determinant 0
+                values.append(rng.choice(values))
+            scale = rng.choice((1, 2, 7, 10**9 + 7))
+            matrix, det = elicit._vandermonde(values, scale)
+            assert matrix == Matrix.from_rows(
+                [[F(a, scale) ** k for a in values] for k in range(len(values))]
+            )
+            assert det == determinant(matrix)
+            assert (det != 0) == (len(set(values)) == len(values))
+
+    def test_complete_elicitation_runs_no_determinant(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(exactcore, "determinant", calls.append)
+        assert "determinant" not in vars(elicit)
+        rng = random.Random(34)
+        certificates = [
+            complete_elicitation(random_experiment(rng, n, m)).vandermonde_certificate
+            for n, m in [(3, 2), (4, 4), (6, 4), (8, 5)]
+        ]
+        monkeypatch.undo()
+        assert calls == []
+        for cert in certificates:
+            assert cert.determinant == determinant(cert.vandermonde) != 0
 
 
 class TestFullRankShortcut:

@@ -24,6 +24,7 @@ from elicitkit.exactcore import (
     Matrix,
     determinant,
     format_rational,
+    kron,
     lp_feasible,
     null_space_basis,
     parse_rational,
@@ -32,7 +33,12 @@ from elicitkit.exactcore import (
     require_exact,
     solve_linear,
 )
-from elicitkit.model import garble, power
+from elicitkit.model import (
+    garble,
+    power,
+    replacement_garbling_channel,
+    replacement_garbling_channel_inverse,
+)
 from elicitkit.orders import blackwell_dominates
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -751,6 +757,35 @@ def reference_distribution(values, what):
     return values
 
 
+def reference_mul_vec(a, vec):
+    """Reference: each row's dot product with vec, term by term in Fractions."""
+    return tuple(
+        sum((F(x) * F(v) for x, v in zip(a.row(i), vec)), F(0)) for i in range(a.rows)
+    )
+
+
+def reference_left_mul_vec(a, vec):
+    """Reference: vec's dot product with each column, term by term in Fractions."""
+    return tuple(
+        sum((F(v) * F(x) for v, x in zip(vec, a.col(j))), F(0)) for j in range(a.cols)
+    )
+
+
+def reference_kron(vectors):
+    """Reference: every product of one entry per vector, in Fractions."""
+    out = [F(1)]
+    for vec in vectors:
+        out = [x * F(v) for x in out for v in vec]
+    return out
+
+
+def reference_channel(replacement, noise, inverse):
+    """Reference: (1-a) I + a P in Fractions, a = noise or -noise/(1-noise)."""
+    a = -noise / (1 - noise) if inverse else noise
+    n = len(replacement)
+    return tuple((1 - a) * (i == j) + a * replacement[j] for i in range(n) for j in range(n))
+
+
 def random_entry(rng):
     """An int, a small Fraction or one over a large prime, often negative."""
     kind = rng.randrange(4)
@@ -791,6 +826,61 @@ class TestExactProducts:
             assert all(type(x) is F for x in product.entries)
             shapes.add((r > 0, a.cols > 0, c > 0))
         assert len(shapes) == 8  # every side empty and nonempty
+
+    def test_vector_products_match_the_fraction_reference(self):
+        rng = random.Random(35)
+        big = [F(10**9 - i, 2**61 - 1) for i in range(5)] + [F(-(10**9), 10**9 + 7)]
+        random_shapes = [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(400)]
+        cases = [Matrix(2, 3, (1, -2, 3, 0, 4, -5)), Matrix(3, 2, tuple(big))] + [
+            Matrix(r, c, tuple(random_entry(rng) for _ in range(r * c)))
+            for r, c in [(0, 0), (0, 3), (3, 0), *random_shapes]
+        ]
+        shapes = set()
+        for a in cases:
+            for vec in (
+                [random_entry(rng) for _ in range(a.cols)],
+                [rng.randint(-9, 9) for _ in range(a.cols)],
+                [F(rng.randint(-(10**9), 10**9), 10**9 + 9) for _ in range(a.cols)],
+            ):
+                got = a.mul_vec(vec)
+                assert got == reference_mul_vec(a, vec), (a, vec)
+                assert all(type(x) is F for x in got)
+            for vec in (
+                [random_entry(rng) for _ in range(a.rows)],
+                [rng.randint(-9, 9) for _ in range(a.rows)],
+                [F(rng.randint(-(10**9), 10**9), 10**9 + 9) for _ in range(a.rows)],
+            ):
+                got = a.left_mul_vec(vec)
+                assert got == reference_left_mul_vec(a, vec), (a, vec)
+                assert all(type(x) is F for x in got)
+            shapes.add((a.rows > 0, a.cols > 0))
+        assert len(shapes) == 4  # every side empty and nonempty
+
+    def test_kron_matches_the_fraction_reference(self):
+        rng = random.Random(36)
+        big = [F(10**9, 2**61 - 1), F(-3, 10**9 + 7)]
+        cases = [[], [[]], [[1, 2], [-3, 5, 7]], [big] * 3] + [
+            [[random_entry(rng) for _ in range(rng.randint(0, 4))] for _ in range(rng.randint(0, 4))]
+            for _ in range(400)
+        ]
+        for vectors in cases:
+            got = kron(vectors)
+            assert got == reference_kron(vectors), vectors
+            assert all(type(x) is F for x in got)
+
+    def test_channels_match_the_fraction_reference(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            weights = [rng.randint(0, 6) for _ in range(rng.randint(1, 5))]
+            weights[0] += not any(weights)
+            replacement = [F(w, sum(weights)) for w in weights]
+            noise = rng.choice((F(0), F(rng.randint(0, 9), 10), F(10**9, 10**9 + 7)))
+            for inverse, build in enumerate(
+                (replacement_garbling_channel, replacement_garbling_channel_inverse)
+            ):
+                channel = build(replacement, noise)
+                assert channel.entries == reference_channel(replacement, noise, inverse)
+                assert all(type(x) is F for x in channel.entries)
 
     def test_product_refuses_mismatched_shapes(self):
         # the integer dot products would stop at the shorter side unchecked
@@ -843,8 +933,10 @@ class TestExactProducts:
         )
         row = power(random_experiment(rng, 2, 4), 5).kernel.row(0)
         assert len(row) == 1024
+        replacement, noise = (F(1, 3), F(1, 6), F(1, 2)), F(2, 7)
         calls = []
-        for name in ("__add__", "__mul__", "__sub__", "__lt__"):
+        arithmetic = ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__rsub__", "__pow__")
+        for name in (*arithmetic, "__lt__"):
             original = getattr(F, name)
 
             def counted(*args, _name=name, _original=original):
@@ -854,6 +946,20 @@ class TestExactProducts:
             monkeypatch.setattr(F, name, counted)
         product = a @ b
         require_distribution(row, "row")
-        monkeypatch.undo()
         assert calls == []
+        vectors = a.mul_vec(b.row(0)), a.left_mul_vec(b.col(1)), kron([a.row(2), b.row(3), row])
+        channels = [
+            build(replacement, noise)
+            for build in (replacement_garbling_channel, replacement_garbling_channel_inverse)
+        ]
+        monkeypatch.undo()
+        assert set(calls) <= {"__lt__"}  # the channels compare the noise with 1
         assert product.entries == reference_product(a, b)
+        assert vectors == (
+            reference_mul_vec(a, b.row(0)),
+            reference_left_mul_vec(a, b.col(1)),
+            reference_kron([a.row(2), b.row(3), row]),
+        )
+        assert [c.entries for c in channels] == [
+            reference_channel(replacement, noise, inverse) for inverse in (False, True)
+        ]

@@ -198,6 +198,25 @@ class TestExactInputs:
         with pytest.raises(ValueError, match="rational values"):
             build()
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ((1, 0, F(-1, 2), F(3, 2)), "'b' must be a probability vector, got entry -1/2 outside"),
+            ((F(1, 2), F(1, 3), 0, 1), "'a' must be a probability vector, but it sums to 5/6"),
+            ((1, 0, 0, F(10**9, 10**9 + 7)), "'b' must be a probability vector, but it sums to "
+             "1000000000/1000000007"),
+        ],
+    )
+    def test_kernel_rows_keep_the_distribution_messages(self, entries, message):
+        # the Matrix checks the entries' types; the Experiment checks each row's sign and sum
+        with pytest.raises(ValueError, match=re.escape(f"kernel row for parameter {message}")):
+            Experiment(("a", "b"), ("x", "y"), Matrix(2, 2, entries))
+
+    def test_float_kernel_entries_are_refused_by_the_matrix(self):
+        message = "matrix entries must be ints or Fractions, got 0.5"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Experiment(("a",), ("x", "y"), Matrix(1, 2, (0.5, F(1, 2))))
+
     def test_mean_outcome_distribution_stays_exact(self):
         with pytest.raises(ValueError):
             mean_outcome_distribution(_BERNOULLI, Belief((0.5, 0.25, 0.25)))
