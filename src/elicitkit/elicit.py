@@ -85,6 +85,11 @@ class StatisticFamily:
         """The functions as integer rows over one scale, built on first use."""
         return _scaled_ints(self.functions)[0]
 
+    @cached_property
+    def span(self) -> Span:
+        """The span of the functions and the constant, built on first use."""
+        return Span.of([*self._ints, [1] * len(self.parameters)], len(self.parameters))
+
 
 @dataclass(frozen=True)
 class ElicitabilityReport:
@@ -183,12 +188,13 @@ def is_coarser(coarse: StatisticFamily, fine: StatisticFamily) -> bool:
 
     Equivalent to every coarse statistic lying in the span of the fine
     statistics together with the constant function: any belief pair the fine
-    family cannot separate then agrees on every coarse statistic too.
+    family cannot separate then agrees on every coarse statistic too. The fine
+    family keeps that span (``StatisticFamily.span``), so each comparison is
+    one ``Span.outside`` call and one elimination serves every coarse family.
     """
     if coarse.parameters != fine.parameters:
         raise ValueError("families must share the parameter set")
-    n = len(fine.parameters)
-    return Span.of([*fine._ints, [1] * n], n).outside(coarse._ints) is None
+    return fine.span.outside(coarse._ints) is None
 
 
 def _indistinguishable_witness(direction: Sequence[int]) -> tuple[Belief, Belief]:
@@ -198,12 +204,12 @@ def _indistinguishable_witness(direction: Sequence[int]) -> tuple[Belief, Belief
     since the columns sum to the constant 1), so both beliefs induce the same
     mean outcome distribution. ``a`` is half the largest feasible step, which
     keeps the pair off the boundary and deterministic; a*direction is the
-    same for every positive multiple of the direction.
+    same for every positive multiple of the direction. With t = max |v_i|,
+    a = 1/(2nt), so entry i is the one ``Fraction`` (2t +/- v_i) / (2nt).
     """
-    u = Fraction(1, len(direction))
-    alpha = min(u / abs(v) for v in direction if v) / 2
-    plus = Belief(tuple(u + alpha * v for v in direction))
-    minus = Belief(tuple(u - alpha * v for v in direction))
+    n, t = len(direction), max(map(abs, direction))
+    plus = Belief(tuple(Fraction(2 * t + v, 2 * n * t) for v in direction))
+    minus = Belief(tuple(Fraction(2 * t - v, 2 * n * t) for v in direction))
     return plus, minus
 
 

@@ -15,20 +15,23 @@ Blackwell implies nonnegative implies elicitation, and Blackwell implies
 bounded implies elicitation. The elicitation order is also exactly "Blackwell
 above some uniform garbling", and one is computed constructively; its noise is
 minimal for the witness used, and overall only when the dominating kernel has
-full column rank. Witnesses are exact and re-verifiable by multiplication.
+full column rank. Both read one solve's witness as integers over one denominator:
+one ``Fraction`` per entry, and an integer garbling certificate (no ``Matrix @``).
+Witnesses are exact and re-verifiable by multiplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .exactcore import (
-    Matrix, format_rational, lp_feasible, require_distribution, require_int, require_length,
-    require_tuple, solve_linear,
+    Matrix, _scaled_ints, format_rational, lp_feasible, require_distribution, require_int,
+    require_length, require_tuple, solve_linear,
 )
-from .model import Experiment, is_complete, replacement_garbling_channel
+from .model import Experiment, is_complete
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -171,32 +174,43 @@ def verify_event_weights(
     return ey.kernel @ n.entries == event_masses(ez)
 
 
+def _integer_witness(ey: Experiment, ez: Experiment) -> tuple[list[list[int]], int] | str:
+    """One solve's row-normalized witness of ``kernel_Y @ M == kernel_Z`` as
+    integer columns over one denominator, or the note naming the first
+    dominated outcome outside the reachable span.
+
+    The solved columns are read to integers over one denominator L. Each row's
+    deficit L - (row sum) is spread evenly over its |Z| entries, so entry
+    (y, z) is (|Z|·x + deficit) / (|Z|·L). The factorization is preserved: the
+    rows of kernel_Z sum to 1, so the deficits lie in the null space of
+    kernel_Y, and with kernel_Y of full column rank they are all zero.
+    """
+    _require_shared_parameters(ey, ez)
+    nz = len(ez.outcomes)
+    cols = solve_linear(ey.kernel, [ez.kernel.col(z) for z in range(nz)])
+    if None in cols:
+        return f"outcome {ez.outcomes[cols.index(None)]!r} is outside the reachable span"
+    ints, scale = _scaled_ints(cols)
+    deficits = [scale - sum(row) for row in zip(*ints)]
+    # the solved columns already give kernel_Y @ M == kernel_Z, so the renormalized
+    # witness factorizes exactly when kernel_Y annihilates the deficits
+    if any(deficits) and any(ey.kernel.mul_vec(deficits)):
+        raise RuntimeError("row renormalization broke the factorization")
+    return [[nz * x + d for x, d in zip(col, deficits)] for col in ints], nz * scale
+
+
 def elicitation_dominates(ey: Experiment, ez: Experiment) -> DominanceResult:
     """Solve ``kernel_Y @ M == kernel_Z`` for every column in one reduction.
 
-    On success the witness is renormalized to unit row sums by spreading
-    each row's deficit evenly over its |Z| entries. The factorization is
-    preserved: the rows of kernel_Z sum to 1, so the deficit vector lies in
-    the null space of kernel_Y, and so does the added matrix
-    deficit @ ones^T / |Z|. With kernel_Y of full column rank the deficit is
-    zero and the solve's witness is returned unchanged. On failure the note
-    names the first dominated outcome outside the reachable span.
+    On success the witness has unit row sums, one ``Fraction`` per entry
+    (``_integer_witness``); on failure the note names the first unreachable outcome.
     """
-    _require_shared_parameters(ey, ez)
-    ny, nz = len(ey.outcomes), len(ez.outcomes)
-    cols = solve_linear(ey.kernel, [ez.kernel.col(z) for z in range(nz)])
-    if None in cols:
-        outcome = ez.outcomes[cols.index(None)]
-        note = f"outcome {outcome!r} is outside the reachable span"
-        return DominanceResult("elicitation", False, note=note)
-    raw = Matrix.from_cols(cols)
-    shares = [(_ONE - sum(raw.row(y), _ZERO)) / nz for y in range(ny)]
-    rows = [[x + share for x in raw.row(y)] for y, share in enumerate(shares)]
-    # the solve already gives kernel_Y @ raw == kernel_Z, so the renormalized
-    # witness factorizes exactly when kernel_Y annihilates the shares
-    if any(ey.kernel.mul_vec(shares)):
-        raise RuntimeError("row renormalization broke the factorization")
-    return DominanceResult("elicitation", True, witness=Matrix.from_rows(rows))
+    witness = _integer_witness(ey, ez)
+    if isinstance(witness, str):
+        return DominanceResult("elicitation", False, note=witness)
+    cols, scale = witness
+    entries = tuple(Fraction(x, scale) for row in zip(*cols) for x in row)
+    return DominanceResult("elicitation", True, Matrix(len(ey.outcomes), len(cols), entries))
 
 
 def blackwell_dominates(ey: Experiment, ez: Experiment) -> DominanceResult:
@@ -281,27 +295,36 @@ def uniform_garbling_decomposition(
     """Express elicitation dominance as Blackwell dominance over noisy data.
 
     Without elicitation dominance the answer is no, with a note. Otherwise,
-    with M the row-normalized elicitation witness and C the uniform-noise
-    channel, T = M @ C is M mixed with uniform noise (M's rows sum to 1) and
-    carries K_Y exactly onto K_Z @ C. The noise is the least in [0, 1) making
-    T nonnegative, each negative entry m needing noise >= |m| / (1/|Z| + |m|),
-    so minimal for M; it is minimal overall only when K_Y has full column rank:
-    K_Y = [[1/2,1/4,1/4],[1/4,3/8,3/8]] gives 1/2 where Blackwell holds.
+    with M = W / L the row-normalized elicitation witness and C the
+    uniform-noise channel, T = M @ C is M mixed with uniform noise (M's rows
+    sum to 1) and carries K_Y exactly onto K_Z @ C. The noise is the least in
+    [0, 1) making T nonnegative, each negative entry i / L needing noise
+    >= -i·|Z| / (L - i·|Z|), so minimal for M; it is minimal overall only when
+    K_Y has full column rank: K_Y = [[1/2,1/4,1/4],[1/4,3/8,3/8]] gives 1/2
+    where Blackwell holds. With k = -|Z|·min(W, 0) the noise is k / (L + k),
+    T = (|Z|·W + k) / (|Z|·(L + k)) in closed form, and the certificate
+    K_Y @ T == K_Z @ C is checked as cross-multiplied integer dot products.
     """
-    dominance = elicitation_dominates(ey, ez)
-    if not dominance.holds:
+    witness = _integer_witness(ey, ez)
+    if isinstance(witness, str):
         return GarblingDecomposition(
             False, note="no elicitation dominance, so no garbling decomposition"
         )
-    m = dominance.witness
-    nz = len(ez.outcomes)
-    share = Fraction(1, nz)
-    noise = max((-x / (share - x) for x in m.entries if x < 0), default=_ZERO)
-    channel = replacement_garbling_channel((share,) * nz, noise)
-    transition = m @ channel
-    if ey.kernel @ transition != ez.kernel @ channel:
-        raise RuntimeError("garbling decomposition failed its own certificate")
-    return GarblingDecomposition(True, noise, transition)
+    cols, scale = witness
+    nz = len(cols)
+    k = -nz * min(0, *map(min, cols))
+    t_cols = [[nz * x + k for x in col] for col in cols]
+    # K_Y @ T vs K_Z @ C = (L·|Z|·K_Z + k·(row sums)·1^T) / (|Z|·(L + k)), K over sy, sz
+    (ky, sy), (kz, sz) = ey._kernel_ints, ez._kernel_ints
+    for y_row, z_row in zip(zip(*ky), zip(*kz)):
+        total = sum(z_row)
+        for col, z in zip(t_cols, z_row):
+            if sum(map(mul, y_row, col)) * sz != (scale * nz * z + k * total) * sy:
+                raise RuntimeError("garbling decomposition failed its own certificate")
+    transition = Matrix(len(ey.outcomes), nz, tuple(
+        Fraction(x, nz * (scale + k)) for row in zip(*t_cols) for x in row
+    ))
+    return GarblingDecomposition(True, Fraction(k, scale + k), transition)
 
 
 @dataclass(frozen=True)

@@ -307,6 +307,37 @@ class TestModeElicitability:
             mode_elicitable(bernoulli_experiment(), [F(0), F(0), F(1)])
 
 
+def reference_witness(direction):
+    """Reference: uniform +/- alpha*direction in ``Fraction`` arithmetic, alpha
+    half the largest step that keeps both beliefs in the simplex."""
+    u = F(1, len(direction))
+    alpha = min(u / abs(v) for v in direction if v) / 2
+    return tuple(
+        tuple(u + sign * alpha * v for v in direction) for sign in (1, -1)
+    )
+
+
+class TestIndistinguishableWitness:
+    def test_matches_the_fraction_reference(self):
+        rng = random.Random(34)
+        directions = [
+            v
+            for ey, ez in random_experiment_pairs(34, 400, max_parameters=6, max_outcomes=4)
+            for e in (ey, ez)
+            for v in e.span.annihilator
+        ]
+        assert len(directions) > 500
+        while len(directions) < 2500:  # zero-sum integer vectors, entries up to 10^12
+            head = [rng.choice((0, rng.randint(-9, 9), rng.randint(-10**12, 10**12)))
+                    for _ in range(rng.randint(1, 6))]
+            if any(head):
+                directions.append((*head, -sum(head)))
+        for v in directions:
+            plus, minus = elicit._indistinguishable_witness(v)
+            assert (plus.weights, minus.weights) == reference_witness(v)
+            assert all(type(x) is F for x in plus.weights + minus.weights)
+
+
 class TestCompleteElicitation:
     def test_binary_grid_single_copy(self):
         report = complete_elicitation(bernoulli_experiment())

@@ -18,8 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elicitkit import exactcore
-from elicitkit.catalog import random_experiment
+from elicitkit import elicit, exactcore
+from elicitkit.catalog import (
+    bernoulli_experiment,
+    noisy_bernoulli_experiment,
+    random_experiment,
+)
 from elicitkit.exactcore import (
     Matrix,
     determinant,
@@ -39,7 +43,11 @@ from elicitkit.model import (
     replacement_garbling_channel,
     replacement_garbling_channel_inverse,
 )
-from elicitkit.orders import blackwell_dominates
+from elicitkit.orders import (
+    blackwell_dominates,
+    elicitation_dominates,
+    uniform_garbling_decomposition,
+)
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -805,6 +813,27 @@ def outcome(check, values):
         return "refused", str(exc)
 
 
+ARITHMETIC = (
+    "__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__rsub__", "__pow__",
+    "__truediv__", "__rtruediv__", "__neg__", "__abs__",
+)
+COMPARISONS = ("__lt__", "__le__", "__gt__", "__ge__", "__eq__")
+
+
+def count_fraction_calls(monkeypatch, names):
+    """Record the name of every call to one of ``Fraction``'s methods ``names``."""
+    calls = []
+    for name in names:
+        original = getattr(F, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(F, name, counted)
+    return calls
+
+
 class TestExactProducts:
     def test_product_matches_the_fraction_reference(self):
         rng = random.Random(32)
@@ -934,16 +963,7 @@ class TestExactProducts:
         row = power(random_experiment(rng, 2, 4), 5).kernel.row(0)
         assert len(row) == 1024
         replacement, noise = (F(1, 3), F(1, 6), F(1, 2)), F(2, 7)
-        calls = []
-        arithmetic = ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__rsub__", "__pow__")
-        for name in (*arithmetic, "__lt__"):
-            original = getattr(F, name)
-
-            def counted(*args, _name=name, _original=original):
-                calls.append(_name)
-                return _original(*args)
-
-            monkeypatch.setattr(F, name, counted)
+        calls = count_fraction_calls(monkeypatch, (*ARITHMETIC, "__lt__"))
         product = a @ b
         require_distribution(row, "row")
         assert calls == []
@@ -963,3 +983,27 @@ class TestExactProducts:
         assert [c.entries for c in channels] == [
             reference_channel(replacement, noise, inverse) for inverse in (False, True)
         ]
+
+    def test_dominance_garbling_and_witness_pairs_do_no_fraction_arithmetic(self, monkeypatch):
+        rng = random.Random(34)
+        clean, noisy = bernoulli_experiment(), noisy_bernoulli_experiment()
+        wide = random_experiment(rng, 3, 5)  # free witness rows: nonzero deficits
+        pairs = [
+            (noisy, clean),  # negative witness entries, noise 1/10
+            (clean, noisy),
+            (wide, garble(wide, random_experiment(rng, 5, 3).kernel)),
+            (clean, garble(clean, Matrix.from_rows([["1/2", "1/2"], ["1/2", "1/2"]]))),
+            (garble(clean, Matrix.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])), clean),  # a "no"
+        ]
+        directions = [*wide.span.annihilator, (3, -1, -2), (10**12, 1, -(10**12 + 1))]
+        calls = count_fraction_calls(monkeypatch, ARITHMETIC + COMPARISONS)
+        answers = [
+            (elicitation_dominates(ey, ez), uniform_garbling_decomposition(ey, ez))
+            for ey, ez in pairs
+        ]
+        witnesses = [elicit._indistinguishable_witness(v) for v in directions]
+        monkeypatch.undo()
+        assert set(calls) <= set(COMPARISONS)
+        assert [d.holds for d, _ in answers] == [True, True, True, True, False]
+        assert answers[0][1].noise == F(1, 10) and answers[1][1].noise == 0
+        assert len(witnesses) == len(directions) and all(p != m for p, m in witnesses)

@@ -15,7 +15,7 @@ from elicitkit.catalog import (
     random_experiment_pairs,
 )
 from elicitkit import orders
-from elicitkit.exactcore import Matrix
+from elicitkit.exactcore import Matrix, solve_linear
 from elicitkit.model import (
     Experiment,
     garble,
@@ -303,6 +303,104 @@ class TestGarblingDecomposition:
         result = blackwell_dominates(NOISY, garbled)
         assert result.holds
         assert verify_factorization(NOISY, garbled, decomposition.transition)
+
+
+def reference_elicitation(ey, ez):
+    """Reference: the solve, each row's deficit spread over its entries in
+    ``Fraction`` arithmetic, and the raw solve's row sums."""
+    nz = len(ez.outcomes)
+    cols = solve_linear(ey.kernel, [ez.kernel.col(z) for z in range(nz)])
+    if None in cols:
+        note = f"outcome {ez.outcomes[cols.index(None)]!r} is outside the reachable span"
+        return orders.DominanceResult("elicitation", False, note=note), ()
+    raw = Matrix.from_cols(cols)
+    sums = [sum(raw.row(y), F(0)) for y in range(raw.rows)]
+    rows = [[x + (1 - total) / nz for x in raw.row(y)] for y, total in enumerate(sums)]
+    return orders.DominanceResult("elicitation", True, Matrix.from_rows(rows)), sums
+
+
+def reference_garbling(ey, ez):
+    """Reference: the least noise making the witness nonnegative, entry by
+    entry, and the witness times the uniform-noise channel."""
+    dominance, _ = reference_elicitation(ey, ez)
+    if not dominance.holds:
+        note = "no elicitation dominance, so no garbling decomposition"
+        return orders.GarblingDecomposition(False, note=note)
+    m, share = dominance.witness, F(1, len(ez.outcomes))
+    noise = max((-x / (share - x) for x in m.entries if x < 0), default=F(0))
+    channel = replacement_garbling_channel((share,) * len(ez.outcomes), noise)
+    return orders.GarblingDecomposition(True, noise, m @ channel)
+
+
+def parity_pairs(seed, count):
+    """Random pairs on shared parameters: independent kernels (mostly "no"),
+    a kernel and a garbling of it to another outcome count (always "yes",
+    rank-deficient when it has more outcomes than parameters), and a kernel
+    and a replacement garbling of it (negative witness entries back)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        params = tuple(f"t{i}" for i in range(n))
+        ey = random_experiment(rng, n, rng.randint(1, 5), 6, params)
+        ny, kind = len(ey.outcomes), rng.randrange(3)
+        if kind == 0:
+            ez = random_experiment(rng, n, rng.randint(1, 5), 6, params)
+        elif kind == 1:
+            ez = garble(ey, random_experiment(rng, ny, rng.randint(1, 5)).kernel)
+        else:
+            replacement = random_experiment(rng, 1, ny).kernel.row(0)
+            ez = replacement_garble(ey, F(rng.randrange(1, 6), 6), replacement)
+        yield ey, ez
+
+
+class TestIntegerWitness:
+    def test_matches_the_fraction_reference(self):
+        seen = dict.fromkeys(("no", "deficit", "unequal", "noisy", "clean"), 0)
+        for pair in parity_pairs(34, 2000):
+            for ey, ez in (pair, pair[::-1]):
+                expected, sums = reference_elicitation(ey, ez)
+                dominance = elicitation_dominates(ey, ez)
+                garbling = uniform_garbling_decomposition(ey, ez)
+                assert dominance.to_doc() == expected.to_doc()
+                assert garbling.to_doc() == reference_garbling(ey, ez).to_doc()
+                if dominance.holds:
+                    assert dominance.witness == expected.witness
+                    assert all(type(x) is F for x in dominance.witness.entries)
+                    assert type(garbling.noise) is F
+                    assert all(type(x) is F for x in garbling.transition.entries)
+                seen["no"] += not dominance.holds
+                seen["deficit"] += any(total != 1 for total in sums)
+                seen["unequal"] += dominance.holds and len(ey.outcomes) != len(ez.outcomes)
+                seen["noisy"] += dominance.holds and garbling.noise > 0
+                seen["clean"] += dominance.holds and garbling.noise == 0
+        assert min(seen.values()) > 500, seen
+
+    @staticmethod
+    def _bend_solve(monkeypatch, shift):
+        """Make ``orders``' solve add ``shift[z]`` to the first entry of column z."""
+        solve = orders.solve_linear
+
+        def bent(a, rhs):
+            return [(col[0] + d, *col[1:]) for col, d in zip(solve(a, rhs), shift)]
+
+        monkeypatch.setattr(orders, "solve_linear", bent)
+
+    def test_the_renormalization_check_is_live(self, monkeypatch):
+        # moving one entry breaks its row sum and the factorization, so
+        # kernel_Y no longer annihilates the deficits
+        self._bend_solve(monkeypatch, (1, 0))
+        for query in (elicitation_dominates, uniform_garbling_decomposition):
+            with pytest.raises(RuntimeError, match="row renormalization broke"):
+                query(NOISY, CLEAN)
+
+    def test_the_garbling_certificate_is_live(self, monkeypatch):
+        # moving weight between two entries of one row keeps every row sum,
+        # so only the certificate sees that the witness no longer factorizes
+        self._bend_solve(monkeypatch, (1, -1))
+        dominance = elicitation_dominates(NOISY, CLEAN)
+        assert dominance.holds and not verify_factorization(NOISY, CLEAN, dominance.witness)
+        with pytest.raises(RuntimeError, match="failed its own certificate"):
+            uniform_garbling_decomposition(NOISY, CLEAN)
 
 
 class TestReplacementGarblingVariant:
