@@ -36,6 +36,7 @@ from typing import Mapping, Optional, Sequence
 from .exactcore import (
     Matrix,
     Span,
+    _dots,
     _scaled_ints,
     format_rational,
     kron,
@@ -54,7 +55,6 @@ from .exactcore import (
 )
 from .model import Belief, Experiment, is_identified, power, require_product_size
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -169,18 +169,16 @@ def maximal_partition(e: Experiment) -> StatisticFamily:
 
 def statistic_mean(g: Sequence[Fraction], p: Belief) -> Fraction:
     require_length(len(g), len(p.weights), "statistic length", "belief")
-    return sum((gi * wi for gi, wi in zip(g, p.weights)), _ZERO)
+    return _dots([g], [p.weights])[0]
 
 
 def indistinguishable(family: StatisticFamily, p: Belief, q: Belief) -> bool:
-    """True when every statistic in the family has equal means under p and q."""
+    """True when every statistic in the family has equal means under p and q:
+    one ``_dots`` gives each statistic's two means side by side."""
     for weights in (p.weights, q.weights):
         require_length(len(weights), len(family.parameters), "belief length", "family's parameters")
-    diff = [a - b for a, b in zip(p.weights, q.weights)]
-    return all(
-        sum((gi * di for gi, di in zip(g, diff)), _ZERO) == 0
-        for g in family.functions
-    )
+    means = _dots(family.functions, [p.weights, q.weights])
+    return means[::2] == means[1::2]
 
 
 def is_coarser(coarse: StatisticFamily, fine: StatisticFamily) -> bool:
@@ -217,13 +215,14 @@ def unbiased_weights(e: Experiment, statistic: Sequence[Fraction]) -> Elicitabil
     """Outcome weights whose kernel average reproduces the statistic exactly.
 
     The statistic's mean is elicitable iff it lies in the kernel columns'
-    kept span (``Experiment.span``). The first annihilator vector it is not
-    orthogonal to builds the report's witness belief pair with no
-    elimination; otherwise one solve of ``kernel @ w == statistic`` does.
+    kept span (``Experiment.span``), asked of its integer form. The first
+    annihilator vector it is not orthogonal to builds the report's witness
+    belief pair with no elimination; otherwise one solve of
+    ``kernel @ w == statistic`` does.
     """
     g = require_vector(statistic, "statistic")
     require_length(len(g), len(e.parameters), "statistic length", "parameter set")
-    if (v := e.span.outside([g])) is not None:
+    if (v := e.span.outside(_scaled_ints([g])[0])) is not None:
         return ElicitabilityReport(elicitable=False, witness=_indistinguishable_witness(v))
     solution = solve_linear(e.kernel, [g])[0]
     if solution is None:  # g is orthogonal to every annihilator vector, so spanned

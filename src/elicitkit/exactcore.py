@@ -25,9 +25,11 @@ vector-matrix product scales each left row and each right column (a vector
 is one of them) to integers over one common denominator, once per call, so
 every output entry is one integer dot product and one ``Fraction``; the
 Kronecker product multiplies integer vectors under one running scale.
-``Fraction`` pivots serve only ``rank`` and the simplex. The LP is
-A @ x == b over nonnegative x and nothing else: a caller that needs x <= u
-adds the equality x + s == u with a slack s >= 0.
+Every dot and matrix product in ``model``, ``elicit``, ``mechanisms`` and
+``orders`` goes through these, so outside the worked examples (``catalog``,
+``demos``) ``Fraction`` arithmetic serves only ``rank`` and the simplex.
+The LP is A @ x == b over nonnegative x and nothing else: a caller that
+needs x <= u adds the equality x + s == u with a slack s >= 0.
 Everything is exact; no floating point enters. All values are immutable and
 all functions are pure, so they are safe to share across threads.
 

@@ -38,11 +38,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from itertools import accumulate
+from operator import mul, or_
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .exactcore import (
-    Matrix, Span, _scaled_ints, format_rational, parse_rational, require_distinct,
+    Matrix, Span, _dots, _scaled_ints, format_rational, parse_rational, require_distinct,
     require_distribution, require_index, require_int, require_keys, require_labels,
     require_length, require_list, require_tuple, require_vector,
 )
@@ -126,11 +127,7 @@ class Mechanism:
 def expected_payoff(m: Mechanism, belief: Belief, report: Report) -> Fraction:
     """Expected payoff under a belief: outcome-distribution-weighted payoffs."""
     lam = mean_outcome_distribution(m.experiment, belief)
-    return _dot(lam, m.payoff_vector(report))
-
-
-def _dot(lam: Sequence[Fraction], vec: Sequence[Fraction]) -> Fraction:
-    return sum((li * vi for li, vi in zip(lam, vec)), _ZERO)
+    return _dots([lam], [m.payoff_vector(report)])[0]
 
 
 class QuadraticPanelMechanism(Mechanism):
@@ -161,7 +158,6 @@ class QuadraticPanelMechanism(Mechanism):
             raise ValueError("event weights must be positive")
         self.experiment = experiment
         self.event_weights = weights
-        self._columns, self._kernel_scale = experiment._kernel_ints
         (self._weights,), self._weight_scale = _scaled_ints([weights])
 
     def grid_payoffs(
@@ -174,11 +170,12 @@ class QuadraticPanelMechanism(Mechanism):
         (L/S - 1{y})^2, the payoff on outcome y is
         ``w S^2 - sum(W L^2) - W_y (S^2 - 2 L_y S)`` over ``w S^2``.
         """
-        s = d * self._kernel_scale
+        columns, kernel_scale = self.experiment._kernel_ints
+        s = d * kernel_scale
         s2, w = s * s, self._weight_scale
         rows = []
         for k in counts:
-            lam = [sum(map(mul, k, col)) for col in self._columns]
+            lam = [sum(map(mul, k, col)) for col in columns]
             base = w * s2 - sum(wy * ly * ly for wy, ly in zip(self._weights, lam))
             rows.append(
                 [base - wy * (s2 - 2 * ly * s) for wy, ly in zip(self._weights, lam)]
@@ -189,7 +186,7 @@ class QuadraticPanelMechanism(Mechanism):
         return (_ZERO, _ONE)
 
     def _scored_rows(self) -> list[list[int]]:
-        return self._columns  # the gain is sum W_y (lambda_p - lambda_q)_y^2
+        return self.experiment._kernel_ints[0]  # the gain is sum W_y (lambda_p - lambda_q)_y^2
 
 
 class MeanScoreMechanism(Mechanism):
@@ -458,22 +455,14 @@ def _upper_level_decomposition(
 
     Sorting descending (ties by index) and differencing successive values
     yields weights on the nested upper-level sets, plus the leftover weight
-    on the empty set. Returns (bitmask, weight) pairs with positive weight.
+    on the empty set; the values are scaled to integers once, so each weight
+    is one integer difference. Returns the (bitmask, weight) pairs, weight > 0.
     """
-    k = len(values)
-    order = sorted(range(k), key=lambda z: (-values[z], z))
-    out: list[tuple[int, Fraction]] = []
-    top = values[order[0]] if k else _ZERO
-    if _ONE - top > 0:
-        out.append((0, _ONE - top))
-    mask = 0
-    for i, z in enumerate(order):
-        mask |= 1 << z
-        nxt = values[order[i + 1]] if i + 1 < k else _ZERO
-        weight = values[z] - nxt
-        if weight > 0:
-            out.append((mask, weight))
-    return out
+    (ints,), scale = _scaled_ints([values])
+    order = sorted(range(len(ints)), key=lambda z: (-ints[z], z))
+    levels = [scale, *(ints[z] for z in order), 0]  # 1, the values descending, 0
+    steps = zip(accumulate((1 << z for z in order), or_, initial=0), levels, levels[1:])
+    return [(mask, Fraction(a - b, scale)) for mask, a, b in steps if a > b]
 
 
 def level_set_transform(
@@ -496,14 +485,9 @@ def level_set_transform(
         raise ValueError("event-weight rows must match the new experiment")
     if event_weights.target_outcomes != base.experiment.outcomes:
         raise ValueError("event-weight subsets must cover the base outcomes")
-    ny = len(experiment.outcomes)
-    rows: list[list[Fraction]] = []
-    for r in range(len(base.reports)):
-        decomposition = _upper_level_decomposition(base.payoffs.row(r))
-        rows.append([
-            sum((w * event_weights.entries.at(y, mask) for mask, w in decomposition), _ZERO)
-            for y in range(ny)
-        ])
+    entries = event_weights.entries
+    levels = [dict(_upper_level_decomposition(row)) for row in base.payoffs.to_lists()]
+    rows = [entries.mul_vec([w.get(mask, 0) for mask in range(entries.cols)]) for w in levels]
     return TableMechanism(experiment, base.reports, Matrix.from_rows(rows), base.report_beliefs)
 
 
@@ -744,10 +728,12 @@ def ic_verify(
 def value_function(
     m: Mechanism, belief: Belief, report_grid: Sequence[Report]
 ) -> Fraction:
-    """Best expected payoff over a finite report menu."""
+    """Best expected payoff over a finite report menu: one ``_dots`` of the
+    belief's mean outcome distribution with every report's payoff vector."""
     if not require_tuple(report_grid, "report grid", object, (list, tuple)):
         raise ValueError("report grid must be nonempty")
-    return max(expected_payoff(m, belief, r) for r in report_grid)
+    lam = mean_outcome_distribution(m.experiment, belief)
+    return max(_dots([lam], [m.payoff_vector(r) for r in report_grid]))
 
 
 @dataclass(frozen=True)
@@ -765,19 +751,19 @@ class EnvelopeReport:
 
 
 def envelope_check(m1: Mechanism, m2: Mechanism, beliefs: Sequence[Belief]) -> EnvelopeReport:
-    vecs1 = [m1.payoff_vector(m1.report_for_belief(p)) for p in beliefs]
-    vecs2 = [m2.payoff_vector(m2.report_for_belief(p)) for p in beliefs]
-    lams = [[mean_outcome_distribution(m.experiment, p) for m in (m1, m2)] for p in beliefs]
-    for p, (lam1, lam2) in zip(beliefs, lams):
-        v1 = max(_dot(lam1, v) for v in vecs1)
-        v2 = max(_dot(lam2, v) for v in vecs2)
-        if v1 != v2:
+    # per belief and mechanism, one _dots gives the payoff of every menu report
+    vecs = [[m.payoff_vector(m.report_for_belief(p)) for p in beliefs] for m in (m1, m2)]
+    payoffs = [
+        [_dots([mean_outcome_distribution(m.experiment, p)], v) for m, v in zip((m1, m2), vecs)]
+        for p in beliefs
+    ]
+    for p, (row1, row2) in zip(beliefs, payoffs):
+        if (v1 := max(row1)) != (v2 := max(row2)):
             belief = ",".join(format_rational(w) for w in p.weights)
             detail = f"({belief}): {format_rational(v1)} vs {format_rational(v2)}"
             return EnvelopeReport(False, None, "value functions differ at belief " + detail)
-    for lam1, lam2 in lams:
-        if any(_dot(lam1, v1) != _dot(lam2, v2) for v1, v2 in zip(vecs1, vecs2)):
-            return EnvelopeReport(True, False, "cross payoffs differ despite equal value functions")
+    if any(row1 != row2 for row1, row2 in payoffs):
+        return EnvelopeReport(True, False, "cross payoffs differ despite equal value functions")
     return EnvelopeReport(values_agree=True, cross_payoffs_agree=True)
 
 

@@ -186,12 +186,12 @@ def mixture(m: CovariateMixture) -> Experiment:
     """Experiment producing (covariate, outcome) pairs.
 
     The kernel entry for pair (x, y) given a parameter is the covariate
-    weight of x times the component probability of y.
+    weight of x times the component probability of y, read off ``kron``.
     """
     pairs = list(zip(m.weights, m.covariates, m.components))
     labels = tuple(f"({x},{y})" for _, x, comp in pairs for y in comp.outcomes)
     rows = [
-        [w * p for w, _, comp in pairs for p in comp.kernel.row(t)]
+        [p for w, _, comp in pairs for p in kron([(w,), comp.kernel.row(t)])]
         for t in range(len(m.parameters))
     ]
     return Experiment(m.parameters, labels, Matrix.from_rows(rows))

@@ -58,16 +58,14 @@ def event_subsets(labels: Sequence[str]) -> tuple[tuple[str, ...], ...]:
 def event_masses(e: Experiment) -> Matrix:
     """Mass each parameter puts on each event: parameters x subsets, ``K @ S``.
 
-    Columns follow the bitmask order of :func:`event_subsets`. Each column is
-    the column of the subset without its lowest outcome plus that outcome's
-    kernel column, so every column costs one vector addition.
+    S is the 0/1 outcome-by-subset matrix whose column ``mask`` holds a 1 at
+    each outcome of that subset, in the bitmask order of
+    :func:`event_subsets`; the product is one ``@``, so each entry is one
+    integer dot product over the kernel's row scale.
     """
-    cols = [(_ZERO,) * len(e.parameters)]
-    for mask in range(1, 1 << len(e.outcomes)):
-        lowest = (mask & -mask).bit_length() - 1
-        rest = cols[mask & (mask - 1)]
-        cols.append(tuple(a + b for a, b in zip(rest, e.kernel.col(lowest))))
-    return Matrix.from_cols(cols)
+    m = len(e.outcomes)
+    subsets = Matrix(m, 1 << m, tuple(mask >> y & 1 for y in range(m) for mask in range(1 << m)))
+    return e.kernel @ subsets
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ value: a bool, a float, a str, bytes, None, a nested list, or a list holding
 a bool, a float or None. Every call must raise ``ValueError``. Edge ints (0,
 -1, 1) in an int argument must give an answer or a ``ValueError`` naming that
 argument. Each CLI subcommand, run in process on a valid document with one
-JSON leaf replaced, must exit 0 or 2.
+JSON leaf replaced, must exit 0 or 2. Each refusal that none of these
+reaches is called once, and its message is asserted.
 
 Not drawn: arguments that take one package object (an experiment, belief,
 matrix, mechanism, statistic family, mixture, event-weight matrix or
@@ -35,11 +36,12 @@ from hypothesis import strategies as st
 import elicitkit
 from elicitkit import catalog, cli
 from elicitkit.catalog import bernoulli_experiment, noisy_bernoulli_experiment
-from elicitkit.demos import DEMOS, DiscretizedRegression, demo_regression
+from elicitkit.demos import DEMOS, DiscretizedRegression, demo_poisson, demo_regression
 from elicitkit.elicit import maximal_partition, statistic_family_to_doc, statistic_mean
 from elicitkit.exactcore import Matrix
 from elicitkit.mechanisms import (
     TableMechanism,
+    load_mechanism,
     mean_mechanism,
     mechanism_to_doc,
     pushforward,
@@ -523,3 +525,85 @@ DEMO_PARAMS = [(demo, p) for demo, f in DEMOS.items() for p in inspect.signature
 def test_a_mutated_demo_parameter_exits_zero_or_two(demo, param):
     for value in ("true", "1.5", "null", "[]", "{}", "x"):
         assert _run(["demo", demo, "--param", f"{param}={value}"]) in (0, 2), value
+
+
+# -- the refusals no other check reaches -----------------------------------------
+
+
+def _cli_refusal(argv) -> None:
+    """Run the CLI in process; its refusal (exit 2, the message on stderr) is
+    raised as a ValueError."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses a bad option itself
+            code = exc.code
+    if code == 2:
+        raise ValueError(err.getvalue())
+
+
+def _malformed_json(tmp_path) -> None:
+    (tmp_path / "bad.json").write_text('{"parameters": [')
+    _cli_refusal(["compare", "blackwell", str(tmp_path / "bad.json"), str(tmp_path / "bad.json")])
+
+
+EVENTS = Matrix(2, 4, (F(0),) * 8)
+PUSHED_PANEL = {
+    "kind": "pushforward",
+    "base": mechanism_to_doc(quadratic_mechanism(E)),
+    "matrix": [["1", "0"], ["0", "1"]],
+    "experiment": experiment_to_doc(E),
+}
+REFUSALS = {
+    "cli malformed json": (_malformed_json, r"bad\.json is not valid JSON: "),
+    "cli max pairs": (
+        lambda _: _cli_refusal(["verify", "m.json", "--max-pairs", "x"]),
+        r"argument --max-pairs: invalid int value: 'x'"),
+    "poisson rate": (lambda _: demo_poisson(k_max=0, rates=(2,)),
+                     "^rate too large for the truncation bound$"),
+    "regression grid": (lambda _: DiscretizedRegression((), (), F(0)),
+                        "^coefficient grid must be nonempty$"),
+    "regression intercept": (lambda _: DiscretizedRegression(((),), (), F(0)),
+                             "^coefficient vectors need an intercept entry$"),
+    "regression noise": (lambda _: DiscretizedRegression(((F(1),),), ((),), F(-1)),
+                         "^noise scale must be nonnegative$"),
+    "report without witness": (lambda _: elicitkit.ElicitabilityReport(False),
+                               "^a negative report carries a witness only$"),
+    "coarser across parameters": (
+        lambda _: elicitkit.is_coarser(elicitkit.StatisticFamily(("a",), ()), maximal_partition(E)),
+        "^families must share the parameter set$"),
+    "zero panel weight": (lambda _: quadratic_mechanism(E, (F(0), F(1))),
+                          "^event weights must be positive$"),
+    "level-set rows": (
+        lambda _: elicitkit.level_set_transform(
+            TABLE, elicitkit.EventWeightMatrix(("p", "q"), E.outcomes, EVENTS), E),
+        "^event-weight rows must match the new experiment$"),
+    "level-set subsets": (
+        lambda _: elicitkit.level_set_transform(
+            TABLE, elicitkit.EventWeightMatrix(E.outcomes, ("p", "q"), EVENTS), E),
+        "^event-weight subsets must cover the base outcomes$"),
+    "empty menu": (lambda _: elicitkit.value_function(TABLE, Belief.uniform(3), []),
+                   "^report grid must be nonempty$"),
+    "unknown kind": (lambda _: mechanism_to_doc(elicitkit.Mechanism()),
+                     "^cannot serialize mechanism of kind 'abstract'$"),
+    "pushforward base": (lambda _: load_mechanism(PUSHED_PANEL),
+                         "^pushforward base must be a table mechanism$"),
+    "no parameters": (lambda _: elicitkit.Experiment((), ("x",), Matrix(0, 1, ())),
+                      "^experiment needs at least one parameter$"),
+    "no outcomes": (lambda _: elicitkit.Experiment(("a",), (), Matrix(1, 0, ())),
+                    "^experiment needs at least one outcome$"),
+    "replacement noise": (lambda _: elicitkit.replacement_garbling_channel_inverse(PAIR, 1),
+                          r"^noise probability must lie in \[0, 1\)$"),
+    "event weight range": (
+        lambda _: elicitkit.EventWeightMatrix(("0", "1"), ("0",), Matrix(2, 2, (2, 0, 0, 1))),
+        r"^event weights must lie in \[0, 1\]$"),
+    "dominance without witness": (lambda _: elicitkit.DominanceResult("blackwell", True),
+                                  "^a dominance result holds exactly when it has a witness$"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=list(REFUSALS))
+def test_each_refusal_names_its_reason(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)

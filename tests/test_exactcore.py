@@ -37,16 +37,31 @@ from elicitkit.exactcore import (
     require_exact,
     solve_linear,
 )
+from elicitkit.mechanisms import (
+    envelope_check,
+    expected_payoff,
+    level_set_transform,
+    mean_mechanism,
+    quadratic_mechanism,
+    tabulate,
+    value_function,
+)
 from elicitkit.model import (
+    CovariateMixture,
+    belief_grid,
     garble,
+    mixture,
     power,
     replacement_garbling_channel,
     replacement_garbling_channel_inverse,
 )
 from elicitkit.orders import (
     blackwell_dominates,
+    bounded_dominates,
     elicitation_dominates,
+    event_masses,
     uniform_garbling_decomposition,
+    verify_event_weights,
 )
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -1007,3 +1022,60 @@ class TestExactProducts:
         assert [d.holds for d, _ in answers] == [True, True, True, True, False]
         assert answers[0][1].noise == F(1, 10) and answers[1][1].noise == 0
         assert len(witnesses) == len(directions) and all(p != m for p, m in witnesses)
+
+    def test_means_payoffs_and_event_masses_do_no_fraction_arithmetic(self, monkeypatch):
+        rng = random.Random(35)
+        ey = random_experiment(rng, 3, 3)
+        ez = garble(ey, random_experiment(rng, 3, 2).kernel)
+        witness = bounded_dominates(ey, ez).event_weights  # the LP runs uncounted
+        beliefs = belief_grid(3, 2)
+        p, q = beliefs[1], beliefs[4]
+        g = (F(1, 3), F(-2), F(5, 7))
+        panel = quadratic_mechanism(ey)
+        table = tabulate(panel, beliefs)
+        mean = mean_mechanism(ey, ey.kernel.mul_vec((1, 0, 2)), (1, 0, 2))
+        base = tabulate(quadratic_mechanism(ez), beliefs)
+        spec = CovariateMixture(("a", "b"), (F(2, 5), F(3, 5)), (ey, ez))
+        family, clean = elicit.maximal_partition(ey), bernoulli_experiment()
+        calls = count_fraction_calls(monkeypatch, ARITHMETIC)
+        unspanned = elicit.unbiased_weights(clean, (F(0), F(1), F(0)))
+        answers = (
+            elicit.statistic_mean(g, p),
+            elicit.indistinguishable(family, p, q),
+            elicit.indistinguishable(family, p, p),
+            expected_payoff(panel, p, q),
+            expected_payoff(mean, p, F(1, 2)),
+            value_function(table, p, list(table.reports)),
+            envelope_check(panel, table, beliefs),
+            envelope_check(panel, mean, beliefs),
+        )
+        transformed = level_set_transform(base, witness, ey)
+        masses, mixed = event_masses(ez), mixture(spec)
+        verified = verify_event_weights(ey, ez, witness)
+        monkeypatch.undo()
+        assert calls == []
+        assert not unspanned.elicitable
+
+        def dot(a, b):
+            return sum((x * y for x, y in zip(a, b)), F(0))
+
+        lam_p = [dot(p.weights, ey.kernel.col(y)) for y in range(3)]
+        assert answers[:2] == (dot(g, p.weights), False) and answers[2]
+        assert answers[3] == dot(lam_p, panel.payoff_vector(q))
+        assert answers[4] == dot(lam_p, mean.payoff_vector(F(1, 2)))
+        assert answers[5] == max(dot(lam_p, table.payoff_vector(r)) for r in table.reports)
+        assert [(r.values_agree, r.cross_payoffs_agree) for r in answers[6:]] == [
+            (True, True), (False, None)
+        ]
+        assert verified and masses.entries == tuple(
+            sum((ez.kernel.at(t, z) for z in range(2) if mask >> z & 1), F(0))
+            for t in range(3) for mask in range(4)
+        )
+        assert all(
+            expected_payoff(transformed, b, r) == expected_payoff(base, b, r)
+            for b in beliefs for r in base.reports
+        )
+        assert mixed.kernel.entries == tuple(
+            w * x for t in range(3) for w, e in zip(spec.weights, spec.components)
+            for x in e.kernel.row(t)
+        )

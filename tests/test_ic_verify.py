@@ -8,6 +8,7 @@ integer oracle must give an identical ``ICReport`` on every instance.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import pickle
 import random
 import tracemalloc
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elicitkit import elicit, exactcore, mechanisms, model
+from elicitkit import exactcore, mechanisms, model
 from elicitkit.catalog import random_experiment
 from elicitkit.elicit import StatisticFamily, maximal_partition, statistic_mean
 from elicitkit.exactcore import Matrix
@@ -950,6 +951,29 @@ def test_kept_forms_answer_like_fresh_objects():
     assert seen == {None, "weak_ic", "strictness"}, seen
 
 
+# the integer forms ic_verify keeps on its inputs, each built at its first use
+KEPT_FORMS = (
+    (Experiment, "_kernel_ints"),
+    (StatisticFamily, "_ints"),
+    (TableMechanism, "_int_rows"),
+    (Mechanism, "_scored_span"),
+)
+
+
+def _counting_builds(monkeypatch, cls, name, calls):
+    """Record ``name`` at each build of the kept form ``cls.name``; a form
+    already kept on an instance is read from it and builds nothing."""
+    build = getattr(cls, name).func
+
+    def counted(self):
+        calls.append(name)
+        return build(self)
+
+    kept = functools.cached_property(counted)
+    kept.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, kept)
+
+
 def test_repeated_calls_scale_nothing_again(monkeypatch):
     e = random_experiment(random.Random(43), 4, 3)
     weights = [F(1), F(-2), F(1, 2)]
@@ -967,16 +991,16 @@ def test_repeated_calls_scale_nothing_again(monkeypatch):
     first = [ic_verify(m, target, 3) for m, target in cases]
     assert {r.elicits_target for r in first} == {True, False}
     calls = []
-    for holder in (exactcore, model, elicit, mechanisms):
-        _counting(monkeypatch, holder, "_scaled_ints", calls)
+    for cls, name in KEPT_FORMS:
+        _counting_builds(monkeypatch, cls, name, calls)
     for _ in range(3):
         assert [ic_verify(m, target, 3) for m, target in cases] == first
     assert calls == []
-    # fresh inputs scale theirs on their first call, and only then
+    # fresh inputs build their kept forms on their first call, and only then
     fresh = Experiment(e.parameters, e.outcomes, e.kernel)
     target = StatisticFamily(e.parameters, maximal_partition(e).functions)
     ic_verify(quadratic_mechanism(fresh), target, 3)
-    assert calls
+    assert calls == ["_scored_span", "_kernel_ints", "_ints"]
     calls.clear()
     ic_verify(quadratic_mechanism(fresh), target, 3)
-    assert calls == ["_scaled_ints"]  # the new panel's event weights
+    assert calls == ["_scored_span"]  # the new panel's own span

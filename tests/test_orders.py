@@ -481,6 +481,54 @@ class TestAudit:
         report = order_consistency_audit([(ey, ez)])
         assert report.violations == ("pair 0: blackwell witness not Markov",)
 
+    @pytest.mark.parametrize(
+        "pair, relation, witness, expected",
+        [
+            ("complete", "elicitation", "identity", ["elicitation witness fails"]),
+            ("complete", "blackwell", "identity", ["blackwell witness fails"]),
+            ("complete", "nonneg", "identity", ["nonneg witness fails"]),
+            ("signed", "nonneg", "unmixing", ["nonneg witness has a negative entry"]),
+            ("complete", "bounded", "zeros", ["bounded witness fails"]),
+            ("noisy", "nonneg", None, ["blackwell without nonneg"]),
+            ("complete", "elicitation", None,
+             ["nonneg without elicitation", "bounded without elicitation"]),
+            ("noisy", "bounded", None, ["blackwell without bounded"]),
+            ("complete", "blackwell", None,
+             ["complete dominating experiment but nonneg and blackwell disagree"]),
+        ],
+    )
+    def test_each_contradicting_answer_is_a_violation(
+        self, monkeypatch, pair, relation, witness, expected
+    ):
+        # one relation is patched to a corrupt witness (or to "no"), the rest run
+        ey, ez = {
+            "complete": (CLEAN, NOISY),  # every relation holds, and CLEAN is complete
+            "signed": (NOISY, CLEAN),  # only elicitation holds, by UNMIXING
+            "noisy": (NOISY, garble(NOISY, MIXING)),  # every relation holds
+        }[pair]
+        assert order_consistency_audit([(ey, ez)]).violations == ()
+        zeros = EventWeightMatrix(ey.outcomes, ez.outcomes, Matrix(2, 4, (0,) * 8))
+        kept = {
+            None: {"note": "patched"},
+            "identity": {"witness": Matrix.identity(2)},
+            "unmixing": {"witness": UNMIXING},
+            "zeros": {"event_weights": zeros},
+        }[witness]
+        answer = orders.DominanceResult(relation, witness is not None, **kept)
+        monkeypatch.setattr(orders, f"{relation}_dominates", lambda *_: answer)
+        report = order_consistency_audit([(ey, ez)])
+        assert report.violations == tuple(f"pair 0: {v}" for v in expected)
+
+    def test_more_outcomes_than_the_bounded_cap_skip_the_bounded_order(self):
+        # an uninformative experiment dominates every other uninformative one
+        ey = Experiment(("a", "b"), ("*",), Matrix(2, 1, (1, 1)))
+        n = orders.MAX_BOUNDED_OUTCOMES + 1  # 13 dominated outcomes
+        labels = tuple(f"z{j}" for j in range(n))
+        ez = Experiment(("a", "b"), labels, Matrix(2, n, (F(1, n),) * 2 * n))
+        report = order_consistency_audit([(ey, ez)])
+        assert report.violations == ()
+        assert report.results == (orders.PairAudit(True, True, True, None),)
+
     def test_complete_dominating_side_collapses_nonneg_to_blackwell(self):
         # audited internally; checked directly here on a complete experiment
         assert is_complete(CLEAN)
